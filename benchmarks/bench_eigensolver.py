@@ -1,74 +1,31 @@
 #!/usr/bin/env python3
-"""Benchmark the eigensolver kernels: numba backend vs pure-numpy fallback.
+"""Benchmark the eigensolver against LAPACK.
 
-The backend is chosen at import time from OCTOEIG_NUMBA, so each
-measurement runs in a fresh subprocess.  The numba timing excludes jit
-compilation (a warmup factorization runs first).
+Times octoeig's real Schur factorization and its eigensystem (values
+plus inverse-iteration vectors) on seeded random matrices, beside
+``numpy.linalg.eig`` as the speed-of-light reference.  Each column is
+the best of ``--repeats`` runs.
 
 Usage:
     python benchmarks/bench_eigensolver.py [--sizes 16,32,64,128] [--repeats 3]
 """
 
 import argparse
-import json
-import os
-import subprocess
-import sys
-
-WORKER = r"""
-import json
 import sys
 import time
 
 import numpy as np
 
-from octoeig.kernels import BACKEND
 from octoeig.linalg import real_schur, schur_eigensystem
 
-sizes = json.loads(sys.argv[1])
-repeats = int(sys.argv[2])
 
-rng = np.random.default_rng(1729)
-real_schur(rng.uniform(-1, 1, (8, 8)))  # warmup: pay jit compilation here
-
-rows = []
-for n in sizes:
-    A = rng.uniform(-1.0, 1.0, (n, n))
+def best_time(fn, repeats):
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        Q, T = real_schur(A)
+        result = fn()
         times.append(time.perf_counter() - t0)
-    froA = float(np.sqrt((A * A).sum()))
-    resid = float(np.abs(Q @ T @ Q.T - A).max() / max(1.0, froA))
-    etimes = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        schur_eigensystem(A)
-        etimes.append(time.perf_counter() - t0)
-    rows.append(
-        {
-            "n": n,
-            "schur_s": min(times),
-            "eigensystem_s": min(etimes),
-            "residual": resid,
-        }
-    )
-print(json.dumps({"backend": BACKEND, "rows": rows}))
-"""
-
-
-def run_backend(numba_on: bool, sizes, repeats):
-    env = dict(os.environ, OCTOEIG_NUMBA="1" if numba_on else "0")
-    out = subprocess.run(
-        [sys.executable, "-c", WORKER, json.dumps(sizes), str(repeats)],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    if out.returncode != 0:
-        raise RuntimeError(out.stderr)
-    return json.loads(out.stdout)
+    return min(times), result
 
 
 def main() -> int:
@@ -78,22 +35,21 @@ def main() -> int:
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    numba = run_backend(True, sizes, args.repeats)
-    numpy_ = run_backend(False, sizes, args.repeats)
-    if numba["backend"] != "numba":
-        print("note: numba unavailable, both columns are the numpy fallback")
-
-    print(f"{'n':>5} | {'numba schur':>12} {'numpy schur':>12} {'speedup':>8} | "
-          f"{'numba eig':>12} {'numpy eig':>12}")
-    print("-" * 72)
-    for rb, rn in zip(numba["rows"], numpy_["rows"]):
-        s1, s2 = rb["schur_s"], rn["schur_s"]
-        e1, e2 = rb["eigensystem_s"], rn["eigensystem_s"]
-        print(f"{rb['n']:>5} | {s1:12.5f} {s2:12.5f} {s2 / s1:8.1f}x | "
-              f"{e1:12.5f} {e2:12.5f}")
-    worst = max(max(r["residual"] for r in numba["rows"]),
-                max(r["residual"] for r in numpy_["rows"]))
-    print(f"worst relative Schur residual across both backends: {worst:.2e}")
+    rng = np.random.default_rng(1729)
+    print(f"{'n':>5} | {'schur':>10} {'eigensystem':>12} | {'numpy eig':>10} "
+          f"{'eig/numpy':>10}")
+    print("-" * 58)
+    worst = 0.0
+    for n in sizes:
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        schur_s, (Q, T) = best_time(lambda: real_schur(A), args.repeats)
+        eig_s, _ = best_time(lambda: schur_eigensystem(A), args.repeats)
+        ref_s, _ = best_time(lambda: np.linalg.eig(A), args.repeats)
+        froA = float(np.sqrt((A * A).sum()))
+        worst = max(worst, float(np.abs(Q @ T @ Q.T - A).max() / max(1.0, froA)))
+        print(f"{n:>5} | {schur_s:10.5f} {eig_s:12.5f} | {ref_s:10.5f} "
+              f"{eig_s / ref_s:9.1f}x")
+    print(f"worst relative Schur residual: {worst:.2e}")
     return 0
 
 

@@ -7,8 +7,7 @@ Core pieces:
 - :mod:`octoeig.operators` -- left/right operator words, generalized
   operators and the faithful 8x8 real (or complex) matrix translation;
 - :mod:`octoeig.linalg` -- self-contained dense eigensolver (Hessenberg
-  + implicit double-shift QR + inverse iteration), numba-compiled with
-  a pure-numpy fallback (OCTOEIG_NUMBA=0);
+  + implicit double-shift QR + inverse iteration);
 - :mod:`octoeig.eigen` -- the coupled eigenproblem M xi = a xi - b eta,
   M eta = a eta + b xi, its complexified equivalent, right-eigenvalue
   verification and enumeration;
@@ -36,11 +35,9 @@ from .operators import (
     OperatorWord,
     R,
     basis_rank,
-    generalized_to_matrix,
     matrix_to_generalized,
     operator_identity_check,
     parse_word,
-    word_to_matrix,
 )
 from .linalg import (
     DEFAULT_SEED,

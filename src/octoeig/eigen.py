@@ -73,8 +73,12 @@ class CoupledSolution:
 
 @dataclass
 class CoupledCluster:
-    """Solutions whose (a, b) agree within the clustering gap;
-    multiplicity is the cluster's share of the algebraic spectrum."""
+    """Solutions whose (a, b) agree within the clustering gap.
+
+    multiplicity counts the eigenvectors found in the cluster, which is
+    at most the geometric multiplicity and can fall short of the
+    algebraic one: the defective [[1, 1], [0, 1]] reports 8 where the
+    algebraic multiplicity is 16."""
 
     a: float
     b: float
@@ -151,8 +155,10 @@ def solve_coupled(M: OperatorMatrix, seed: int = DEFAULT_SEED,
     The matrix is translated to its 8n x 8n real form, every eigenpair
     is computed, and each conjugate-pair representative (b >= 0) is
     split into octonion vectors.  One solution is emitted per computed
-    eigenvector, so cluster sizes reproduce algebraic multiplicities
-    (b = 0 solutions count once, b > 0 once per conjugate pair).
+    eigenvector (b = 0 solutions count once, b > 0 once per conjugate
+    pair), so cluster sizes count independent eigenvectors found, not
+    algebraic multiplicities: a defective matrix such as [[1, 1], [0, 1]]
+    yields 8 solutions at a = 1 where the algebraic multiplicity is 16.
     """
     if M.complexified:
         raise ValueError("solve_coupled needs a real-coefficient operator matrix")

@@ -11,19 +11,34 @@ Projecting the product onto the complex plane spanned by (1, e1),
     [o]_C = (o - e1 (o e1)) / 2,
 
 repairs this for e1: under the projected product e1 is anti-hermitian.
+
 ``classify`` decides hermitian / anti-hermitian / neither for an
-operator matrix by exhaustively testing all pairs of single-entry basis
-vectors; real bilinearity makes the basis check conclusive, and all
-arithmetic is exact for integer entries.
+operator matrix over all pairs of single-entry basis vectors
+psi = e_a at slot s, phi = e_b at slot t; real bilinearity makes the
+basis check conclusive.  It evaluates every pair at once from the
+8n x 8n real translation A, whose column 8t + b in block row s holds
+the coefficients of M_st(e_b):
+
+    <e_a@s, O e_b@t> = conj(e_a) M_st(e_b),
+    <O e_a@s, e_b@t> = conj(M_ts(e_a)) e_b.
+
+Multiplying by a basis unit (after conjugation) only permutes
+coefficients and flips signs, so both sides of all (8n)^2 pairs are
+signed gathers from A, and the projection subtracts a third such
+gather.  No product or sum rounds beyond what the translation and the
+projection's (o - w) / 2 already do, so the values are bit-for-bit the
+ones ``product_values`` computes, and exact for integer entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .eigen import coupled_clusters
 from .linalg import DEFAULT_SEED
-from .octonion import Octonion
+from .octonion import MUL_INDEX, MUL_SIGN, Octonion
 from .operators import OperatorMatrix
 
 __all__ = [
@@ -53,8 +68,7 @@ class HermiticityReport:
     kind: str
     classification: str  # 'hermitian' | 'anti-hermitian' | 'neither'
     # witness pair (psi, phi, left value, right value) present iff 'neither';
-    # it exhibits <psi, O phi> != <O psi, phi> (or the anti-hermitian
-    # violation when the operator is hermitian-symmetric on all pairs)
+    # it exhibits <psi, O phi> != <O psi, phi>
     witness: tuple | None = None
 
 
@@ -80,13 +94,46 @@ def complex_project(o: Octonion, axis: int = 1) -> Octonion:
     return (o - e * (o * e)) / 2
 
 
-def _basis_vectors(n: int):
-    zero = Octonion.zero()
-    for slot in range(n):
-        for k in range(8):
-            vec = [zero] * n
-            vec[slot] = Octonion.basis(k)
-            yield tuple(vec)
+_UNITS = np.arange(8)
+_CONJ_SIGN = np.where(_UNITS == 0, 1.0, -1.0)
+
+
+def _gather_table(index, sign):
+    """Turn a scatter rule (coefficient c of row r lands on index[r, c]
+    with sign[r, c]) into a gather: out_r[k] = g_sign[r, k] *
+    in[g_index[r, k]]."""
+    g_index = np.empty((8, 8), dtype=np.int64)
+    g_sign = np.empty((8, 8))
+    rows = _UNITS[:, None]
+    g_index[rows, index] = _UNITS
+    g_sign[rows, index] = sign
+    return g_index, g_sign
+
+
+# row a: q -> conj(e_a) q;  e_a e_c = MUL_SIGN[a, c] e_{MUL_INDEX[a, c]}
+_LEFT_GATHER = _gather_table(MUL_INDEX, _CONJ_SIGN[:, None] * MUL_SIGN)
+# row b: r -> conj(r) e_b;  coefficient r_c lands on MUL_INDEX[c, b]
+_RIGHT_GATHER = _gather_table(MUL_INDEX.T, (_CONJ_SIGN[:, None] * MUL_SIGN).T)
+# row m: o -> o e_m (the right multiplication alone, unconjugated)
+_RMUL_GATHER = _gather_table(MUL_INDEX.T, MUL_SIGN.T)
+_LMUL_GATHER = _gather_table(MUL_INDEX, MUL_SIGN)
+
+
+def _project_array(o: np.ndarray, axis: int) -> np.ndarray:
+    """complex_project on the last axis of an array of coefficients."""
+    if not 0 <= axis <= 7:
+        raise IndexError(f"basis index out of range 0..7: {axis}")
+    ri, rs = _RMUL_GATHER[0][axis], _RMUL_GATHER[1][axis]
+    li, ls = _LMUL_GATHER[0][axis], _LMUL_GATHER[1][axis]
+    oe = rs * o[..., ri]
+    return (o - ls * oe[..., li]) / 2
+
+
+def _basis_vector(n: int, index: int) -> tuple:
+    """Single-entry vector e_{index % 8} at slot index // 8."""
+    vec = [Octonion.zero()] * n
+    vec[index // 8] = Octonion.basis(index % 8)
+    return tuple(vec)
 
 
 def product_values(op: OperatorMatrix, psi, phi, kind: str = FULL,
@@ -102,45 +149,56 @@ def product_values(op: OperatorMatrix, psi, phi, kind: str = FULL,
     return left, right
 
 
+def _basis_pair_values(op: OperatorMatrix, kind: str, axis: int):
+    """Both sides of the hermiticity definitions for every basis pair, as
+    arrays [p, q, k]: psi = e_{p % 8} at slot p // 8, phi likewise for q,
+    k the coefficient of the (projected) product."""
+    n = op.n
+    A = op.to_real_matrix().reshape(n, 8, n, 8)  # A[s, c, t, b] = M_st(e_b)_c
+    li, ls = _LEFT_GATHER
+    ri, rs = _RIGHT_GATHER
+    # conj(e_a) M_st(e_b): gathered as [s, a, k, t, b]
+    left = (A[:, li] * ls[:, :, None, None]).transpose(0, 1, 3, 4, 2)
+    # conj(M_ts(e_a)) e_b, from A.transpose = M_ts(e_a)_c as [s, a, t, c]
+    right = A.transpose(2, 3, 0, 1)[..., ri] * rs
+    left = left.reshape(8 * n, 8 * n, 8)
+    right = right.reshape(8 * n, 8 * n, 8)
+    if kind == COMPLEX_PROJECTED:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            left = _project_array(left, axis)
+            right = _project_array(right, axis)
+    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+        raise ValueError("octonion coefficients must be finite")
+    return left, right
+
+
 def classify(op: OperatorMatrix, kind: str = FULL, axis: int = 1,
              operator_id: str = "") -> HermiticityReport:
     """Classify an operator matrix as hermitian, anti-hermitian or
-    neither under the chosen product, exhaustively over all pairs of
-    single-entry basis vectors (exact integer arithmetic)."""
+    neither under the chosen product, over all pairs of single-entry
+    basis vectors at once (exact for integer entries).
+
+    The zero operator counts as hermitian.  A 'neither' report carries
+    the first pair, in (psi, phi) scan order, at which the two sides
+    differ, with the values ``product_values`` gives for it.  Raises
+    ValueError when a product overflows.
+    """
     if kind not in _KIND_ALIASES:
         raise ValueError(f"unknown product kind {kind!r}")
     kind = _KIND_ALIASES[kind]
     if op.complexified:
         raise ValueError("classification handles real-coefficient operator matrices")
-    hermitian = True
-    anti = True
-    herm_witness = None
-    anti_witness = None
-    for psi in _basis_vectors(op.n):
-        for phi in _basis_vectors(op.n):
-            left, right = product_values(op, psi, phi, kind, axis)
-            if hermitian and not (left - right).is_zero():
-                hermitian = False
-                herm_witness = (psi, phi, left, right)
-            if anti and not (left + right).is_zero():
-                anti = False
-                anti_witness = (psi, phi, left, right)
-            if not hermitian and not anti:
-                break
-        if not hermitian and not anti:
-            break
-    if hermitian and anti:
-        classification = "hermitian"  # only the zero operator
-    elif hermitian:
-        classification = "hermitian"
-    elif anti:
-        classification = "anti-hermitian"
-    else:
-        classification = "neither"
-    witness = None
-    if classification == "neither":
-        witness = herm_witness if herm_witness is not None else anti_witness
-    return HermiticityReport(operator_id, kind, classification, witness)
+    left, right = _basis_pair_values(op, kind, axis)
+    differs = np.any(left != right, axis=-1)
+    if not differs.any():
+        return HermiticityReport(operator_id, kind, "hermitian")
+    if np.array_equal(left, -right):
+        return HermiticityReport(operator_id, kind, "anti-hermitian")
+    p, q = np.unravel_index(int(np.argmax(differs)), differs.shape)
+    psi = _basis_vector(op.n, int(p))
+    phi = _basis_vector(op.n, int(q))
+    witness = (psi, phi) + product_values(op, psi, phi, kind, axis)
+    return HermiticityReport(operator_id, kind, "neither", witness)
 
 
 def hermitian_spectrum_theorem_check(op: OperatorMatrix,

@@ -1,9 +1,8 @@
 """Hot numeric kernels: LU, Hessenberg reduction, Francis double-shift QR.
 
-The kernels are plain loop-and-slice numpy code compiled with numba's
-@njit by default.  Setting the environment variable ``OCTOEIG_NUMBA=0``
-(before import) selects the pure-numpy fallback: the same functions run
-uncompiled.  ``benchmarks/bench_eigensolver.py`` times both backends.
+The kernels are plain loop-and-slice numpy code, interpreted as
+written.  ``benchmarks/bench_eigensolver.py`` times them against
+``numpy.linalg.eig``.
 
 All kernels work in place on arrays the callers own; drivers in
 :mod:`octoeig.linalg` do the copying, validation and error reporting.
@@ -13,37 +12,9 @@ complex128 arrays.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("OCTOEIG_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        import numba
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    def _jit(fn):
-        return numba.njit(cache=True)(fn)
-else:
-    def _jit(fn):
-        return fn
-
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-
-@_jit
 def lu_factor(a, piv, tiny):
     """LU with partial pivoting, in place; piv[k] is the row swapped into k.
 
@@ -86,7 +57,6 @@ def lu_factor(a, piv, tiny):
     return 0
 
 
-@_jit
 def lu_solve_factored(a, piv, b):
     """Solve with an lu_factor-ed matrix; b (n x m) is overwritten."""
     n = a.shape[0]
@@ -115,7 +85,6 @@ def lu_solve_factored(a, piv, b):
                     b[i, j] = b[i, j] - uik * b[k, j]
 
 
-@_jit
 def balance_in_place(a, scale):
     """Parlett-Reinsch balancing by exact powers of two.
 
@@ -157,7 +126,6 @@ def balance_in_place(a, scale):
                     a[j, i] *= f
 
 
-@_jit
 def hessenberg_in_place(h, q):
     """Householder reduction to upper Hessenberg; q accumulates the
     orthogonal similarity (pass q = identity)."""
@@ -209,7 +177,6 @@ def hessenberg_in_place(h, q):
             h[i, k] = 0.0
 
 
-@_jit
 def _apply_house3_left(h, k, lo, n, v0, v1, v2, beta):
     for j in range(lo, n):
         s = beta * (v0 * h[k, j] + v1 * h[k + 1, j] + v2 * h[k + 2, j])
@@ -218,7 +185,6 @@ def _apply_house3_left(h, k, lo, n, v0, v1, v2, beta):
         h[k + 2, j] -= s * v2
 
 
-@_jit
 def _apply_house3_right(h, k, hi, v0, v1, v2, beta):
     for i in range(hi + 1):
         s = beta * (v0 * h[i, k] + v1 * h[i, k + 1] + v2 * h[i, k + 2])
@@ -227,7 +193,6 @@ def _apply_house3_right(h, k, hi, v0, v1, v2, beta):
         h[i, k + 2] -= s * v2
 
 
-@_jit
 def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
     """Implicit double-shift QR on an upper Hessenberg matrix, in place.
 
@@ -340,7 +305,6 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
     return (0, 0, 0)
 
 
-@_jit
 def split_real_2x2_blocks(t, q):
     """Rotate 2x2 diagonal blocks with real eigenvalues into two 1x1
     blocks, so 2x2 blocks remain only for complex conjugate pairs."""

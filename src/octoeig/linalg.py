@@ -122,26 +122,24 @@ def _fro(A) -> float:
     return float(np.sqrt((np.abs(np.asarray(A)) ** 2).sum()))
 
 
-def real_schur(A, balance: bool = False):
-    """Real Schur form: orthogonal Q and quasi-triangular T with
-    A = Q T Q^T; diagonal 2x2 blocks remain only for complex pairs.
+def _schur(A, balance: bool):
+    """Hessenberg reduction plus Francis QR of a real square matrix.
 
-    Balancing is off by default because folding a diagonal scaling into
-    Q would break orthogonality; the flag exists for experiments where
-    only T is consumed.
+    Returns (Q, T) with T quasi-triangular and diagonal 2x2 blocks left
+    only for complex pairs.  Without balancing A = Q T Q^T with Q
+    orthogonal; with balancing the same holds for D^-1 A D, where D is
+    the balancing scaling, so only T is meaningful to callers.
     """
     A = _check_square(A)
     if np.iscomplexobj(A):
-        raise ValueError("real_schur expects a real matrix")
+        raise ValueError("expected a real matrix; use complex_eigen for complex input")
     n = A.shape[0]
     T = np.ascontiguousarray(A, dtype=np.float64).copy()
     Q = np.eye(n)
     if n <= 1:
         return Q, T
-    scale = None
     if balance:
-        scale = np.ones(n)
-        balance_in_place(T, scale)
+        balance_in_place(T, np.ones(n))
     fro = _fro(T)
     hessenberg_in_place(T, Q)
     code, lo, hi = francis_qr(T, Q, _EPS, fro, _MAX_SWEEPS_PER_N)
@@ -153,35 +151,13 @@ def real_schur(A, balance: bool = False):
             hi,
         )
     split_real_2x2_blocks(T, Q)
-    if scale is not None:
-        # undo the similarity on Q's rows; Q is then no longer orthogonal
-        Q = (Q.T * scale).T
     return Q, T
 
 
-def _schur_T(A, balance: bool = True) -> np.ndarray:
-    """Quasi-triangular factor only (values path; Q is discarded)."""
-    A = _check_square(A)
-    n = A.shape[0]
-    T = np.ascontiguousarray(A, dtype=np.float64).copy()
-    Q = np.eye(n)
-    if n <= 1:
-        return T
-    if balance:
-        scale = np.ones(n)
-        balance_in_place(T, scale)
-    fro = _fro(T)
-    hessenberg_in_place(T, Q)
-    code, lo, hi = francis_qr(T, Q, _EPS, fro, _MAX_SWEEPS_PER_N)
-    if code != 0:
-        raise ConvergenceError(
-            f"QR iteration did not converge on rows {lo}..{hi} "
-            f"after {_MAX_SWEEPS_PER_N * n} sweeps",
-            lo,
-            hi,
-        )
-    split_real_2x2_blocks(T, Q)
-    return T
+def real_schur(A):
+    """Real Schur form: orthogonal Q and quasi-triangular T with
+    A = Q T Q^T; diagonal 2x2 blocks remain only for complex pairs."""
+    return _schur(A, balance=False)
 
 
 def _read_blocks(T):
@@ -223,7 +199,7 @@ def _sorted_values(blocks) -> np.ndarray:
 def eigenvalues(A, balance: bool = True) -> np.ndarray:
     """All eigenvalues of a real square matrix, sorted by real part then
     by descending imaginary part; conjugate pairs are exact mirrors."""
-    T = _schur_T(A, balance=balance)
+    _, T = _schur(A, balance)
     return _sorted_values(_read_blocks(T))
 
 
@@ -371,11 +347,9 @@ def schur_eigensystem(A, seed: int = DEFAULT_SEED, tol: float = SOLVER_TOL,
     only for defective clusters) are dropped.
     """
     A = _check_square(A)
-    if np.iscomplexobj(A):
-        raise ValueError("schur_eigensystem expects a real matrix")
     rng = np.random.default_rng(seed)
     fro = _fro(A)
-    T = _schur_T(A, balance=balance)
+    _, T = _schur(A, balance)
     blocks = _read_blocks(T)
     values = _sorted_values(blocks)
 

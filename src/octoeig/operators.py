@@ -55,8 +55,6 @@ __all__ = [
     "L",
     "R",
     "parse_word",
-    "word_to_matrix",
-    "generalized_to_matrix",
     "matrix_to_generalized",
     "operator_basis",
     "basis_rank",
@@ -155,10 +153,6 @@ def parse_word(text: str) -> OperatorWord:
     return OperatorWord(factors)
 
 
-def word_to_matrix(word: OperatorWord) -> np.ndarray:
-    return word.to_matrix()
-
-
 class GeneralizedOperator:
     """L_{o_0} + sum_m R_m . L_{o_m}: the most general real-linear
     operator on octonions (apply the left factor first, then R_m)."""
@@ -221,10 +215,6 @@ class GeneralizedOperator:
     def __repr__(self):
         inner = ", ".join(format_octonion(p) for p in self.parts)
         return f"GeneralizedOperator([{inner}])"
-
-
-def generalized_to_matrix(g: GeneralizedOperator) -> np.ndarray:
-    return g.to_matrix()
 
 
 _BASIS_CACHE: dict[str, np.ndarray] = {}

@@ -40,10 +40,6 @@ def _e(k: int) -> Octonion:
     return Octonion.basis(k)
 
 
-def _as_detail(ok: bool, msg: str) -> tuple[bool, str]:
-    return ok, msg
-
-
 # -- octonion algebra ---------------------------------------------------------
 
 
@@ -57,7 +53,7 @@ def check_basis_products():
     ok = ok and structure_constant(2, 5) == (1, 7)
     ok = ok and structure_constant(7, 2) == (1, 5)
     ok = ok and structure_constant(3, 3) == (-1, 0)
-    return _as_detail(ok, "basis products and structure constants")
+    return ok, "basis products and structure constants"
 
 
 def check_complexified_unit_solutions():
@@ -68,7 +64,7 @@ def check_complexified_unit_solutions():
     for p1, p2 in pairs:
         phi = ComplexOctonion(p1, p2)
         ok = ok and (e4 * phi) == (phi * minus_i)
-    return _as_detail(ok, "e4 Phi = Phi(-i) for the four unit eigenvectors")
+    return ok, "e4 Phi = Phi(-i) for the four unit eigenvectors"
 
 
 # -- operator actions and translation ----------------------------------------
@@ -81,14 +77,14 @@ def check_right_mult_action():
     got = (_PSI * _e(1)).coeffs
     c = _PSI.coeffs
     want = np.array([-c[1], c[0], c[3], -c[2], c[5], -c[4], -c[7], c[6]])
-    return _as_detail(bool(np.array_equal(got, want)), "psi e1 coefficient action")
+    return bool(np.array_equal(got, want)), "psi e1 coefficient action"
 
 
 def check_left_mult_action():
     got = (_e(2) * _PSI).coeffs
     c = _PSI.coeffs
     want = np.array([-c[2], c[3], c[0], -c[1], -c[6], -c[7], c[4], c[5]])
-    return _as_detail(bool(np.array_equal(got, want)), "e2 psi coefficient action")
+    return bool(np.array_equal(got, want)), "e2 psi coefficient action"
 
 
 def check_word_ordering():
@@ -97,7 +93,7 @@ def check_word_ordering():
     ok = word.apply(_PSI) == direct
     m = word.to_matrix()
     ok = ok and bool(np.array_equal(m @ _PSI.coeffs, direct.coeffs))
-    return _as_detail(ok, "L4 R5 R1 L6 psi = e4{[(e6 psi)e1]e5}")
+    return ok, "L4 R5 R1 L6 psi = e4{[(e6 psi)e1]e5}"
 
 
 def check_mixed_order_actions():
@@ -109,13 +105,13 @@ def check_mixed_order_actions():
     ok = bool(np.array_equal(r1l3.coeffs, want1)) and bool(
         np.array_equal(l3r1.coeffs, want2)
     )
-    return _as_detail(ok, "(e3 psi)e1 vs e3(psi e1) differ in the 4..7 block")
+    return ok, "(e3 psi)e1 vs e3(psi e1) differ in the 4..7 block"
 
 
 def check_operator_identities():
     rep = operator_identity_check()
     ok = rep["all_passed"] and basis_rank() == 64
-    return _as_detail(ok, "operator identities and 64-element basis rank")
+    return ok, "operator identities and 64-element basis rank"
 
 
 _E4_MATRIX = np.array(
@@ -135,7 +131,7 @@ _E4_MATRIX = np.array(
 
 def check_e4_translation():
     M = OperatorMatrix([[_e(4)]])
-    return _as_detail(
+    return (
         bool(np.array_equal(M.to_real_matrix(), _E4_MATRIX)),
         "8x8 translation of the 1x1 matrix [e4]",
     )
@@ -153,7 +149,7 @@ def check_e4_spectrum():
     v[3] = 1j
     v[7] = 1.0
     ok = ok and bool(np.array_equal(_E4_MATRIX @ v, -1j * v))
-    return _as_detail(ok, "spectrum {i, -i} x4 and exact unit eigenvector")
+    return ok, "spectrum {i, -i} x4 and exact unit eigenvector"
 
 
 def check_e4_coupled():
@@ -167,7 +163,7 @@ def check_e4_coupled():
     c = clusters[0]
     ok = ok and abs(c.a) <= 1e-9 and abs(c.b - 1.0) <= 1e-9 and c.multiplicity == 4
     ok = ok and all(s.residual <= 1e-8 for s in c.solutions)
-    return _as_detail(ok, "[e4] coupled pair (e7, e3) and cluster (0,1) x4")
+    return ok, "[e4] coupled pair (e7, e3) and cluster (0,1) x4"
 
 
 def _ex_2x2() -> OperatorMatrix:
@@ -179,7 +175,7 @@ def check_2x2_spectrum():
     vals = eigenvalues(A)
     want = np.sort_complex(np.array([1j] * 4 + [-1j] * 4 + [1.0 + 0j] * 8))
     ok = bool(np.max(np.abs(np.sort_complex(vals) - want)) <= 1e-9)
-    return _as_detail(ok, "16x16 spectrum {i x4, -i x4, 1 x8}")
+    return ok, "16x16 spectrum {i x4, -i x4, 1 x8}"
 
 
 def check_2x2_coupled_pair():
@@ -190,7 +186,7 @@ def check_2x2_coupled_pair():
     clusters = coupled_clusters(M)
     key = sorted((round(c.a, 9), round(c.b, 9), c.multiplicity) for c in clusters)
     ok = ok and key == [(0.0, 1.0, 4), (1.0, 0.0, 8)]
-    return _as_detail(ok, "2x2 coupled pair and clusters {(0,1) x4, (1,0) x8}")
+    return ok, "2x2 coupled pair and clusters {(0,1) x4, (1,0) x8}"
 
 
 def check_2x2_complexified_solutions():
@@ -214,7 +210,7 @@ def check_2x2_complexified_solutions():
         )
         phi = (phi1, ComplexOctonion.zero())
         ok = ok and verify_complexified(M, 1.0 + 0j, phi) == 0.0
-    return _as_detail(ok, "four z=-i complexified solutions and the z=1 family")
+    return ok, "four z=-i complexified solutions and the z=1 family"
 
 
 def check_solver_equivalence():
@@ -228,7 +224,7 @@ def check_solver_equivalence():
         xi = tuple(p.re for p in s.phi)
         eta = tuple(p.im for p in s.phi)
         ok = ok and verify_coupled(M, s.z.real, s.z.imag, xi, eta) <= 1e-8
-    return _as_detail(ok, "coupled and complexified spectra agree")
+    return ok, "coupled and complexified spectra agree"
 
 
 def check_right_eigen_claims():
@@ -236,7 +232,7 @@ def check_right_eigen_claims():
     c1 = verify_right_eigen(M1, RightEigenClaim((_e(2), _e(4)), Octonion.one() - _e(7)))
     M2 = OperatorMatrix([[1, _e(4)], [-_e(4), 1]])
     c2 = verify_right_eigen(M2, RightEigenClaim((_e(5), _e(7)), Octonion.one() - _e(6)))
-    return _as_detail(c1.ok and c2.ok, "right-eigenvalue claims 1-e7 and 1-e6")
+    return c1.ok and c2.ok, "right-eigenvalue claims 1-e7 and 1-e6"
 
 
 def check_enumeration():
@@ -263,7 +259,7 @@ def check_enumeration():
         got.add((k, float(c.psi[1].coeffs[k]), tuple(float(x) for x in c.lam.coeffs)))
     want = {(k, s, tuple(float(x) for x in lam)) for (k, s, lam) in want}
     ok = got == want and len(claims) == 10
-    return _as_detail(ok, "the ten basis right-eigensolutions for psi_a = e2")
+    return ok, "the ten basis right-eigensolutions for psi_a = e2"
 
 
 def check_quaternionic_limit():
@@ -274,7 +270,7 @@ def check_quaternionic_limit():
     rep2 = quaternionic_limit_check(OperatorMatrix([[_e(1)]]))
     evs2 = sorted((round(a, 9), round(b, 9)) for a, b in rep2["eigenvalues"])
     ok = ok and rep2["ok"] and evs2 == [(0.0, 1.0)]
-    return _as_detail(ok, "quaternionic matrices reduce to right eigenvalues a +- e1 b")
+    return ok, "quaternionic matrices reduce to right eigenvalues a +- e1 b"
 
 
 # -- hermiticity --------------------------------------------------------------
@@ -290,7 +286,7 @@ def check_inner_product_values():
     ok = ok and v2 == 2 * Octonion.one() + 2 * _e(6)
     ok = ok and hermiticity.complex_project(v1) == 2 * Octonion.one()
     ok = ok and hermiticity.complex_project(v2) == 2 * Octonion.one()
-    return _as_detail(ok, "values 2 - 2e6 / 2 + 2e6 and projections 2")
+    return ok, "values 2 - 2e6 / 2 + 2e6 and projections 2"
 
 
 def check_hermiticity_classification():
@@ -306,7 +302,7 @@ def check_hermiticity_classification():
         and r3.classification == "neither"
         and r3.witness is not None
     )
-    return _as_detail(ok, "[e1] projected anti-hermitian; full products fail")
+    return ok, "[e1] projected anti-hermitian; full products fail"
 
 
 # -- dirac --------------------------------------------------------------------
@@ -321,7 +317,7 @@ def check_dirac():
         m = float(rng.uniform(0, 2))
         ok = ok and dirac.dispersion_check(p=p, m=m)["ok"]
     ok = ok and dirac.orthogonal_doublet_check()["all_passed"]
-    return _as_detail(ok, "Dirac algebra, dispersion and doublet orthogonality")
+    return ok, "Dirac algebra, dispersion and doublet orthogonality"
 
 
 CHECKS = [

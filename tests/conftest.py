@@ -15,14 +15,3 @@ def rand_octonion(rng, lo=-5.0, hi=5.0) -> Octonion:
 
 def rand_int_octonion(rng, lo=-4, hi=5) -> Octonion:
     return Octonion(rng.integers(lo, hi, 8).astype(float))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger the jit compilation once so timed tests measure the
-    algorithms, not the compiler."""
-    from octoeig.linalg import eigenvalues, schur_eigensystem
-
-    a = np.array([[0.0, -1.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.25, 2.0]])
-    eigenvalues(a)
-    schur_eigensystem(a)

@@ -2,8 +2,7 @@
 
 Each test prints one PASS line (run with -s or see captured output);
 a failing criterion fails its test.  Timed criteria measure algorithm
-time only: the session-scoped warm_kernels fixture has already paid
-the one-off jit compilation.
+time only.
 """
 
 import time

@@ -3,14 +3,18 @@ classification."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octoeig import (
     COMPLEX_PROJECTED,
     FULL,
+    GeneralizedOperator,
     Octonion,
     OperatorMatrix,
     classify,
     complex_project,
+    format_octonion,
     hermitian_spectrum_theorem_check,
     inner,
     survey_imaginary_units,
@@ -179,9 +183,120 @@ class TestClassify:
         rep = classify(OperatorMatrix([[2]]), FULL)
         assert rep.classification == "hermitian"
 
+    def test_extreme_scalar(self):
+        # the two sides are compared, not subtracted: L + R overflowing
+        # must not stop a hermitian verdict; a projection that overflows
+        # has no finite value to compare and is refused
+        op = OperatorMatrix([[1e308]])
+        assert classify(op, FULL).classification == "hermitian"
+        with pytest.raises(ValueError, match="finite"):
+            classify(op, COMPLEX_PROJECTED)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             classify(OperatorMatrix([[1]]), "sesquilinear")
+
+
+def loop_classify(op, kind):
+    """Reference classification: both sides of every basis pair from
+    product_values, scanned in (psi, phi) order; the witness is the
+    first pair where the sides differ."""
+    vectors = []
+    for slot in range(op.n):
+        for k in range(8):
+            vec = [ZERO] * op.n
+            vec[slot] = E(k)
+            vectors.append(tuple(vec))
+    hermitian = anti = True
+    witness = None
+    for psi in vectors:
+        for phi in vectors:
+            left, right = product_values(op, psi, phi, kind)
+            if hermitian and not (left - right).is_zero():
+                hermitian = False
+                witness = (psi, phi, left, right)
+            if anti and not (left + right).is_zero():
+                anti = False
+            if not (hermitian or anti):
+                return "neither", witness
+    return ("hermitian" if hermitian else "anti-hermitian"), None
+
+
+def formatted(witness):
+    if witness is None:
+        return None
+    psi, phi, left, right = witness
+    return ([format_octonion(p) for p in psi], [format_octonion(p) for p in phi],
+            format_octonion(left), format_octonion(right))
+
+
+INTEGERS = st.integers(-3, 3).map(float)
+FLOATS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def octonions(draw, coeffs, units=tuple(range(8))):
+    c = np.zeros(8)
+    c[list(units)] = draw(st.lists(coeffs, min_size=len(units), max_size=len(units)))
+    return Octonion(c)
+
+
+@st.composite
+def operator_matrices(draw):
+    """Left-only integer or float entries, generalized operators with
+    R-parts, and (anti)symmetric matrices M_ji = +-conj(M_ij)."""
+    n = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(
+        ["integer", "float", "generalized", "symmetric", "antisymmetric"]))
+    if family in ("integer", "float"):
+        coeffs = INTEGERS if family == "integer" else FLOATS
+        return OperatorMatrix([[draw(octonions(coeffs)) for _ in range(n)]
+                               for _ in range(n)])
+    if family == "generalized":
+        part = st.one_of(st.just(ZERO), octonions(FLOATS))
+        return OperatorMatrix([
+            [GeneralizedOperator(draw(st.lists(part, min_size=8, max_size=8)))
+             for _ in range(n)]
+            for _ in range(n)
+        ])
+    sign = 1.0 if family == "symmetric" else -1.0
+    coeffs = draw(st.sampled_from([INTEGERS, FLOATS]))
+    units = draw(st.sampled_from([(0,), (0, 1), tuple(range(8))]))
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            o = draw(octonions(coeffs, units))
+            if i == j:  # real diagonal if symmetric, imaginary if not
+                o = (o + sign * o.conj()) / 2
+            rows[i][j] = o
+            rows[j][i] = sign * o.conj()
+    return OperatorMatrix(rows)
+
+
+class TestClassifyAgainstLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(operator_matrices(), st.sampled_from([FULL, COMPLEX_PROJECTED]))
+    def test_label_and_witness_match_the_pair_loop(self, op, kind):
+        rep = classify(op, kind)
+        label, witness = loop_classify(op, kind)
+        assert rep.classification == label
+        assert formatted(rep.witness) == formatted(witness)
+        if witness is not None:
+            for got, want in zip(rep.witness[2:], witness[2:]):
+                assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_zero_operator_is_hermitian(self):
+        op = OperatorMatrix([[0, 0], [0, 0]])
+        for kind in (FULL, COMPLEX_PROJECTED):
+            assert classify(op, kind).classification == "hermitian"
+
+    def test_n8_real_symmetric_is_hermitian(self):
+        n = 8
+        op = OperatorMatrix([[float(i * j - i - j) for j in range(n)] for i in range(n)])
+        for kind in (FULL, COMPLEX_PROJECTED):
+            rep = classify(op, kind)
+            assert rep.classification == "hermitian"
+            assert rep.witness is None
 
 
 class TestSpectrumTheorem:
@@ -211,6 +326,11 @@ class TestUnitSurvey:
         survey = survey_imaginary_units(COMPLEX_PROJECTED)
         assert survey[1] == "anti-hermitian"
         assert {survey[m] for m in range(2, 8)} == {"neither"}
+
+    def test_default_survey_pinned(self):
+        want = {1: "anti-hermitian"}
+        want.update({m: "neither" for m in range(2, 8)})
+        assert survey_imaginary_units() == want
 
     def test_full_survey_no_unit_is_antihermitian(self):
         survey = survey_imaginary_units(FULL)
