@@ -3,11 +3,13 @@
 Subcommands: mul, translate, decompose, eig, verify, enumerate,
 hermiticity, dirac, paper-suite.  Output is text by default or JSON
 with ``--format json``; all runs are deterministic for a given input
-and seed (``--seed``, default 1729, overridable via the environment
-variable ``OCTOEIG_SEED``).  Input files may be ``-`` for stdin.
+and seed (``--seed``, else the environment variable ``OCTOEIG_SEED``,
+which must then be an integer, else 1729).  Input files may be ``-``
+for stdin.
 
 Exit status: 0 on success, 1 when a verification or solver check
-fails, 2 on parse/IO errors.
+fails, 2 on parse/IO errors and bad input, a malformed
+``OCTOEIG_SEED`` included.
 """
 
 from __future__ import annotations
@@ -47,14 +49,15 @@ from .suite import run_suite
 __all__ = ["main"]
 
 
-def _default_seed() -> int:
-    env = os.environ.get("OCTOEIG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
+def _seed(args) -> int:
+    """--seed if given, else OCTOEIG_SEED, else DEFAULT_SEED."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("OCTOEIG_SEED", str(DEFAULT_SEED))
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"OCTOEIG_SEED must be an integer, got {env!r}") from None
 
 
 def _read_text(path: str) -> str:
@@ -160,7 +163,7 @@ def _cmd_eig(args) -> int:
     method = args.method
     if method == "auto":
         method = "complexified" if M.complexified else "coupled"
-    report = eig_report(M, seed=args.seed, method=method)
+    report = eig_report(M, seed=_seed(args), method=method)
     if args.format == "json":
         _emit_json(report)
         return 0
@@ -276,7 +279,7 @@ def _cmd_hermiticity(args) -> int:
 
 def _cmd_dirac(args) -> int:
     alg = dirac_mod.dirac_algebra_check()
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args))
     disp_ok = True
     worst = 0.0
     for _ in range(100):
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=_default_seed())
+    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--full-precision", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -148,8 +148,16 @@ def verify_coupled(M: OperatorMatrix, a: float, b: float, xi, eta) -> float:
     return res
 
 
-def solve_coupled(M: OperatorMatrix, seed: int = DEFAULT_SEED,
-                  tol: float = SOLVER_TOL) -> list[CoupledSolution]:
+def _clusters(sols, gap: float) -> list[CoupledCluster]:
+    """Solutions grouped by (a, b) within the clustering gap."""
+    zs = [complex(s.a, s.b) for s in sols]
+    return [
+        CoupledCluster(rep.real, rep.imag, len(idxs), [sols[i] for i in idxs])
+        for rep, idxs in cluster_values(zs, gap)
+    ]
+
+
+def solve_coupled(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> list[CoupledSolution]:
     """All coupled solutions of a real-coefficient operator matrix.
 
     The matrix is translated to its 8n x 8n real form, every eigenpair
@@ -159,19 +167,19 @@ def solve_coupled(M: OperatorMatrix, seed: int = DEFAULT_SEED,
     pair), so cluster sizes count independent eigenvectors found, not
     algebraic multiplicities: a defective matrix such as [[1, 1], [0, 1]]
     yields 8 solutions at a = 1 where the algebraic multiplicity is 16.
+    Eigenvectors whose relative residual exceeds SOLVER_TOL are dropped.
     """
     if M.complexified:
         raise ValueError("solve_coupled needs a real-coefficient operator matrix")
     A = M.to_real_matrix()
-    _, records = schur_eigensystem(A, seed=seed, tol=tol)
+    _, records = schur_eigensystem(A, seed=seed)
     sols = []
     for (z, v, _) in records:
         a, b = z.real, z.imag
+        xi = _chunk_real(np.real(v))
         if b == 0.0:
-            xi = _chunk_real(np.real(v))
             eta = tuple(Octonion.zero() for _ in range(M.n))
         else:
-            xi = _chunk_real(np.real(v))
             eta = _chunk_real(np.imag(v))
         res = verify_coupled(M, a, b, xi, eta)
         sols.append(CoupledSolution(a, b, xi, eta, res))
@@ -179,19 +187,9 @@ def solve_coupled(M: OperatorMatrix, seed: int = DEFAULT_SEED,
     return sols
 
 
-def coupled_clusters(M: OperatorMatrix, seed: int = DEFAULT_SEED,
-                     tol: float = SOLVER_TOL) -> list[CoupledCluster]:
+def coupled_clusters(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> list[CoupledCluster]:
     """Coupled solutions grouped by (a, b) within the clustering gap."""
-    sols = solve_coupled(M, seed=seed, tol=tol)
-    A_fro_gap = cluster_gap(M.to_real_matrix())
-    clusters = []
-    zs = [complex(s.a, s.b) for s in sols]
-    for rep, idxs in cluster_values(zs, A_fro_gap):
-        members = [sols[i] for i in idxs]
-        clusters.append(
-            CoupledCluster(rep.real, rep.imag, len(members), members)
-        )
-    return clusters
+    return _clusters(solve_coupled(M, seed=seed), cluster_gap(M.to_real_matrix()))
 
 
 def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
@@ -210,8 +208,8 @@ def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
     return res
 
 
-def solve_complexified(M: OperatorMatrix, seed: int = DEFAULT_SEED,
-                       tol: float = SOLVER_TOL) -> list[ComplexifiedSolution]:
+def solve_complexified(M: OperatorMatrix,
+                       seed: int = DEFAULT_SEED) -> list[ComplexifiedSolution]:
     """Solve O Phi = Phi z through the complex matrix translation.
 
     For a complexified matrix every eigenvalue of the 8n x 8n complex
@@ -222,7 +220,7 @@ def solve_complexified(M: OperatorMatrix, seed: int = DEFAULT_SEED,
     directly comparable with solve_coupled.
     """
     A = M.to_complex_matrix()
-    pairs = complex_eigen(A, seed=seed, tol=tol)
+    pairs = complex_eigen(A, seed=seed)
     gap = cluster_gap(A)
     sols = []
     for p in pairs:
@@ -315,10 +313,6 @@ def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None)
     return claims
 
 
-def _is_quaternionic(o: Octonion, tol: float = 0.0) -> bool:
-    return bool(np.all(np.abs(o.coeffs[4:]) <= tol))
-
-
 def _project_quaternionic(vec: np.ndarray, n: int) -> np.ndarray:
     """Zero the e4..e7 coefficients of every octonion chunk."""
     out = np.array(vec, copy=True)
@@ -327,8 +321,7 @@ def _project_quaternionic(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED,
-                             tol: float = SOLVER_TOL) -> dict:
+def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> dict:
     """Check that the coupled problem collapses onto the quaternionic
     right eigenvalue problem when the matrix is quaternionic.
 
@@ -339,7 +332,7 @@ def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED,
     a quaternion-valued coupled solution again; each cluster must own
     such a witness, and the witness's eta must be a right eigenvector
     M eta = eta (a + mu b) for a unit imaginary quaternion mu = eta^-1
-    xi, the conjugacy representative of a + e1 b.
+    xi, the conjugacy representative of a + e1 b, up to SOLVER_TOL.
     """
     report = {"quaternionic": True, "clusters": [], "eigenvalues": []}
     if M.complexified:
@@ -349,13 +342,13 @@ def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED,
         return report
     for row in M.entries:
         for g in row:
-            if not g.is_left_only() or not _is_quaternionic(g.parts[0]):
+            if not g.is_left_only() or np.any(g.parts[0].coeffs[4:]):
                 report["quaternionic"] = False
                 report["reason"] = "not quaternionic: entry outside span(1, e1, e2, e3)"
                 report["ok"] = False
                 return report
     A = M.to_real_matrix()
-    _, records = schur_eigensystem(A, seed=seed, tol=tol)
+    _, records = schur_eigensystem(A, seed=seed)
     gap = cluster_gap(A)
     zs = [z for (z, _, _) in records]
     max_res = 0.0
@@ -405,7 +398,7 @@ def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED,
                 res = max((m_eta[i] - eta[i] * lam).norm() for i in range(M.n))
                 entry["qrep_residual"] = res
         max_res = max(max_res, entry["coupled_residual"], entry["qrep_residual"])
-        if entry["qrep_residual"] > tol or not entry["mu_unit_imaginary"]:
+        if entry["qrep_residual"] > SOLVER_TOL or not entry["mu_unit_imaginary"]:
             all_ok = False
         report["clusters"].append(entry)
     report["eigenvalues"] = [(c["a"], c["b"]) for c in report["clusters"]]
@@ -414,30 +407,19 @@ def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED,
     return report
 
 
-def eig_report(M: OperatorMatrix, seed: int = DEFAULT_SEED,
-               tol: float = SOLVER_TOL, method: str = "auto") -> dict:
+def eig_report(M: OperatorMatrix, method: str, seed: int = DEFAULT_SEED) -> dict:
     """JSON-ready eigenreport: matrix echo, clusters of (a, b) with one
     solution per eigenvector, and the seed that reproduces them.
 
-    The coupled route needs an i-free matrix; the complexified route
-    works for both and reports xi = phi1, eta = phi2 of Phi = phi1 +
-    i*phi2, which is the same data for i-free inputs.
+    method is "coupled", which needs an i-free matrix, or
+    "complexified", which works for both and reports xi = phi1, eta =
+    phi2 of Phi = phi1 + i*phi2, the same data for i-free inputs.
     """
-    if method == "auto":
-        method = "complexified" if M.complexified else "coupled"
     if method == "coupled":
-        clusters = coupled_clusters(M, seed=seed, tol=tol)
+        clusters = coupled_clusters(M, seed=seed)
     elif method == "complexified":
-        sols = [
-            coupled_from_complexified(s)
-            for s in solve_complexified(M, seed=seed, tol=tol)
-        ]
-        gap = cluster_gap(M.to_complex_matrix())
-        zs = [complex(s.a, s.b) for s in sols]
-        clusters = [
-            CoupledCluster(rep.real, rep.imag, len(idxs), [sols[i] for i in idxs])
-            for rep, idxs in cluster_values(zs, gap)
-        ]
+        sols = [coupled_from_complexified(s) for s in solve_complexified(M, seed=seed)]
+        clusters = _clusters(sols, cluster_gap(M.to_complex_matrix()))
     else:
         raise ValueError(f"unknown method {method!r}")
     return {

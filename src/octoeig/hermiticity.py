@@ -55,16 +55,17 @@ __all__ = [
 
 FULL = "full"
 COMPLEX_PROJECTED = "complex-projected"
-_KIND_ALIASES = {
-    FULL: FULL,
-    COMPLEX_PROJECTED: COMPLEX_PROJECTED,
-    "projected": COMPLEX_PROJECTED,
-}
+# a hermitian operator's coupled spectrum has |b| at most this
+_REAL_SPECTRUM_TOL = 1e-9
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in (FULL, COMPLEX_PROJECTED):
+        raise ValueError(f"unknown product kind {kind!r}")
 
 
 @dataclass
 class HermiticityReport:
-    operator_id: str
     kind: str
     classification: str  # 'hermitian' | 'anti-hermitian' | 'neither'
     # witness pair (psi, phi, left value, right value) present iff 'neither';
@@ -84,14 +85,11 @@ def inner(psi, phi) -> Octonion:
     return acc
 
 
-def complex_project(o: Octonion, axis: int = 1) -> Octonion:
-    """Projection onto the complex plane (1, e_axis):
-    (o - e_axis (o e_axis)) / 2, inner product first.
-
-    axis != 1 is experimental; the supported product uses e1.
-    """
-    e = Octonion.basis(axis)
-    return (o - e * (o * e)) / 2
+def complex_project(o: Octonion) -> Octonion:
+    """Projection onto the complex plane (1, e1): (o - e1 (o e1)) / 2,
+    inner product first."""
+    e1 = Octonion.basis(1)
+    return (o - e1 * (o * e1)) / 2
 
 
 _UNITS = np.arange(8)
@@ -114,17 +112,15 @@ def _gather_table(index, sign):
 _LEFT_GATHER = _gather_table(MUL_INDEX, _CONJ_SIGN[:, None] * MUL_SIGN)
 # row b: r -> conj(r) e_b;  coefficient r_c lands on MUL_INDEX[c, b]
 _RIGHT_GATHER = _gather_table(MUL_INDEX.T, (_CONJ_SIGN[:, None] * MUL_SIGN).T)
-# row m: o -> o e_m (the right multiplication alone, unconjugated)
-_RMUL_GATHER = _gather_table(MUL_INDEX.T, MUL_SIGN.T)
-_LMUL_GATHER = _gather_table(MUL_INDEX, MUL_SIGN)
+# o -> o e1 and o -> e1 o: row 1 of the right and left multiplications
+_RMUL_E1 = tuple(t[1] for t in _gather_table(MUL_INDEX.T, MUL_SIGN.T))
+_LMUL_E1 = tuple(t[1] for t in _gather_table(MUL_INDEX, MUL_SIGN))
 
 
-def _project_array(o: np.ndarray, axis: int) -> np.ndarray:
+def _project_array(o: np.ndarray) -> np.ndarray:
     """complex_project on the last axis of an array of coefficients."""
-    if not 0 <= axis <= 7:
-        raise IndexError(f"basis index out of range 0..7: {axis}")
-    ri, rs = _RMUL_GATHER[0][axis], _RMUL_GATHER[1][axis]
-    li, ls = _LMUL_GATHER[0][axis], _LMUL_GATHER[1][axis]
+    ri, rs = _RMUL_E1
+    li, ls = _LMUL_E1
     oe = rs * o[..., ri]
     return (o - ls * oe[..., li]) / 2
 
@@ -136,20 +132,20 @@ def _basis_vector(n: int, index: int) -> tuple:
     return tuple(vec)
 
 
-def product_values(op: OperatorMatrix, psi, phi, kind: str = FULL,
-                   axis: int = 1) -> tuple[Octonion, Octonion]:
+def product_values(op: OperatorMatrix, psi, phi,
+                   kind: str = FULL) -> tuple[Octonion, Octonion]:
     """The two sides compared by the hermiticity definitions:
     <psi, O phi> and <O psi, phi>, optionally complex-projected."""
-    kind = _KIND_ALIASES[kind]
+    _check_kind(kind)
     left = inner(psi, op.apply(list(phi)))
     right = inner(op.apply(list(psi)), phi)
     if kind == COMPLEX_PROJECTED:
-        left = complex_project(left, axis)
-        right = complex_project(right, axis)
+        left = complex_project(left)
+        right = complex_project(right)
     return left, right
 
 
-def _basis_pair_values(op: OperatorMatrix, kind: str, axis: int):
+def _basis_pair_values(op: OperatorMatrix, kind: str):
     """Both sides of the hermiticity definitions for every basis pair, as
     arrays [p, q, k]: psi = e_{p % 8} at slot p // 8, phi likewise for q,
     k the coefficient of the (projected) product."""
@@ -165,15 +161,14 @@ def _basis_pair_values(op: OperatorMatrix, kind: str, axis: int):
     right = right.reshape(8 * n, 8 * n, 8)
     if kind == COMPLEX_PROJECTED:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            left = _project_array(left, axis)
-            right = _project_array(right, axis)
+            left = _project_array(left)
+            right = _project_array(right)
     if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
         raise ValueError("octonion coefficients must be finite")
     return left, right
 
 
-def classify(op: OperatorMatrix, kind: str = FULL, axis: int = 1,
-             operator_id: str = "") -> HermiticityReport:
+def classify(op: OperatorMatrix, kind: str = FULL) -> HermiticityReport:
     """Classify an operator matrix as hermitian, anti-hermitian or
     neither under the chosen product, over all pairs of single-entry
     basis vectors at once (exact for integer entries).
@@ -183,29 +178,27 @@ def classify(op: OperatorMatrix, kind: str = FULL, axis: int = 1,
     differ, with the values ``product_values`` gives for it.  Raises
     ValueError when a product overflows.
     """
-    if kind not in _KIND_ALIASES:
-        raise ValueError(f"unknown product kind {kind!r}")
-    kind = _KIND_ALIASES[kind]
+    _check_kind(kind)
     if op.complexified:
         raise ValueError("classification handles real-coefficient operator matrices")
-    left, right = _basis_pair_values(op, kind, axis)
+    left, right = _basis_pair_values(op, kind)
     differs = np.any(left != right, axis=-1)
     if not differs.any():
-        return HermiticityReport(operator_id, kind, "hermitian")
+        return HermiticityReport(kind, "hermitian")
     if np.array_equal(left, -right):
-        return HermiticityReport(operator_id, kind, "anti-hermitian")
+        return HermiticityReport(kind, "anti-hermitian")
     p, q = np.unravel_index(int(np.argmax(differs)), differs.shape)
     psi = _basis_vector(op.n, int(p))
     phi = _basis_vector(op.n, int(q))
-    witness = (psi, phi) + product_values(op, psi, phi, kind, axis)
-    return HermiticityReport(operator_id, kind, "neither", witness)
+    witness = (psi, phi) + product_values(op, psi, phi, kind)
+    return HermiticityReport(kind, "neither", witness)
 
 
 def hermitian_spectrum_theorem_check(op: OperatorMatrix,
-                                     seed: int = DEFAULT_SEED,
-                                     tol: float = 1e-9) -> dict:
+                                     seed: int = DEFAULT_SEED) -> dict:
     """If the operator classifies as hermitian under the full product,
-    its coupled spectrum must be real: every cluster has b = 0."""
+    its coupled spectrum must be real: every cluster has |b| at most
+    1e-9."""
     report = classify(op, FULL)
     out = {
         "classification": report.classification,
@@ -217,18 +210,17 @@ def hermitian_spectrum_theorem_check(op: OperatorMatrix,
     clusters = coupled_clusters(op, seed=seed)
     out["clusters"] = [(c.a, c.b, c.multiplicity) for c in clusters]
     out["max_abs_b"] = max((abs(c.b) for c in clusters), default=0.0)
-    out["real_spectrum"] = out["max_abs_b"] <= tol
+    out["real_spectrum"] = out["max_abs_b"] <= _REAL_SPECTRUM_TOL
     out["ok"] = out["real_spectrum"]
     return out
 
 
-def survey_imaginary_units(kind: str = COMPLEX_PROJECTED, axis: int = 1) -> dict:
+def survey_imaginary_units(kind: str = COMPLEX_PROJECTED) -> dict:
     """Classification of each left-multiplication operator [e_m] under
     the chosen product.  Recorded as data: under the (1, e1)-projected
     product only e1 comes out anti-hermitian; the remaining units hit
     associator terms with a surviving e1 component."""
-    out = {}
-    for m in range(1, 8):
-        op = OperatorMatrix([[Octonion.basis(m)]])
-        out[m] = classify(op, kind, axis, operator_id=f"e{m}").classification
-    return out
+    return {
+        m: classify(OperatorMatrix([[Octonion.basis(m)]]), kind).classification
+        for m in range(1, 8)
+    }

@@ -48,6 +48,7 @@ DEFAULT_SEED = 1729
 SOLVER_TOL = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
 _MAX_SWEEPS_PER_N = 40
+_INVERSE_ITERATIONS = 10
 
 
 class LinalgError(Exception):
@@ -196,10 +197,10 @@ def _sorted_values(blocks) -> np.ndarray:
     return np.array(vals, dtype=np.complex128)
 
 
-def eigenvalues(A, balance: bool = True) -> np.ndarray:
+def eigenvalues(A) -> np.ndarray:
     """All eigenvalues of a real square matrix, sorted by real part then
     by descending imaginary part; conjugate pairs are exact mirrors."""
-    _, T = _schur(A, balance)
+    _, T = _schur(A, balance=True)
     return _sorted_values(_read_blocks(T))
 
 
@@ -268,10 +269,20 @@ def _fix_phase(v):
     return v if c > 0 else -v
 
 
-def _inverse_iteration(A, z, rng, ortho, tol, fro, maxit=10):
+def _random_start(rng, n, dtype):
+    """Seeded start vector: real normal draws, plus an imaginary part
+    drawn after them for a complex dtype."""
+    v = rng.standard_normal(n)
+    if dtype == np.complex128:
+        v = v + 1j * rng.standard_normal(n)
+    return v.astype(dtype)
+
+
+def _inverse_iteration(A, z, rng, ortho, fro):
     """One eigenvector of A for shift z, orthogonal to `ortho`.
 
-    Returns (vector, residual); the caller checks residual <= tol.
+    Returns (vector, residual) with the best residual of at most
+    _INVERSE_ITERATIONS steps; the caller checks it against SOLVER_TOL.
     """
     n = A.shape[0]
     use_complex = np.iscomplexobj(A) or z.imag != 0.0
@@ -282,60 +293,55 @@ def _inverse_iteration(A, z, rng, ortho, tol, fro, maxit=10):
     piv = np.zeros(n, dtype=np.int64)
     tiny = max(1.0, fro) * _EPS
     lu_factor(M, piv, tiny)
-    if use_complex:
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        v = rng.standard_normal(n)
-    v = _orthogonalize(v.astype(dtype), ortho)
+    v = _orthogonalize(_random_start(rng, n, dtype), ortho)
     nv = float(np.sqrt(np.vdot(v, v).real))
     if nv == 0.0:
         v = rng.standard_normal(n).astype(dtype)
         nv = float(np.sqrt(np.vdot(v, v).real))
     v = v / nv
     best_v, best_res = v, np.inf
-    for _ in range(maxit):
+    for _ in range(_INVERSE_ITERATIONS):
         w = v.reshape(n, 1).copy()
         lu_solve_factored(M, piv, w)
         w = w[:, 0]
         if not np.all(np.isfinite(w)):
-            v = (rng.standard_normal(n) + (1j * rng.standard_normal(n) if use_complex else 0.0)).astype(dtype)
+            v = _random_start(rng, n, dtype)
             continue
         w = _orthogonalize(w, ortho)
         nw = float(np.sqrt(np.vdot(w, w).real))
         if nw == 0.0:
-            v = (rng.standard_normal(n) + (1j * rng.standard_normal(n) if use_complex else 0.0)).astype(dtype)
+            v = _random_start(rng, n, dtype)
             continue
         w = w / nw
         res = float(np.sqrt((np.abs(A @ w - z * w) ** 2).sum())) / max(1.0, fro)
         v = w
         if res < best_res:
             best_v, best_res = w, res
-        if res <= tol:
+        if res <= SOLVER_TOL:
             break
     return best_v, best_res
 
 
-def eigenvector(A, z, seed: int = DEFAULT_SEED, tol: float = SOLVER_TOL):
+def eigenvector(A, z, seed: int = DEFAULT_SEED):
     """Unit eigenvector of A for the (approximate) eigenvalue z, by
     inverse iteration from a deterministic seeded start.
 
     z must lie near the spectrum; raises ConvergenceError when the
-    residual stays above tol after 10 iterations.
+    relative residual stays above SOLVER_TOL after 10 iterations.
     """
     A = _check_square(A)
     z = complex(z)
     rng = np.random.default_rng(seed)
     fro = _fro(A)
-    v, res = _inverse_iteration(A, z, rng, (), tol, fro)
-    if res > tol:
+    v, res = _inverse_iteration(A, z, rng, (), fro)
+    if res > SOLVER_TOL:
         raise ConvergenceError(
             f"inverse iteration for z={z} stalled at residual {res:.3e}"
         )
     return _fix_phase(v)
 
 
-def schur_eigensystem(A, seed: int = DEFAULT_SEED, tol: float = SOLVER_TOL,
-                      balance: bool = True):
+def schur_eigensystem(A, seed: int = DEFAULT_SEED):
     """Eigenvalues plus one eigenvector per Schur block of a real matrix.
 
     Returns (values, records).  `values` is the full sorted eigenvalue
@@ -343,13 +349,13 @@ def schur_eigensystem(A, seed: int = DEFAULT_SEED, tol: float = SOLVER_TOL,
     diagonal block with Im z >= 0: complex conjugate pairs are
     represented once.  Within a cluster of close eigenvalues the vectors
     are mutually orthogonalized so multiplicities yield independent
-    eigenvectors; records that fail the residual tolerance (possible
-    only for defective clusters) are dropped.
+    eigenvectors; records whose relative residual exceeds SOLVER_TOL
+    (possible only for defective clusters) are dropped.
     """
     A = _check_square(A)
     rng = np.random.default_rng(seed)
     fro = _fro(A)
-    _, T = _schur(A, balance)
+    _, T = _schur(A, balance=True)
     blocks = _read_blocks(T)
     values = _sorted_values(blocks)
 
@@ -367,22 +373,23 @@ def schur_eigensystem(A, seed: int = DEFAULT_SEED, tol: float = SOLVER_TOL,
         found = []
         for i in idxs:
             z = reps[i]
-            v, res = _inverse_iteration(A, z, rng, found, tol, fro)
-            if res <= tol:
+            v, res = _inverse_iteration(A, z, rng, found, fro)
+            if res <= SOLVER_TOL:
                 found.append(v)
                 records.append((z, _fix_phase(v), res))
     return values, records
 
 
-def _mgs_basis(vectors, thresh: float = 1e-6):
+def _mgs_basis(vectors):
     """Orthonormal basis of the numerically independent span, by
-    modified Gram-Schmidt with norm pivoting."""
+    modified Gram-Schmidt with norm pivoting; a remaining norm of at
+    most 1e-6 counts as dependent."""
     work = [np.array(v, dtype=np.complex128) for v in vectors]
     basis = []
     while work:
         norms = [float(np.sqrt(np.vdot(w, w).real)) for w in work]
         j = int(np.argmax(norms))
-        if norms[j] <= thresh:
+        if norms[j] <= 1e-6:
             break
         u = work.pop(j) / norms[j]
         basis.append(u)
@@ -390,7 +397,7 @@ def _mgs_basis(vectors, thresh: float = 1e-6):
     return basis
 
 
-def complex_eigen(A, seed: int = DEFAULT_SEED, tol: float = SOLVER_TOL):
+def complex_eigen(A, seed: int = DEFAULT_SEED):
     """All eigenpairs of a complex square matrix.
 
     A = X + iY is realified to the doubled real matrix [[X, -Y], [Y, X]]
@@ -406,7 +413,7 @@ def complex_eigen(A, seed: int = DEFAULT_SEED, tol: float = SOLVER_TOL):
     X = Ac.real.copy()
     Y = Ac.imag.copy()
     R = np.block([[X, -Y], [Y, X]])
-    _, records = schur_eigensystem(R, seed=seed, tol=tol)
+    _, records = schur_eigensystem(R, seed=seed)
     froA = _fro(Ac)
     gap = cluster_gap(R)
 
@@ -441,15 +448,15 @@ def complex_eigen(A, seed: int = DEFAULT_SEED, tol: float = SOLVER_TOL):
     return pairs
 
 
-def matrix_rank(M, tol: float | None = None) -> int:
-    """Numerical rank by Gaussian elimination with full pivoting."""
+def matrix_rank(M) -> int:
+    """Numerical rank by Gaussian elimination with full pivoting; pivots
+    at or below 8 max(rows, cols) eps max(1, max |M|) count as zero."""
     B = np.array(M, dtype=np.float64, copy=True)
     if B.ndim != 2:
         raise ValueError("matrix_rank expects a 2-d array")
     rows, cols = B.shape
-    if tol is None:
-        scale = float(np.abs(B).max()) if B.size else 0.0
-        tol = max(rows, cols) * _EPS * max(1.0, scale) * 8.0
+    scale = float(np.abs(B).max()) if B.size else 0.0
+    tol = max(rows, cols) * _EPS * max(1.0, scale) * 8.0
     rank = 0
     r0 = 0
     c0 = 0

@@ -4,8 +4,8 @@ Every check reproduces a small, hand-verifiable computation (basis
 products, operator actions, translated matrices, eigensolutions,
 hermiticity values) and returns (ok, detail).  The CLI's ``paper-suite``
 command prints one pass/fail line per check and fails if any check
-fails; the pytest acceptance module covers the same ground with
-assertions.
+fails; the pytest acceptance module asserts these checks and adds its
+timing bounds.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def check_e4_coupled():
     clusters = coupled_clusters(M)
     ok = ok and len(clusters) == 1
     c = clusters[0]
-    ok = ok and abs(c.a) <= 1e-9 and abs(c.b - 1.0) <= 1e-9 and c.multiplicity == 4
+    ok = ok and (round(c.a, 9), round(c.b, 9), c.multiplicity) == (0.0, 1.0, 4)
     ok = ok and all(s.residual <= 1e-8 for s in c.solutions)
     return ok, "[e4] coupled pair (e7, e3) and cluster (0,1) x4"
 
@@ -217,9 +217,10 @@ def check_solver_equivalence():
     M = _ex_2x2()
     coupled = solve_coupled(M)
     complexified = solve_complexified(M)
-    a = sorted((round(s.a, 9), round(s.b, 9)) for s in coupled)
-    b = sorted((round(s.z.real, 9), round(abs(s.z.imag), 9)) for s in complexified)
-    ok = a == b
+    a = sorted((s.a, s.b) for s in coupled)
+    b = sorted((s.z.real, abs(s.z.imag)) for s in complexified)
+    ok = len(a) == len(b) == 12
+    ok = ok and max(abs(x - u) + abs(y - v) for (x, y), (u, v) in zip(a, b)) <= 1e-9
     for s in complexified:
         xi = tuple(p.re for p in s.phi)
         eta = tuple(p.im for p in s.phi)
@@ -282,7 +283,8 @@ def check_inner_product_values():
     mpsi = M.apply(list(psi))
     v1 = hermiticity.inner(psi, mpsi)
     v2 = hermiticity.inner(mpsi, psi)
-    ok = v1 == 2 * Octonion.one() - 2 * _e(6)
+    ok = hermiticity.product_values(M, psi, psi, hermiticity.FULL) == (v1, v2)
+    ok = ok and v1 == 2 * Octonion.one() - 2 * _e(6)
     ok = ok and v2 == 2 * Octonion.one() + 2 * _e(6)
     ok = ok and hermiticity.complex_project(v1) == 2 * Octonion.one()
     ok = ok and hermiticity.complex_project(v2) == 2 * Octonion.one()
@@ -309,13 +311,13 @@ def check_hermiticity_classification():
 
 
 def check_dirac():
-    rep = dirac.dirac_algebra_check()
-    ok = rep["all_passed"]
+    ok = dirac.dirac_algebra_check()["all_passed"]
+    rep = dirac.dirac_representation()
     rng = np.random.default_rng(DEFAULT_SEED)
-    for _ in range(10):
-        p = rng.uniform(-2, 2, 3)
-        m = float(rng.uniform(0, 2))
-        ok = ok and dirac.dispersion_check(p=p, m=m)["ok"]
+    for _ in range(100):
+        p = rng.uniform(-3, 3, 3)
+        m = float(rng.uniform(0, 3))
+        ok = ok and dirac.dispersion_check(rep, p=p, m=m, tol=1e-12)["ok"]
     ok = ok and dirac.orthogonal_doublet_check()["all_passed"]
     return ok, "Dirac algebra, dispersion and doublet orthogonality"
 

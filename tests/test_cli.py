@@ -137,6 +137,21 @@ class TestEig:
         assert code == 0
         assert json.loads(out)["seed"] == 99
 
+    def test_malformed_seed_env_exit_2(self, matrix_file, monkeypatch, capsys):
+        monkeypatch.setenv("OCTOEIG_SEED", "abc")
+        code, out, err = run_cli(capsys, "eig", matrix_file, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "octoeig: bad input" in err and "OCTOEIG_SEED" in err
+
+    def test_malformed_seed_env_unused_with_seed_flag(self, matrix_file, monkeypatch,
+                                                      capsys):
+        monkeypatch.setenv("OCTOEIG_SEED", "abc")
+        code, out, _ = run_cli(capsys, "eig", matrix_file, "--format", "json",
+                               "--seed", "5")
+        assert code == 0
+        assert json.loads(out)["seed"] == 5
+
 
 class TestVerify:
     def test_coupled_ok(self, capsys, tmp_path):

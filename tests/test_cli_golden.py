@@ -1,0 +1,56 @@
+"""Byte-exact CLI output on fixed inputs.
+
+The inputs are in ``tests/data`` and the expected stdout of each case
+in ``tests/data/golden/<case>.out``.  The dense inputs carry full
+double-precision coefficients, so any change in arithmetic order or in
+the order of random draws shows up as a difference.  An intended output
+change must replace the affected ``.out`` files in the same commit.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from octoeig.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+
+def _eig(matrix, *options):
+    return ["eig", str(DATA / matrix), *options]
+
+
+def _hermiticity(kind):
+    return ["hermiticity", str(DATA / "herm_2x2.json"), "--survey", "--kind", kind,
+            "--format", "json"]
+
+
+# case -> (argv, exit code)
+CASES = {
+    "eig_upper_2x2_coupled": (
+        _eig("upper_2x2.json", "--method", "coupled", "--format", "json"), 0),
+    "eig_upper_2x2_complexified": (
+        _eig("upper_2x2.json", "--method", "complexified", "--format", "json"), 0),
+    "eig_upper_2x2_text": (_eig("upper_2x2.json"), 0),
+    "eig_dense_generalized_3x3_coupled": (
+        _eig("dense_generalized_3x3.json", "--method", "coupled", "--format", "json"), 0),
+    "eig_dense_generalized_3x3_complexified": (
+        _eig("dense_generalized_3x3.json", "--method", "complexified", "--format", "json"), 0),
+    "eig_dense_complexified_2x2": (_eig("dense_complexified_2x2.json", "--format", "json"), 0),
+    "eig_dense_complexified_2x2_coupled": (
+        _eig("dense_complexified_2x2.json", "--method", "coupled", "--format", "json"), 2),
+    "hermiticity_survey_full": (_hermiticity("full"), 0),
+    "hermiticity_survey_projected": (_hermiticity("projected"), 0),
+    "paper_suite": (["paper-suite", "--format", "json"], 0),
+    "dirac": (["dirac", "--format", "json"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_golden(case, capsys, monkeypatch):
+    monkeypatch.delenv("OCTOEIG_SEED", raising=False)
+    argv, want_code = CASES[case]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == want_code
+    assert out.encode("utf-8") == (DATA / "golden" / f"{case}.out").read_bytes()

@@ -80,10 +80,6 @@ class TestComplexProject:
             want = E(k) if k in (0, 1) else ZERO
             assert complex_project(E(k)) == want
 
-    def test_experimental_other_axis(self):
-        assert complex_project(E(3), axis=3) == E(3)
-        assert complex_project(E(1), axis=3) == ZERO
-
 
 SECTOR_PREFIX = [ONE, E(2), E(4), E(6)]
 COMPLEX_UNITS = [ONE, E(1)]
@@ -193,8 +189,14 @@ class TestClassify:
             classify(op, COMPLEX_PROJECTED)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            classify(OperatorMatrix([[1]]), "sesquilinear")
+        # the CLI spells the projected product "projected"; the library
+        # knows only COMPLEX_PROJECTED
+        op = OperatorMatrix([[1]])
+        for kind in ("sesquilinear", "projected"):
+            with pytest.raises(ValueError, match="unknown product kind"):
+                classify(op, kind)
+            with pytest.raises(ValueError, match="unknown product kind"):
+                product_values(op, (ONE,), (ONE,), kind)
 
 
 def loop_classify(op, kind):
