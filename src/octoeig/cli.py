@@ -30,7 +30,7 @@ from .eigen import (
     verify_coupled,
     verify_right_eigen,
 )
-from .linalg import DEFAULT_SEED, LinalgError
+from .linalg import DEFAULT_SEED, SOLVER_TOL, LinalgError
 from .octonion import (
     OctonionParseError,
     format_complex_octonion,
@@ -187,13 +187,12 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     M = OperatorMatrix.from_json(data["matrix"])
-    tol = 1e-8
     if "coupled" in data:
         spec = data["coupled"]
         xi = tuple(parse_octonion(s) for s in spec["xi"])
         eta = tuple(parse_octonion(s) for s in spec["eta"])
         res = verify_coupled(M, float(spec["a"]), float(spec["b"]), xi, eta)
-        ok = res <= tol
+        ok = res <= SOLVER_TOL
         out = {"kind": "coupled", "residual": res, "ok": ok}
     elif "right" in data:
         spec = data["right"]
@@ -211,8 +210,7 @@ def _cmd_verify(args) -> int:
         print("verify: need a 'coupled' or 'right' claim", file=sys.stderr)
         return 2
     if args.format == "json":
-        out_j = dict(out)
-        _emit_json(out_j)
+        _emit_json(out)
     else:
         print(f"{out['kind']}: residual {_fmt_res(out['residual'], args.full_precision)}"
               f" -> {'OK' if ok else 'FAIL'}")

@@ -257,68 +257,36 @@ def verify_right_eigen(M: OperatorMatrix, claim: RightEigenClaim) -> RightEigenC
     return RightEigenCheck(ok=(res == 0.0), residual=res, zero_vector=zero)
 
 
-def _canonical_sign(psi, lam):
-    """Flip Psi so its first nonzero component has positive leading
-    coefficient; lambda is unchanged under Psi -> -Psi."""
-    for p in psi:
-        sup = p.support()
-        if sup:
-            if p.coeffs[sup[0]] < 0:
-                return tuple(-q for q in psi), lam
-            return tuple(psi), lam
-    return tuple(psi), lam
-
-
 def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None):
     """Brute-force right-eigenvalue solutions of a 2x2 integer matrix
-    over signed basis vectors Psi = (+-e_j, +-e_k).
+    over basis vectors Psi = (e_j, +-e_k).
 
     lambda is derived from the first row, psi_a^-1 (row value), and the
-    claim is kept only if both rows verify exactly.  Claims are
-    deduplicated up to an overall sign flip of Psi.  By default all
-    psi_a in {+-e_j} are scanned; passing psi_a pins the first
-    component.
+    claim is kept only if both rows verify exactly.  Psi and -Psi give
+    the same lambda and verify together, so one claim is listed per
+    +-Psi pair: by default the first component runs over e_j for
+    j = 0..7; passing a non-zero psi_a pins it instead.
     """
     if M.n != 2:
         raise ValueError("the basis enumerator handles 2x2 matrices")
     if M.complexified or not M.is_integer_valued():
         raise ValueError("the basis enumerator needs integer octonion entries")
     if psi_a is None:
-        firsts = [s * Octonion.basis(j) for j in range(8) for s in (1.0, -1.0)]
+        firsts = [Octonion.basis(j) for j in range(8)]
+    elif psi_a.is_zero():
+        raise ValueError("psi_a must be non-zero")
     else:
         firsts = [psi_a]
     claims = []
-    seen = set()
     for pa in firsts:
         pa_inv = pa.inverse()
         for k in range(8):
             for s in (1.0, -1.0):
-                pb = s * Octonion.basis(k)
-                psi = (pa, pb)
-                row1 = M.apply(list(psi))[0]
-                lam = pa_inv * row1
-                check = verify_right_eigen(M, RightEigenClaim(psi, lam))
-                if not check.ok:
-                    continue
-                cpsi, clam = _canonical_sign(psi, lam)
-                key = (
-                    tuple(cpsi[0].coeffs),
-                    tuple(cpsi[1].coeffs),
-                    tuple(clam.coeffs),
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                claims.append(RightEigenClaim(tuple(psi), lam))
+                psi = (pa, s * Octonion.basis(k))
+                claim = RightEigenClaim(psi, pa_inv * M.apply(list(psi))[0])
+                if verify_right_eigen(M, claim).ok:
+                    claims.append(claim)
     return claims
-
-
-def _project_quaternionic(vec: np.ndarray, n: int) -> np.ndarray:
-    """Zero the e4..e7 coefficients of every octonion chunk."""
-    out = np.array(vec, copy=True)
-    for j in range(n):
-        out[8 * j + 4 : 8 * j + 8] = 0.0
-    return out
 
 
 def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> dict:
@@ -328,11 +296,12 @@ def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> dic
     Requires every entry to be a left multiplication by a quaternion
     (support on 1, e1, e2, e3).  Left multiplication by quaternions
     preserves both the quaternionic subspace and its complement, so
-    projecting any eigenvector onto the quaternionic coefficients gives
-    a quaternion-valued coupled solution again; each cluster must own
-    such a witness, and the witness's eta must be a right eigenvector
-    M eta = eta (a + mu b) for a unit imaginary quaternion mu = eta^-1
-    xi, the conjugacy representative of a + e1 b, up to SOLVER_TOL.
+    projecting any coupled solution onto the quaternionic coefficients
+    gives a quaternion-valued coupled solution again; each cluster of
+    coupled_clusters must own such a witness, and the witness's eta must
+    be a right eigenvector M eta = eta (a + mu b) for a unit imaginary
+    quaternion mu = eta^-1 xi, the conjugacy representative of a + e1 b,
+    up to SOLVER_TOL.
     """
     report = {"quaternionic": True, "clusters": [], "eigenvalues": []}
     if M.complexified:
@@ -347,60 +316,41 @@ def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> dic
                 report["reason"] = "not quaternionic: entry outside span(1, e1, e2, e3)"
                 report["ok"] = False
                 return report
-    A = M.to_real_matrix()
-    _, records = schur_eigensystem(A, seed=seed)
-    gap = cluster_gap(A)
-    zs = [z for (z, _, _) in records]
     max_res = 0.0
     all_ok = True
-    for rep, idxs in cluster_values(zs, gap):
-        a, b = rep.real, rep.imag
-        entry = {"a": a, "b": b, "multiplicity": len(idxs)}
-        # quaternionic witness: the eigenvector with the largest
-        # quaternionic projection, projected
-        best_v = None
-        best_norm = 0.0
-        for i in idxs:
-            proj = _project_quaternionic(records[i][1], M.n)
-            nrm = float(np.sqrt(np.vdot(proj, proj).real))
-            if nrm > best_norm:
-                best_norm = nrm
-                best_v = proj
-        if best_v is None or best_norm <= 1e-8:
-            entry["witness_quaternionic"] = False
+    for c in coupled_clusters(M, seed=seed):
+        a, b = c.a, c.b
+        entry = {"a": a, "b": b, "multiplicity": c.multiplicity}
+        report["clusters"].append(entry)
+        # quaternionic witness: the solution with the largest quaternionic
+        # projection, projected and normalized
+        parts = [np.array([o.coeffs[:4] for o in s.xi + s.eta]) for s in c.solutions]
+        norms = [float(np.sqrt((p * p).sum())) for p in parts]
+        best = int(np.argmax(norms))
+        entry["witness_quaternionic"] = norms[best] > 1e-8
+        if not entry["witness_quaternionic"]:
             all_ok = False
-            report["clusters"].append(entry)
             continue
-        best_v = best_v / best_norm
-        xi = _chunk_real(np.real(best_v))
-        eta = _chunk_real(np.imag(best_v))
-        entry["witness_quaternionic"] = True
+        proj = np.zeros((2 * M.n, 8))
+        proj[:, :4] = parts[best] / norms[best]
+        xi = tuple(Octonion(r) for r in proj[: M.n])
+        eta = tuple(Octonion(r) for r in proj[M.n :])
         entry["coupled_residual"] = verify_coupled(M, a, b, xi, eta)
         if b == 0.0:
             # real eigenvalue: xi is directly a right eigenvector with
             # the real lambda = a
-            m_xi = M.apply(list(xi))
-            res = max((m_xi[i] - a * xi[i]).norm() for i in range(M.n))
-            entry["qrep_residual"] = res
-            entry["mu_unit_imaginary"] = True
+            mu_ok, claim = True, RightEigenClaim(xi, Octonion.from_scalar(a))
         else:
             j = int(np.argmax([o.norm() for o in eta]))
-            if eta[j].is_zero():
-                entry["mu_unit_imaginary"] = False
-                entry["qrep_residual"] = float("inf")
-            else:
-                mu = eta[j].inverse() * xi[j]
-                entry["mu_unit_imaginary"] = (
-                    abs(mu.real) <= 1e-8 and abs(mu.norm() - 1.0) <= 1e-8
-                )
-                lam = Octonion.from_scalar(a) + b * mu
-                m_eta = M.apply(list(eta))
-                res = max((m_eta[i] - eta[i] * lam).norm() for i in range(M.n))
-                entry["qrep_residual"] = res
+            mu = Octonion.zero() if eta[j].is_zero() else eta[j].inverse() * xi[j]
+            mu_ok = abs(mu.real) <= 1e-8 and abs(mu.norm() - 1.0) <= 1e-8
+            claim = RightEigenClaim(eta, Octonion.from_scalar(a) + b * mu)
+        check = verify_right_eigen(M, claim)
+        entry["mu_unit_imaginary"] = mu_ok
+        entry["qrep_residual"] = float("inf") if check.zero_vector else check.residual
         max_res = max(max_res, entry["coupled_residual"], entry["qrep_residual"])
         if entry["qrep_residual"] > SOLVER_TOL or not entry["mu_unit_imaginary"]:
             all_ok = False
-        report["clusters"].append(entry)
     report["eigenvalues"] = [(c["a"], c["b"]) for c in report["clusters"]]
     report["max_residual"] = max_res
     report["ok"] = report["quaternionic"] and all_ok

@@ -84,6 +84,9 @@ def _check_square(A) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(_fro(A)):
+            raise ValueError("matrix is too large: its Frobenius norm overflows float64")
     return A
 
 
@@ -180,6 +183,8 @@ def _read_blocks(T):
                 b = 0.5 * np.sqrt(-disc)
                 blocks.append((k, 2, (complex(a, b), complex(a, -b))))
             else:
+                # a real pair that split_real_2x2_blocks left whole because
+                # its squared block entries underflow (below about 1e-162)
                 sq = np.sqrt(disc)
                 l1 = 0.5 * ((p + s) + sq) if p + s >= 0.0 else 0.5 * ((p + s) - sq)
                 l2 = (p * s - qq * r) / l1 if l1 != 0.0 else 0.5 * ((p + s) - sq)

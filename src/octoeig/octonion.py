@@ -256,10 +256,6 @@ class ComplexOctonion:
         return cls(Octonion.zero())
 
     @classmethod
-    def from_octonion(cls, o: Octonion) -> "ComplexOctonion":
-        return cls(o)
-
-    @classmethod
     def i_unit(cls) -> "ComplexOctonion":
         return cls(Octonion.zero(), Octonion.one())
 
@@ -300,10 +296,6 @@ class ComplexOctonion:
         if other is None:
             return NotImplemented
         return other * self
-
-    def conj_octonion(self) -> "ComplexOctonion":
-        """Octonionic dagger applied to both components; i untouched."""
-        return ComplexOctonion(self.re.conj(), self.im.conj())
 
     def conj_full(self) -> "ComplexOctonion":
         """Octonionic dagger combined with i -> -i."""

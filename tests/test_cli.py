@@ -152,6 +152,18 @@ class TestEig:
         assert code == 0
         assert json.loads(out)["seed"] == 5
 
+    @pytest.mark.parametrize("method", ["coupled", "complexified"])
+    def test_overflowing_norm_exit_2(self, capsys, tmp_path, method):
+        # the Frobenius norm of L(1e300) overflows float64: refused as bad
+        # input, not reported as an empty list of clusters
+        path = tmp_path / "big.json"
+        entry = [[1e300] + [0.0] * 7] + [[0.0] * 8] * 7
+        path.write_text(json.dumps({"n": 1, "entries": [entry]}))
+        code, out, err = run_cli(capsys, "eig", str(path), "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "octoeig: bad input" in err and "overflows" in err
+
 
 class TestVerify:
     def test_coupled_ok(self, capsys, tmp_path):
@@ -214,6 +226,15 @@ class TestEnumerate:
             ["0", "2", "1 - e7", "1 + e7", "1 + e6", "1 - e6",
              "1 - e5", "1 + e5", "1 + e4", "1 - e4"]
         )
+
+    def test_zero_psi_a_exit_2(self, capsys, tmp_path):
+        # bad input (exit 2), not a ZeroDivisionError traceback (exit 1)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "entries": ["1", "e1", "-e1", "1"]}))
+        code, out, err = run_cli(capsys, "enumerate", str(path), "--psi-a", "0")
+        assert code == 2
+        assert out == ""
+        assert "octoeig: bad input: psi_a must be non-zero" in err
 
 
 class TestHermiticity:

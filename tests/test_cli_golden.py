@@ -20,6 +20,10 @@ def _eig(matrix, *options):
     return ["eig", str(DATA / matrix), *options]
 
 
+def _enumerate(*options):
+    return ["enumerate", str(DATA / "herm_2x2.json"), *options]
+
+
 def _hermiticity(kind):
     return ["hermiticity", str(DATA / "herm_2x2.json"), "--survey", "--kind", kind,
             "--format", "json"]
@@ -39,6 +43,8 @@ CASES = {
     "eig_dense_complexified_2x2": (_eig("dense_complexified_2x2.json", "--format", "json"), 0),
     "eig_dense_complexified_2x2_coupled": (
         _eig("dense_complexified_2x2.json", "--method", "coupled", "--format", "json"), 2),
+    "enumerate_herm_2x2": (_enumerate("--format", "json"), 0),
+    "enumerate_herm_2x2_psi_a_neg_e5": (_enumerate("--psi-a=-e5"), 0),
     "hermiticity_survey_full": (_hermiticity("full"), 0),
     "hermiticity_survey_projected": (_hermiticity("projected"), 0),
     "paper_suite": (["paper-suite", "--format", "json"], 0),

@@ -264,6 +264,58 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_basis_right_eigs(m_e4())
 
+    def test_zero_psi_a_rejected(self):
+        with pytest.raises(ValueError, match="psi_a must be non-zero"):
+            enumerate_basis_right_eigs(m_herm_e1(), psi_a=ZERO)
+
+    def test_matches_signed_scan_with_sign_dedup(self):
+        # oracle: scan all 16 signed first components and drop a claim
+        # whose sign-flipped twin -Psi (same lambda) is already listed
+        def signed_scan(M, psi_a=None):
+            firsts = [s * E(j) for j in range(8) for s in (1.0, -1.0)]
+            claims, seen = [], set()
+            for pa in firsts if psi_a is None else [psi_a]:
+                for k in range(8):
+                    for s in (1.0, -1.0):
+                        psi = (pa, s * E(k))
+                        lam = pa.inverse() * M.apply(list(psi))[0]
+                        if not verify_right_eigen(M, RightEigenClaim(psi, lam)).ok:
+                            continue
+                        lead = next(p.coeffs[p.support()[0]] for p in psi if p.support())
+                        canon = psi if lead > 0 else tuple(-p for p in psi)
+                        key = tuple(p.coeffs.tobytes() for p in canon + (lam,))
+                        if key not in seen:
+                            seen.add(key)
+                            claims.append(RightEigenClaim(psi, lam))
+            return claims
+
+        def as_bytes(claims):
+            return [tuple(p.coeffs.tobytes() for p in c.psi + (c.lam,)) for c in claims]
+
+        def unit_or_zero(rng):
+            if rng.random() < 0.25:
+                return ZERO
+            return float(rng.choice([-1, 1])) * E(int(rng.integers(0, 8)))
+
+        rng = np.random.default_rng(20261018)
+        pins = [E(2), -E(5), -ONE, ONE + E(2), 2 * E(1), 0.5 * E(4)]
+        nonempty = 0
+        for t in range(8):
+            # M built so that Psi = (e_j, +-e_k) solves M Psi = Psi lambda
+            # for an integer lambda: the first column is (Psi_i lambda -
+            # M_i2 Psi_b) e_j^dagger, exact by alternativity
+            j, k, m = (int(x) for x in rng.integers(0, 8, 3))
+            psi = (E(j), float(rng.choice([-1, 1])) * E(k))
+            lam = float(rng.integers(-1, 3)) * ONE + float(rng.choice([-1, 1])) * E(m)
+            right = [unit_or_zero(rng) for _ in range(2)]
+            left = [(psi[i] * lam - right[i] * psi[1]) * psi[0].conj() for i in range(2)]
+            M = OperatorMatrix([[left[0], right[0]], [left[1], right[1]]])
+            for pin in [None, E(j), -E(j)] + pins[t % 3 :: 3]:
+                got = as_bytes(enumerate_basis_right_eigs(M, psi_a=pin))
+                assert got == as_bytes(signed_scan(M, psi_a=pin))
+                nonempty += bool(got)
+        assert nonempty >= 16
+
 
 class TestQuaternionicLimit:
     def test_hermitian_e1_matrix(self):
@@ -286,6 +338,25 @@ class TestQuaternionicLimit:
         rep = quaternionic_limit_check(OperatorMatrix([[1]]))
         assert rep["ok"]
         assert rep["eigenvalues"] == [(1.0, 0.0)]
+
+    def test_clusters_are_coupled_clusters(self):
+        # want_ok was recorded with a Schur solve and clustering of the
+        # check's own; ok is False wherever a cluster's eigenvectors have
+        # no quaternionic projection (they lie in the e4..e7 complement)
+        want_ok = [True] * 7 + [False] * 4 + [True] + [False] * 6
+        rng = np.random.default_rng(3)
+        got_ok = []
+        for n in (1, 2, 3):
+            for _ in range(6):
+                M = OperatorMatrix([
+                    [Octonion(np.concatenate([rng.integers(-1, 2, 4), np.zeros(4)]))
+                     for _ in range(n)]
+                    for _ in range(n)
+                ])
+                rep = quaternionic_limit_check(M)
+                assert rep["eigenvalues"] == [(c.a, c.b) for c in coupled_clusters(M)]
+                got_ok.append(rep["ok"])
+        assert got_ok == want_ok
 
     def test_non_quaternionic_reported(self):
         rep = quaternionic_limit_check(m_e4())

@@ -184,6 +184,20 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="complex_eigen"):
             schur_eigensystem(A)
 
+    def test_rejects_overflowing_norm(self):
+        # finite entries whose Frobenius norm overflows float64 would turn
+        # every tolerance built on the norm into inf
+        A = np.diag([1e300, 1.0])
+        for solve in (eigenvalues, schur_eigensystem, complex_eigen):
+            with pytest.raises(ValueError, match="norm overflows"):
+                solve(A)
+        with pytest.raises(ValueError, match="norm overflows"):
+            complex_eigen(1j * A)
+
+    def test_large_finite_norm_still_solved(self):
+        vals = eigenvalues(np.diag([1e150, 1.0]))
+        assert np.array_equal(vals, np.array([1.0, 1e150], dtype=complex))
+
 
 class TestEigenvector:
     def test_diagonal(self):
