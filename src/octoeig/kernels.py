@@ -1,7 +1,10 @@
 """Hot numeric kernels: LU, Hessenberg reduction, Francis double-shift QR.
 
-The kernels are plain loop-and-slice numpy code, interpreted as
-written.  ``benchmarks/bench_eigensolver.py`` times them against
+The LU kernels are numpy row-slice updates, one Python step per pivot,
+and bit-identical to elementwise loops while no entry is NaN
+(``tests/test_linalg.py`` keeps those loops as the oracle).  Balancing,
+Hessenberg reduction and Francis QR are still elementwise loops.
+``benchmarks/bench_eigensolver.py`` times them against
 ``numpy.linalg.eig``.
 
 All kernels work in place on arrays the callers own; drivers in
@@ -12,7 +15,26 @@ complex128 arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def _sub_outer(x, l, u):
+    """x -= l u^T in place, on the rows where l is non-zero.
+
+    Skipping the rows of zero multipliers keeps signed zeros, as the
+    elementwise loops do.  Complex products are formed from real ones,
+    (lr*ur - li*ui) + i(lr*ui + li*ur), as scalar complex multiplication
+    forms them; numpy's array complex multiply can round differently.
+    """
+    if np.iscomplexobj(l) or np.iscomplexobj(u):
+        prod = np.empty((l.size, u.size), dtype=np.complex128)
+        prod.real = np.multiply.outer(l.real, u.real) - np.multiply.outer(l.imag, u.imag)
+        prod.imag = np.multiply.outer(l.real, u.imag) + np.multiply.outer(l.imag, u.real)
+    else:
+        prod = np.multiply.outer(l, u)
+    np.subtract(x, prod, out=x, where=(l != 0.0)[:, None])
 
 
 def lu_factor(a, piv, tiny):
@@ -23,22 +45,20 @@ def lu_factor(a, piv, tiny):
     solvable; this is what inverse iteration wants.  If tiny == 0 an
     exactly zero pivot aborts and the failing column index + 1 is
     returned; 0 means success.
+
+    The pivot is the first row of largest magnitude, and only rows with
+    a non-zero multiplier are updated (see _sub_outer).
     """
     n = a.shape[0]
+    cplx = np.iscomplexobj(a)
     for k in range(n):
-        p = k
-        big = abs(a[k, k])
-        for i in range(k + 1, n):
-            mag = abs(a[i, k])
-            if mag > big:
-                big = mag
-                p = i
+        col = a[k:, k]
+        # np.hypot matches the scalar abs of a complex; np.abs may not
+        mags = np.hypot(col.real, col.imag) if cplx else np.abs(col)
+        p = k + int(np.argmax(mags))
         piv[k] = p
         if p != k:
-            for j in range(n):
-                tmp = a[k, j]
-                a[k, j] = a[p, j]
-                a[p, j] = tmp
+            a[[k, p]] = a[[p, k]]
         if tiny > 0.0:
             if abs(a[k, k]) < tiny:
                 if a[k, k] == 0.0:
@@ -47,42 +67,23 @@ def lu_factor(a, piv, tiny):
                     a[k, k] = a[k, k] / abs(a[k, k]) * tiny
         elif a[k, k] == 0.0:
             return k + 1
-        akk = a[k, k]
-        for i in range(k + 1, n):
-            lik = a[i, k] / akk
-            a[i, k] = lik
-            if lik != 0.0:
-                for j in range(k + 1, n):
-                    a[i, j] = a[i, j] - lik * a[k, j]
+        a[k + 1:, k] /= a[k, k]
+        _sub_outer(a[k + 1:, k + 1:], a[k + 1:, k], a[k, k + 1:])
     return 0
 
 
 def lu_solve_factored(a, piv, b):
     """Solve with an lu_factor-ed matrix; b (n x m) is overwritten."""
     n = a.shape[0]
-    m = b.shape[1]
     for k in range(n):
         p = piv[k]
         if p != k:
-            for j in range(m):
-                tmp = b[k, j]
-                b[k, j] = b[p, j]
-                b[p, j] = tmp
-    for k in range(n):
-        for i in range(k + 1, n):
-            lik = a[i, k]
-            if lik != 0.0:
-                for j in range(m):
-                    b[i, j] = b[i, j] - lik * b[k, j]
+            b[[k, p]] = b[[p, k]]
+    for k in range(n - 1):
+        _sub_outer(b[k + 1:], a[k + 1:, k], b[k])
     for k in range(n - 1, -1, -1):
-        akk = a[k, k]
-        for j in range(m):
-            b[k, j] = b[k, j] / akk
-        for i in range(k):
-            uik = a[i, k]
-            if uik != 0.0:
-                for j in range(m):
-                    b[i, j] = b[i, j] - uik * b[k, j]
+        b[k] /= a[k, k]
+        _sub_outer(b[:k], a[:k, k], b[k])
 
 
 def balance_in_place(a, scale):
@@ -305,20 +306,37 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
     return (0, 0, 0)
 
 
+def scaled_2x2_block(t, k):
+    """The diagonal 2x2 block of t at row k as (e, p, q, r, s, disc).
+
+    The block, with rows (p, q) and (r, s), is scaled by the exact power
+    of two 2**-e that brings its largest magnitude into [0.5, 1), and
+    disc = (p - s)**2 + 4qr is the discriminant of the scaled block, so
+    its squares neither underflow nor overflow.  Values computed from
+    the scaled block are unscaled with np.ldexp(., e); ratios need
+    nothing.
+    """
+    (p, q), (r, s) = t[k:k + 2, k:k + 2].tolist()
+    e = math.frexp(max(abs(p), abs(q), abs(r), abs(s)))[1]
+    p, q, r, s = (math.ldexp(x, -e) for x in (p, q, r, s))
+    disc = (p - s) * (p - s) + 4.0 * q * r
+    return e, p, q, r, s, disc
+
+
 def split_real_2x2_blocks(t, q):
     """Rotate 2x2 diagonal blocks with real eigenvalues into two 1x1
-    blocks, so 2x2 blocks remain only for complex conjugate pairs."""
+    blocks, so 2x2 blocks remain only for complex conjugate pairs.
+
+    Each block is classified and rotated from its scaled_2x2_block form,
+    so tiny and huge blocks split as well as moderate ones.
+    """
     n = t.shape[0]
     k = 0
     while k < n - 1:
         if t[k + 1, k] == 0.0:
             k += 1
             continue
-        p = t[k, k]
-        qq = t[k, k + 1]
-        r = t[k + 1, k]
-        s = t[k + 1, k + 1]
-        disc = (p - s) * (p - s) + 4.0 * qq * r
+        _, p, qq, r, s, disc = scaled_2x2_block(t, k)
         if disc < 0.0:
             k += 2
             continue

@@ -13,6 +13,7 @@ array plumbing only; the factorizations themselves are the kernels'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .kernels import (
     hessenberg_in_place,
     lu_factor,
     lu_solve_factored,
+    scaled_2x2_block,
     split_real_2x2_blocks,
 )
 
@@ -175,19 +177,22 @@ def _read_blocks(T):
     k = 0
     while k < n:
         if k < n - 1 and T[k + 1, k] != 0.0:
-            p, qq = T[k, k], T[k, k + 1]
-            r, s = T[k + 1, k], T[k + 1, k + 1]
-            a = 0.5 * (p + s)
-            disc = (p - s) * (p - s) + 4.0 * qq * r
+            e, p, qq, r, s, disc = scaled_2x2_block(T, k)
             if disc < 0.0:
-                b = 0.5 * np.sqrt(-disc)
+                a = np.ldexp(0.5 * (p + s), e)
+                b = np.ldexp(0.5 * math.sqrt(-disc), e)
                 blocks.append((k, 2, (complex(a, b), complex(a, -b))))
             else:
-                # a real pair that split_real_2x2_blocks left whole because
-                # its squared block entries underflow (below about 1e-162)
-                sq = np.sqrt(disc)
+                # a real pair that split_real_2x2_blocks left whole: both
+                # forms of its eigenvector have squares that underflow even
+                # in the scaled block, which needs off-diagonal entries
+                # below about 1e-162 of the block's largest entry.  Francis
+                # QR deflates such a block in larger matrices, so only a
+                # 2x2 input such as [[1, 1e-170], [1e-170, 1]] gets here.
+                sq = math.sqrt(disc)
                 l1 = 0.5 * ((p + s) + sq) if p + s >= 0.0 else 0.5 * ((p + s) - sq)
                 l2 = (p * s - qq * r) / l1 if l1 != 0.0 else 0.5 * ((p + s) - sq)
+                l1, l2 = np.ldexp(l1, e), np.ldexp(l2, e)
                 blocks.append((k, 2, (complex(l1, 0.0), complex(l2, 0.0))))
             k += 2
         else:

@@ -3,6 +3,8 @@ the complex eigensolver built on realification."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octoeig import (
     ConvergenceError,
@@ -15,6 +17,7 @@ from octoeig import (
     lu_solve,
     real_schur,
 )
+from octoeig.kernels import lu_factor, lu_solve_factored
 from octoeig.linalg import matrix_rank, schur_eigensystem
 
 E = Octonion.basis
@@ -198,6 +201,19 @@ class TestEigenvalues:
         vals = eigenvalues(np.diag([1e150, 1.0]))
         assert np.array_equal(vals, np.array([1.0, 1e150], dtype=complex))
 
+    @pytest.mark.parametrize("A", [
+        [[0.0, 1e-170], [1e-170, 0.0]],
+        [[0.0, 1e-165], [-1e-165, 0.0]],
+        [[0.0, 1e150], [-1e150, 0.0]],
+        [[1.0, 1e-170], [1e-170, 1.0]],  # left whole by split_real_2x2_blocks
+    ])
+    def test_tiny_and_huge_2x2_blocks(self, A):
+        # the squares of entries below about 1e-162 used to underflow, and
+        # the first two blocks came back as {0, 0}
+        got = np.sort_complex(eigenvalues(A))
+        want = np.sort_complex(np.linalg.eigvals(np.array(A)))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
 
 class TestEigenvector:
     def test_diagonal(self):
@@ -247,6 +263,140 @@ class TestSchurEigensystem:
             _, records = schur_eigensystem(A)
             assert records, "no eigenvectors returned"
             assert max(r for (_, _, r) in records) <= 1e-8
+
+
+def loop_lu_factor(a, piv, tiny):
+    """The elementwise LU loops that the row-slice kernel replaced."""
+    n = a.shape[0]
+    for k in range(n):
+        p = k
+        big = abs(a[k, k])
+        for i in range(k + 1, n):
+            mag = abs(a[i, k])
+            if mag > big:
+                big = mag
+                p = i
+        piv[k] = p
+        if p != k:
+            for j in range(n):
+                tmp = a[k, j]
+                a[k, j] = a[p, j]
+                a[p, j] = tmp
+        if tiny > 0.0:
+            if abs(a[k, k]) < tiny:
+                if a[k, k] == 0.0:
+                    a[k, k] = a[k, k] + tiny
+                else:
+                    a[k, k] = a[k, k] / abs(a[k, k]) * tiny
+        elif a[k, k] == 0.0:
+            return k + 1
+        akk = a[k, k]
+        for i in range(k + 1, n):
+            lik = a[i, k] / akk
+            a[i, k] = lik
+            if lik != 0.0:
+                for j in range(k + 1, n):
+                    a[i, j] = a[i, j] - lik * a[k, j]
+    return 0
+
+
+def loop_lu_solve_factored(a, piv, b):
+    n = a.shape[0]
+    m = b.shape[1]
+    for k in range(n):
+        p = piv[k]
+        if p != k:
+            for j in range(m):
+                tmp = b[k, j]
+                b[k, j] = b[p, j]
+                b[p, j] = tmp
+    for k in range(n):
+        for i in range(k + 1, n):
+            lik = a[i, k]
+            if lik != 0.0:
+                for j in range(m):
+                    b[i, j] = b[i, j] - lik * b[k, j]
+    for k in range(n - 1, -1, -1):
+        akk = a[k, k]
+        for j in range(m):
+            b[k, j] = b[k, j] / akk
+        for i in range(k):
+            uik = a[i, k]
+            if uik != 0.0:
+                for j in range(m):
+                    b[i, j] = b[i, j] - uik * b[k, j]
+
+
+# exact zeros of both signs and values with equal magnitudes (ties, also
+# between complex entries such as 1, -1j and -1, or 1.3 and -0.5 + 1.2j),
+# mixed with general floats
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 1.2, 1.3]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def lu_cases(draw):
+    """(matrix, right-hand sides, tiny): float64 or complex128, with a
+    column of exact zeros in some, so tiny = 0 meets an exactly zero
+    pivot and tiny > 0 replaces it."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 3))
+    cplx = draw(st.booleans())
+
+    def grid(rows, cols):
+        def parts():
+            return np.reshape(draw(st.lists(PARTS, min_size=rows * cols,
+                                            max_size=rows * cols)), (rows, cols))
+
+        g = np.zeros((rows, cols), np.complex128 if cplx else np.float64)
+        g.real = parts()
+        if cplx:
+            g.imag = parts()
+        return g
+
+    a = grid(n, n)
+    zero_col = draw(st.none() | st.integers(0, n - 1))
+    if zero_col is not None:
+        a[:, zero_col] = draw(st.sampled_from([0.0, -0.0]))
+    tiny = draw(st.sampled_from([0.0, 0.0, 1e-12, 0.75, 3.0]))
+    return a, grid(n, m), tiny
+
+
+class TestLuKernelsAgainstLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(lu_cases())
+    def test_bitwise_equal_to_the_loops(self, case):
+        A, B, tiny = case
+        n = A.shape[0]
+        got_a, want_a = A.copy(), A.copy()
+        got_piv, want_piv = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        with np.errstate(all="ignore"):
+            got_code = lu_factor(got_a, got_piv, tiny)
+            want_code = loop_lu_factor(want_a, want_piv, tiny)
+        assert got_code == want_code
+        assert got_a.tobytes() == want_a.tobytes()
+        assert got_piv.tobytes() == want_piv.tobytes()
+        if got_code == 0:
+            got_b, want_b = B.copy(), B.copy()
+            with np.errstate(all="ignore"):
+                lu_solve_factored(got_a, got_piv, got_b)
+                loop_lu_solve_factored(want_a, want_piv, want_b)
+            assert got_b.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("column", [[1.3, 0.5 + 1.2j, 1.0], [0.5 + 1.2j, 1.3, 1.0]])
+    def test_complex_pivot_tie(self, column):
+        # |0.5 + 1.2j| is 1.3 by the scalar abs of the loops, but not by
+        # numpy's array abs, which would break the tie the other way
+        A = np.eye(3, dtype=np.complex128)
+        A[:, 0] = column
+        got, want = A.copy(), A.copy()
+        got_piv, want_piv = np.zeros(3, np.int64), np.zeros(3, np.int64)
+        lu_factor(got, got_piv, 0.0)
+        loop_lu_factor(want, want_piv, 0.0)
+        assert got_piv.tobytes() == want_piv.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestComplexEigen:
