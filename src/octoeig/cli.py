@@ -180,6 +180,26 @@ def _cmd_eig(args) -> int:
     return 0
 
 
+def _claim(data: dict, kind: str, n: int, vectors: tuple, scalars: tuple) -> dict:
+    """The `kind` claim of a verify input, checked: every key present and
+    each vector a JSON array of n octonion literals."""
+    spec = data[kind]
+    if not isinstance(spec, dict):
+        raise ValueError(f"the {kind} claim must be a JSON object")
+    for key in scalars + vectors:
+        if key not in spec:
+            raise ValueError(f"missing key {key!r} in the {kind} claim")
+    for key in vectors:
+        vec = spec[key]
+        if not (isinstance(vec, list) and len(vec) == n
+                and all(isinstance(s, str) for s in vec)):
+            raise ValueError(
+                f"{key!r} in the {kind} claim must be an array of "
+                f"n = {n} octonion literals"
+            )
+    return spec
+
+
 def _cmd_verify(args) -> int:
     data = _load_json(args.input)
     if not isinstance(data, dict) or "matrix" not in data:
@@ -188,14 +208,14 @@ def _cmd_verify(args) -> int:
         return 2
     M = OperatorMatrix.from_json(data["matrix"])
     if "coupled" in data:
-        spec = data["coupled"]
+        spec = _claim(data, "coupled", M.n, ("xi", "eta"), ("a", "b"))
         xi = tuple(parse_octonion(s) for s in spec["xi"])
         eta = tuple(parse_octonion(s) for s in spec["eta"])
         res = verify_coupled(M, float(spec["a"]), float(spec["b"]), xi, eta)
         ok = res <= SOLVER_TOL
         out = {"kind": "coupled", "residual": res, "ok": ok}
     elif "right" in data:
-        spec = data["right"]
+        spec = _claim(data, "right", M.n, ("psi",), ("lambda",))
         psi = tuple(parse_octonion(s) for s in spec["psi"])
         lam = parse_octonion(spec["lambda"])
         check = verify_right_eigen(M, RightEigenClaim(psi, lam))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .eigen import coupled_clusters
 from .linalg import DEFAULT_SEED
-from .octonion import MUL_INDEX, MUL_SIGN, Octonion
+from .octonion import MUL_INDEX, MUL_SIGN, RIGHT_UNIT_GATHER, Octonion, gather_table
 from .operators import OperatorMatrix
 
 __all__ = [
@@ -92,29 +92,14 @@ def complex_project(o: Octonion) -> Octonion:
     return (o - e1 * (o * e1)) / 2
 
 
-_UNITS = np.arange(8)
-_CONJ_SIGN = np.where(_UNITS == 0, 1.0, -1.0)
-
-
-def _gather_table(index, sign):
-    """Turn a scatter rule (coefficient c of row r lands on index[r, c]
-    with sign[r, c]) into a gather: out_r[k] = g_sign[r, k] *
-    in[g_index[r, k]]."""
-    g_index = np.empty((8, 8), dtype=np.int64)
-    g_sign = np.empty((8, 8))
-    rows = _UNITS[:, None]
-    g_index[rows, index] = _UNITS
-    g_sign[rows, index] = sign
-    return g_index, g_sign
-
-
+_CONJ_SIGN = np.where(np.arange(8) == 0, 1.0, -1.0)
 # row a: q -> conj(e_a) q;  e_a e_c = MUL_SIGN[a, c] e_{MUL_INDEX[a, c]}
-_LEFT_GATHER = _gather_table(MUL_INDEX, _CONJ_SIGN[:, None] * MUL_SIGN)
+_LEFT_GATHER = gather_table(MUL_INDEX, _CONJ_SIGN[:, None] * MUL_SIGN)
 # row b: r -> conj(r) e_b;  coefficient r_c lands on MUL_INDEX[c, b]
-_RIGHT_GATHER = _gather_table(MUL_INDEX.T, (_CONJ_SIGN[:, None] * MUL_SIGN).T)
+_RIGHT_GATHER = gather_table(MUL_INDEX.T, (_CONJ_SIGN[:, None] * MUL_SIGN).T)
 # o -> o e1 and o -> e1 o: row 1 of the right and left multiplications
-_RMUL_E1 = tuple(t[1] for t in _gather_table(MUL_INDEX.T, MUL_SIGN.T))
-_LMUL_E1 = tuple(t[1] for t in _gather_table(MUL_INDEX, MUL_SIGN))
+_RMUL_E1 = tuple(t[1] for t in RIGHT_UNIT_GATHER)
+_LMUL_E1 = tuple(t[1] for t in gather_table(MUL_INDEX, MUL_SIGN))
 
 
 def _project_array(o: np.ndarray) -> np.ndarray:

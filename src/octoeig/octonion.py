@@ -82,8 +82,30 @@ def structure_constant(m: int, n: int) -> tuple[int, int]:
     return int(MUL_SIGN[m, n]), int(MUL_INDEX[m, n])
 
 
+def product_matrices(a: np.ndarray) -> np.ndarray:
+    """The 8x8 matrices P with a*b = b @ P, one per octonion on the last
+    axis of a.  Each entry is one signed coefficient of a, so P is exact."""
+    return (a @ _MUL_FLAT).reshape(a.shape[:-1] + (8, 8))
+
+
 def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return b @ (a @ _MUL_FLAT).reshape(8, 8)
+    return b @ product_matrices(a)
+
+
+def gather_table(index, sign):
+    """Turn a scatter rule (coefficient c of row r lands on index[r, c]
+    with sign[r, c]) into a gather: out_r[k] = g_sign[r, k] *
+    in[g_index[r, k]]."""
+    g_index = np.empty((8, 8), dtype=np.int64)
+    g_sign = np.empty((8, 8))
+    rows = np.arange(8)[:, None]
+    g_index[rows, index] = np.arange(8)
+    g_sign[rows, index] = sign
+    return g_index, g_sign
+
+
+# row m: o -> o e_m, since e_c e_m = MUL_SIGN[c, m] e_{MUL_INDEX[c, m]}
+RIGHT_UNIT_GATHER = gather_table(MUL_INDEX.T, MUL_SIGN.T)
 
 
 def left_mul_matrix(a: np.ndarray) -> np.ndarray:

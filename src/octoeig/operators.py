@@ -19,6 +19,13 @@ translate blockwise to 8n x 8n real (or complex, when each entry also
 carries an i-part) matrices; that translation is what the eigensolvers
 consume.
 
+``OperatorMatrix.apply`` evaluates M psi on stacked (n, 8) coefficient
+arrays, from a plan of per-part product matrices built once per matrix.
+It forms the same products as octonion multiplication and adds them in
+the same order (parts of an entry in m order, entries of a row in j
+order), so the result is bit-for-bit the octonion-by-octonion one, and
+exact on integer data; the exact verifications rely on that.
+
 Operator words use the text grammar ``L<k>``/``R<k>`` separated by
 whitespace, leftmost factor applied last, e.g. ``L4 R5 R1 L6``.
 Operator matrices are exchanged as JSON objects
@@ -37,12 +44,14 @@ import numpy as np
 
 from .linalg import lu_solve, matrix_rank
 from .octonion import (
+    RIGHT_UNIT_GATHER,
     ComplexOctonion,
     Octonion,
     OctonionParseError,
     format_octonion,
     left_mul_matrix,
     parse_octonion,
+    product_matrices,
     right_mul_matrix,
 )
 
@@ -184,11 +193,6 @@ class GeneralizedOperator:
                 out = out + (self.parts[m] * psi) * Octonion.basis(m)
         return out
 
-    def apply_complex(self, phi: ComplexOctonion) -> ComplexOctonion:
-        """Real-linear action extended complex-linearly: g(x + iy) =
-        g(x) + i g(y)."""
-        return ComplexOctonion(self.apply(phi.re), self.apply(phi.im))
-
     def to_matrix(self) -> np.ndarray:
         m = left_mul_matrix(self.parts[0].coeffs)
         for k in range(1, 8):
@@ -324,6 +328,10 @@ class OperatorMatrixFormatError(ValueError):
         self.path = path
 
 
+# real half negated, imaginary half kept: multiplication by i on (re, im)
+_I_TIMES = np.array([-1.0, 1.0])[:, None, None, None, None]
+
+
 class OperatorMatrix:
     """Square matrix of generalized octonionic operators, optionally
     complexified (entry = re + i*im pair of operators)."""
@@ -334,6 +342,7 @@ class OperatorMatrix:
         self.entries_im = self._normalize(entries_im) if entries_im is not None else None
         if self.entries_im is not None and len(self.entries_im) != self.n:
             raise ValueError("real and imaginary entry grids differ in size")
+        self._terms = None
 
     @staticmethod
     def _normalize(rows):
@@ -366,6 +375,63 @@ class OperatorMatrix:
 
     # -- actions ------------------------------------------------------------
 
+    def _plan(self):
+        """The evaluation plan of M Psi, built on first use and kept on
+        this matrix.  It has one term per non-zero part m of entry (i, j)
+        of each grid (real, then i-part): the matrix P with part*x =
+        x @ P, the vector slot j the term reads, the flat indices and
+        signs of the gather that x -> x e_m is, and the flat place of the
+        term in a (grid, i, j, m, 8) array."""
+        if self._terms is None:
+            n = self.n
+            grids = (self.entries,) + ((self.entries_im,) if self.complexified else ())
+            coeffs = np.array(
+                [p.coeffs for grid in grids for row in grid for g in row for p in g.parts]
+            ).reshape(-1, 8)
+            nz = np.flatnonzero(coeffs.any(axis=1))  # ((grid * n + i) * n + j) * 8 + m
+            index, sign = RIGHT_UNIT_GATHER
+            m = nz % 8
+            self._terms = (
+                product_matrices(coeffs[nz]),
+                nz // 8 % n,
+                (np.arange(len(nz))[:, None] * 8 + index[m]).ravel(),
+                sign[m].ravel(),
+                (nz[:, None] * 8 + np.arange(8)).ravel(),
+            )
+        return self._terms
+
+    def _evaluate(self, re, im=None):
+        """M Psi on coefficient arrays of shape (..., n, 8), bit for bit
+        the entry-by-entry octonion arithmetic: (M Psi)_i = sum_j M_ij(Psi_j)
+        summed in j order, M_ij(x) = o_0 x + sum_m (o_m x) e_m in m order.
+        With im, Psi = re + i im and the pair (re, im) of M Psi comes back.
+        Raises ValueError where that arithmetic leaves the finite range."""
+        mats, src, take, sign, put = self._plan()
+        n, grids = self.n, 2 if self.complexified else 1
+        vecs = re if im is None else np.stack((re, im))
+        b = vecs.size // (8 * n)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            # One (1, 8) @ (8, 8) product per term and vector, which numpy
+            # hands to the same gemv as Octonion.__mul__'s x @ P.  A 2-D
+            # gemm or einsum would sum the 8 terms in another order.
+            prod = vecs.reshape(b, n, 8)[:, src, None, :] @ mats
+            parts = np.zeros((b, grids * n * n * 64))
+            parts[:, put] = prod.reshape(b, -1)[:, take] * sign
+            # cumsum adds strictly left to right (add.accumulate has no
+            # pairwise path), and a missing part adds an exact 0
+            ent = parts.reshape(b, grids, n, n, 8, 8).cumsum(axis=4)[..., -1, :]
+            if grids == 2:
+                # i M_im(x + iy) = -M_im(y) + i M_im(x), exactly
+                halves = ent.reshape(2, -1, 2, n, n, 8)
+                ent = np.stack((halves[:, :, 0], halves[::-1, :, 1] * _I_TIMES), axis=2)
+            # per row: M_i0 (then i M_im_i0), M_i1, ... in order
+            seq = ent.reshape(b, grids, n, n, 8).transpose(0, 2, 3, 1, 4)
+            out = seq.reshape(b, n, n * grids, 8).cumsum(axis=2)[:, :, -1]
+        if not np.isfinite(out).all():
+            raise ValueError("octonion coefficients must be finite")
+        out = out.reshape(vecs.shape)
+        return out if im is None else (out[0], out[1])
+
     def apply(self, vec) -> list[Octonion]:
         """Entrywise action on an octonion vector: (M psi)_i =
         sum_j M_ij(psi_j), each entry applied before summing."""
@@ -373,30 +439,18 @@ class OperatorMatrix:
             raise ValueError("complexified operator matrix acts on complexified vectors")
         if len(vec) != self.n:
             raise ValueError(f"vector length {len(vec)} != matrix size {self.n}")
-        out = []
-        for i in range(self.n):
-            acc = Octonion.zero()
-            for j in range(self.n):
-                acc = acc + self.entries[i][j].apply(vec[j])
-            out.append(acc)
-        return out
+        return [Octonion(r) for r in self._evaluate(np.array([v.coeffs for v in vec]))]
 
     def apply_complex(self, vec) -> list[ComplexOctonion]:
+        """Action on a complexified vector, each entry extended
+        complex-linearly: g(x + iy) = g(x) + i g(y)."""
         if len(vec) != self.n:
             raise ValueError(f"vector length {len(vec)} != matrix size {self.n}")
-        i_unit = ComplexOctonion.i_unit()
-        out = []
-        for i in range(self.n):
-            acc = ComplexOctonion.zero()
-            for j in range(self.n):
-                phi = vec[j]
-                if not isinstance(phi, ComplexOctonion):
-                    phi = ComplexOctonion(phi)
-                acc = acc + self.entries[i][j].apply_complex(phi)
-                if self.entries_im is not None:
-                    acc = acc + i_unit * self.entries_im[i][j].apply_complex(phi)
-            out.append(acc)
-        return out
+        vec = [v if isinstance(v, ComplexOctonion) else ComplexOctonion(v) for v in vec]
+        re, im = self._evaluate(
+            np.array([v.re.coeffs for v in vec]), np.array([v.im.coeffs for v in vec])
+        )
+        return [ComplexOctonion(Octonion(r), Octonion(i)) for r, i in zip(re, im)]
 
     # -- translation --------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -209,6 +210,56 @@ class TestVerify:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/nonexistent/x.json")
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "claim,message",
+        [
+            ({"coupled": {"a": 0, "b": 1, "xi": "1", "eta": ["0"]}},
+             "'xi' in the coupled claim must be an array of n = 1 octonion literals"),
+            ({"coupled": {"a": 0, "b": 1, "xi": ["1"], "eta": ["0", "0"]}},
+             "'eta' in the coupled claim must be an array of n = 1 octonion literals"),
+            ({"coupled": {"a": 0, "b": 1, "xi": [1], "eta": ["0"]}},
+             "'xi' in the coupled claim must be an array of n = 1 octonion literals"),
+            ({"right": {"psi": "e1", "lambda": "1"}},
+             "'psi' in the right claim must be an array of n = 1 octonion literals"),
+            ({"coupled": {"b": 1, "xi": ["1"], "eta": ["0"]}},
+             "missing key 'a' in the coupled claim"),
+            ({"coupled": {"a": 0, "xi": ["1"], "eta": ["0"]}},
+             "missing key 'b' in the coupled claim"),
+            ({"right": {"psi": ["e1"]}}, "missing key 'lambda' in the right claim"),
+            ({"right": ["e1"]}, "the right claim must be a JSON object"),
+        ],
+        ids=["xi-string", "eta-length", "xi-number", "psi-string", "missing-a",
+             "missing-b", "missing-lambda", "right-not-object"],
+    )
+    def test_malformed_claim_exit_2(self, capsys, tmp_path, claim, message):
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps({"matrix": {"n": 1, "entries": ["e1"]}, **claim}))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"octoeig: bad input: {message}\n"
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            {"coupled": {"a": 0, "b": 1, "xi": [str(10**200)], "eta": ["0"]}},
+            {"right": {"psi": [str(10**200)], "lambda": "1"}},
+        ],
+        ids=["coupled", "right"],
+    )
+    def test_overflow_exit_2_without_warning(self, capsys, tmp_path, claim):
+        # 1e200 * 1e200 overflows: refused as bad input, never residual inf
+        path = tmp_path / "claim.json"
+        matrix = {"n": 1, "entries": [str(10**200)]}
+        path.write_text(json.dumps({"matrix": matrix, **claim}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "octoeig: bad input: octonion coefficients must be finite\n"
 
 
 class TestEnumerate:

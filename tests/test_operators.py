@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octoeig import (
     ComplexOctonion,
@@ -22,6 +24,12 @@ from octoeig import (
     matrix_to_generalized,
     operator_identity_check,
     parse_word,
+)
+from octoeig.eigen import (
+    RightEigenClaim,
+    verify_complexified,
+    verify_coupled,
+    verify_right_eigen,
 )
 from octoeig.octonion import left_mul_matrix, right_mul_matrix
 
@@ -287,6 +295,155 @@ class TestOperatorMatrix:
     def test_must_be_square(self):
         with pytest.raises(ValueError):
             OperatorMatrix([[E(1), E(2)]])
+
+
+# -- the entry-by-entry octonion path, kept as the evaluator's oracle --------
+
+
+def object_apply(M, vec):
+    out = []
+    for i in range(M.n):
+        acc = Octonion.zero()
+        for j in range(M.n):
+            acc = acc + M.entries[i][j].apply(vec[j])
+        out.append(acc)
+    return out
+
+
+def object_apply_complex(M, vec):
+    def act(g, phi):
+        return ComplexOctonion(g.apply(phi.re), g.apply(phi.im))
+
+    i_unit = ComplexOctonion.i_unit()
+    out = []
+    for i in range(M.n):
+        acc = ComplexOctonion.zero()
+        for j in range(M.n):
+            acc = acc + act(M.entries[i][j], vec[j])
+            if M.entries_im is not None:
+                acc = acc + i_unit * act(M.entries_im[i][j], vec[j])
+        out.append(acc)
+    return out
+
+
+def object_verify_coupled(M, a, b, xi, eta):
+    m_xi, m_eta = object_apply(M, xi), object_apply(M, eta)
+    res = 0.0
+    for i in range(M.n):
+        r1 = m_xi[i] - (a * xi[i] - b * eta[i])
+        r2 = m_eta[i] - (a * eta[i] + b * xi[i])
+        res = max(res, r1.norm(), r2.norm())
+    return res
+
+
+def object_verify_complexified(M, z, phi):
+    lhs = object_apply_complex(M, phi)
+    zc = ComplexOctonion(Octonion.from_scalar(z.real), Octonion.from_scalar(z.imag))
+    return max([0.0] + [(lhs[i] - phi[i] * zc).norm() for i in range(M.n)])
+
+
+def object_verify_right(M, psi, lam):
+    lhs = object_apply(M, psi)
+    return max([0.0] + [(lhs[i] - psi[i] * lam).norm() for i in range(M.n)])
+
+
+@st.composite
+def evaluator_cases(draw):
+    """A seeded operator matrix (n = 1..4; integer or 3-decimal entries;
+    left-only or with R-parts, some parts and entries zero; optionally
+    complexified) and a batch of vector pairs with matching values."""
+    n = draw(st.integers(1, 4))
+    decimals = draw(st.booleans())
+    generalized = draw(st.booleans())
+    complexified = draw(st.booleans())
+    keep = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    batch = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        if decimals:
+            return np.round(rng.uniform(-5.0, 5.0, shape), 3)
+        return rng.integers(-4, 5, shape).astype(float)
+
+    def grid():
+        mask = rng.random((n, n, 8)) < keep
+        if not generalized:
+            mask[:, :, 1:] = False
+        parts = np.where(mask[..., None], values((n, n, 8, 8)), 0.0)
+        return [
+            [GeneralizedOperator([Octonion(p) for p in parts[i, j]]) for j in range(n)]
+            for i in range(n)
+        ]
+
+    M = OperatorMatrix(grid(), grid() if complexified else None)
+    return M, values((batch, 2, n, 8)), values(3), values(8)
+
+
+def octs(rows):
+    return [Octonion(r) for r in rows]
+
+
+def coeffs(vec):
+    return np.array([o.coeffs for o in vec])
+
+
+class TestEvaluator:
+    """OperatorMatrix's array evaluator against the object path, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(evaluator_cases())
+    def test_matches_object_path(self, case):
+        M, vecs, (a, b, _), lam = case
+        phis = [
+            [ComplexOctonion(Octonion(x), Octonion(y)) for x, y in zip(*pair)]
+            for pair in vecs
+        ]
+        re, im = M._evaluate(vecs[:, 0], vecs[:, 1])
+        for k, phi in enumerate(phis):
+            want = object_apply_complex(M, phi)
+            assert np.array_equal(re[k], coeffs(w.re for w in want))
+            assert np.array_equal(im[k], coeffs(w.im for w in want))
+            got = M.apply_complex(phi)
+            assert np.array_equal(coeffs(g.re for g in got), re[k])
+            assert np.array_equal(coeffs(g.im for g in got), im[k])
+            z = complex(a, b)
+            assert verify_complexified(M, z, phi) == object_verify_complexified(M, z, phi)
+        if M.complexified:
+            return
+        out = M._evaluate(vecs)
+        for k, (x, y) in enumerate(vecs):
+            xi, eta = octs(x), octs(y)
+            assert np.array_equal(out[k, 0], coeffs(object_apply(M, xi)))
+            assert np.array_equal(out[k, 1], coeffs(object_apply(M, eta)))
+            assert np.array_equal(coeffs(M.apply(xi)), out[k, 0])
+            assert verify_coupled(M, a, b, xi, eta) == object_verify_coupled(M, a, b, xi, eta)
+            claim = RightEigenClaim(tuple(xi), Octonion(lam))
+            want = object_verify_right(M, xi, Octonion(lam))
+            assert verify_right_eigen(M, claim).residual == want
+
+    def test_integer_worked_examples_verify_exactly(self):
+        e4 = OperatorMatrix([[E(4)]])
+        assert verify_coupled(e4, 0.0, -1.0, (E(7),), (E(3),)) == 0.0
+        M = OperatorMatrix([[Octonion.one(), E(4)], [Octonion.zero(), E(5)]])
+        assert verify_coupled(M, 0.0, -1.0, (E(6) - E(3), 2 * E(7)), (E(3) + E(6), 2 * E(2))) == 0.0
+        phi = (
+            ComplexOctonion(-(E(1) + E(4)), E(4) - E(1)),
+            ComplexOctonion(2 * Octonion.one(), 2 * E(5)),
+        )
+        assert verify_complexified(M, -1j, phi) == 0.0
+        herm = OperatorMatrix([[1, E(4)], [-E(4), 1]])
+        claim = RightEigenClaim((E(5), E(7)), Octonion.one() - E(6))
+        assert verify_right_eigen(herm, claim).residual == 0.0
+
+    def test_overflow_is_refused(self):
+        big = Octonion.from_scalar(1e200)
+        M = OperatorMatrix([[big]])
+        with pytest.raises(ValueError, match="must be finite"):
+            M.apply([big])
+        with pytest.raises(ValueError, match="must be finite"):
+            verify_coupled(M, 0.0, 1.0, (big,), (Octonion.zero(),))
+        with pytest.raises(ValueError, match="must be finite"):
+            verify_right_eigen(OperatorMatrix([[1]]), RightEigenClaim((big,), big))
 
 
 class TestJsonFormat:
