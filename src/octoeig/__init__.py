@@ -7,7 +7,8 @@ Core pieces:
 - :mod:`octoeig.operators` -- left/right operator words, generalized
   operators and the faithful 8x8 real (or complex) matrix translation;
 - :mod:`octoeig.linalg` -- self-contained dense eigensolver (Hessenberg
-  + implicit double-shift QR + inverse iteration);
+  + implicit double-shift QR, eigenvectors back-substituted on the
+  Schur factor);
 - :mod:`octoeig.eigen` -- the coupled eigenproblem M xi = a xi - b eta,
   M eta = a eta + b xi, its complexified equivalent, right-eigenvalue
   verification and enumeration;

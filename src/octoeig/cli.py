@@ -2,10 +2,10 @@
 
 Subcommands: mul, translate, decompose, eig, verify, enumerate,
 hermiticity, dirac, paper-suite.  Output is text by default or JSON
-with ``--format json``; all runs are deterministic for a given input
-and seed (``--seed``, else the environment variable ``OCTOEIG_SEED``,
-which must then be an integer, else 1729).  Input files may be ``-``
-for stdin.
+with ``--format json``; all runs are deterministic for a given input.
+The seed (``--seed``, else the environment variable ``OCTOEIG_SEED``,
+which must then be an integer, else 1729) is read by ``dirac``, the
+command that uses it.  Input files may be ``-`` for stdin.
 
 Exit status: 0 on success, 1 when a verification or solver check
 fails, 2 on parse/IO errors and bad input, a malformed
@@ -163,11 +163,11 @@ def _cmd_eig(args) -> int:
     method = args.method
     if method == "auto":
         method = "complexified" if M.complexified else "coupled"
-    report = eig_report(M, seed=_seed(args), method=method)
+    report = eig_report(M, method=method)
     if args.format == "json":
         _emit_json(report)
         return 0
-    print(f"method: {method}   seed: {report['seed']}")
+    print(f"method: {method}")
     for c in report["clusters"]:
         print(
             f"cluster a={c['a']:.9g} b={c['b']:.9g} "

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_SEED,
     SOLVER_TOL,
     cluster_gap,
     cluster_values,
@@ -141,15 +140,22 @@ def _coeffs(vec) -> np.ndarray:
 
 def _max_norm(re, im=None) -> float:
     """Largest entrywise norm of residual rows: sqrt(r @ r), as
-    Octonion.norm computes it, or sqrt(re @ re + im @ im).  Raises
+    Octonion.norm computes it, or sqrt(re @ re + im @ im).  A row whose
+    largest entry lies outside [2**-500, 2**500] is scaled by an exact
+    power of two before squaring and unscaled after, so its squares
+    neither overflow nor underflow; other rows are not scaled.  Raises
     ValueError where the residual arithmetic left the finite range, as
     building those octonions would."""
     if not (np.isfinite(re).all() and (im is None or np.isfinite(im).all())):
         raise ValueError("octonion coefficients must be finite")
-    sq = (re[..., None, :] @ re[..., :, None])[..., 0, 0]
-    if im is not None:
-        sq = sq + (im[..., None, :] @ im[..., :, None])[..., 0, 0]
-    return float(np.sqrt(sq).max())
+    parts = (re,) if im is None else (re, im)
+    big = np.max([np.abs(r).max(axis=-1) for r in parts], axis=0)
+    e = np.where((big > 2.0**500) | (big < 2.0**-500), np.frexp(big)[1], 0)
+    sq = 0.0
+    for r in parts:
+        r = np.ldexp(r, -e[..., None])
+        sq = sq + (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+    return float(np.ldexp(np.sqrt(sq), e).max())
 
 
 def verify_coupled(M: OperatorMatrix, a: float, b: float, xi, eta) -> float:
@@ -180,7 +186,7 @@ def _clusters(sols, gap: float) -> list[CoupledCluster]:
     ]
 
 
-def solve_coupled(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> list[CoupledSolution]:
+def solve_coupled(M: OperatorMatrix) -> list[CoupledSolution]:
     """All coupled solutions of a real-coefficient operator matrix.
 
     The matrix is translated to its 8n x 8n real form, every eigenpair
@@ -195,7 +201,7 @@ def solve_coupled(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> list[CoupledSo
     if M.complexified:
         raise ValueError("solve_coupled needs a real-coefficient operator matrix")
     A = M.to_real_matrix()
-    _, records = schur_eigensystem(A, seed=seed)
+    _, records = schur_eigensystem(A)
     sols = []
     for (z, v, _) in records:
         a, b = z.real, z.imag
@@ -210,9 +216,9 @@ def solve_coupled(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> list[CoupledSo
     return sols
 
 
-def coupled_clusters(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> list[CoupledCluster]:
+def coupled_clusters(M: OperatorMatrix) -> list[CoupledCluster]:
     """Coupled solutions grouped by (a, b) within the clustering gap."""
-    return _clusters(solve_coupled(M, seed=seed), cluster_gap(M.to_real_matrix()))
+    return _clusters(solve_coupled(M), cluster_gap(M.to_real_matrix()))
 
 
 def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
@@ -232,8 +238,7 @@ def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
         return _max_norm(re, im)
 
 
-def solve_complexified(M: OperatorMatrix,
-                       seed: int = DEFAULT_SEED) -> list[ComplexifiedSolution]:
+def solve_complexified(M: OperatorMatrix) -> list[ComplexifiedSolution]:
     """Solve O Phi = Phi z through the complex matrix translation.
 
     For a complexified matrix every eigenvalue of the 8n x 8n complex
@@ -244,7 +249,7 @@ def solve_complexified(M: OperatorMatrix,
     directly comparable with solve_coupled.
     """
     A = M.to_complex_matrix()
-    pairs = complex_eigen(A, seed=seed)
+    pairs = complex_eigen(A)
     gap = cluster_gap(A)
     sols = []
     for p in pairs:
@@ -314,7 +319,7 @@ def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None)
     return claims
 
 
-def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> dict:
+def quaternionic_limit_check(M: OperatorMatrix) -> dict:
     """Check that the coupled problem collapses onto the quaternionic
     right eigenvalue problem when the matrix is quaternionic.
 
@@ -343,7 +348,7 @@ def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> dic
                 return report
     max_res = 0.0
     all_ok = True
-    for c in coupled_clusters(M, seed=seed):
+    for c in coupled_clusters(M):
         a, b = c.a, c.b
         entry = {"a": a, "b": b, "multiplicity": c.multiplicity}
         report["clusters"].append(entry)
@@ -382,18 +387,18 @@ def quaternionic_limit_check(M: OperatorMatrix, seed: int = DEFAULT_SEED) -> dic
     return report
 
 
-def eig_report(M: OperatorMatrix, method: str, seed: int = DEFAULT_SEED) -> dict:
-    """JSON-ready eigenreport: matrix echo, clusters of (a, b) with one
-    solution per eigenvector, and the seed that reproduces them.
+def eig_report(M: OperatorMatrix, method: str) -> dict:
+    """JSON-ready eigenreport: matrix echo and clusters of (a, b) with
+    one solution per eigenvector.
 
     method is "coupled", which needs an i-free matrix, or
     "complexified", which works for both and reports xi = phi1, eta =
     phi2 of Phi = phi1 + i*phi2, the same data for i-free inputs.
     """
     if method == "coupled":
-        clusters = coupled_clusters(M, seed=seed)
+        clusters = coupled_clusters(M)
     elif method == "complexified":
-        sols = [coupled_from_complexified(s) for s in solve_complexified(M, seed=seed)]
+        sols = [coupled_from_complexified(s) for s in solve_complexified(M)]
         clusters = _clusters(sols, cluster_gap(M.to_complex_matrix()))
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -415,5 +420,4 @@ def eig_report(M: OperatorMatrix, method: str, seed: int = DEFAULT_SEED) -> dict
             }
             for c in clusters
         ],
-        "seed": seed,
     }

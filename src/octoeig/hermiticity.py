@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import coupled_clusters
-from .linalg import DEFAULT_SEED
 from .octonion import MUL_INDEX, MUL_SIGN, RIGHT_UNIT_GATHER, Octonion, gather_table
 from .operators import OperatorMatrix
 
@@ -179,8 +178,7 @@ def classify(op: OperatorMatrix, kind: str = FULL) -> HermiticityReport:
     return HermiticityReport(kind, "neither", witness)
 
 
-def hermitian_spectrum_theorem_check(op: OperatorMatrix,
-                                     seed: int = DEFAULT_SEED) -> dict:
+def hermitian_spectrum_theorem_check(op: OperatorMatrix) -> dict:
     """If the operator classifies as hermitian under the full product,
     its coupled spectrum must be real: every cluster has |b| at most
     1e-9."""
@@ -192,7 +190,7 @@ def hermitian_spectrum_theorem_check(op: OperatorMatrix,
     if not out["applicable"]:
         out["ok"] = True  # nothing to check; the theorem's premise fails
         return out
-    clusters = coupled_clusters(op, seed=seed)
+    clusters = coupled_clusters(op)
     out["clusters"] = [(c.a, c.b, c.multiplicity) for c in clusters]
     out["max_abs_b"] = max((abs(c.b) for c in clusters), default=0.0)
     out["real_spectrum"] = out["max_abs_b"] <= _REAL_SPECTRUM_TOL

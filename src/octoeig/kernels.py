@@ -37,13 +37,10 @@ def _sub_outer(x, l, u):
     np.subtract(x, prod, out=x, where=(l != 0.0)[:, None])
 
 
-def lu_factor(a, piv, tiny):
+def lu_factor(a, piv):
     """LU with partial pivoting, in place; piv[k] is the row swapped into k.
 
-    If tiny > 0, pivots smaller than tiny in magnitude are replaced by
-    tiny (keeping their phase) so that near-singular systems remain
-    solvable; this is what inverse iteration wants.  If tiny == 0 an
-    exactly zero pivot aborts and the failing column index + 1 is
+    An exactly zero pivot aborts and the failing column index + 1 is
     returned; 0 means success.
 
     The pivot is the first row of largest magnitude, and only rows with
@@ -59,13 +56,7 @@ def lu_factor(a, piv, tiny):
         piv[k] = p
         if p != k:
             a[[k, p]] = a[[p, k]]
-        if tiny > 0.0:
-            if abs(a[k, k]) < tiny:
-                if a[k, k] == 0.0:
-                    a[k, k] = a[k, k] + tiny
-                else:
-                    a[k, k] = a[k, k] / abs(a[k, k]) * tiny
-        elif a[k, k] == 0.0:
+        if a[k, k] == 0.0:
             return k + 1
         a[k + 1:, k] /= a[k, k]
         _sub_outer(a[k + 1:, k + 1:], a[k + 1:, k], a[k, k + 1:])
@@ -328,7 +319,10 @@ def split_real_2x2_blocks(t, q):
     blocks, so 2x2 blocks remain only for complex conjugate pairs.
 
     Each block is classified and rotated from its scaled_2x2_block form,
-    so tiny and huge blocks split as well as moderate ones.
+    so tiny and huge blocks split as well as moderate ones.  A real block
+    whose eigenvector squares underflow even there has off-diagonal
+    entries below about 1e-162 of its largest one; its subdiagonal entry
+    is dropped instead.
     """
     n = t.shape[0]
     k = 0
@@ -352,6 +346,7 @@ def split_real_2x2_blocks(t, q):
             v1 = w1
         nrm = np.sqrt(v0 * v0 + v1 * v1)
         if nrm == 0.0:
+            t[k + 1, k] = 0.0
             k += 2
             continue
         c = v0 / nrm

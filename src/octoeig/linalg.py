@@ -2,13 +2,13 @@
 
 Drivers around the kernels in :mod:`octoeig.kernels`: LU solves with
 partial pivoting, real Schur form via Hessenberg reduction plus
-implicit double-shift QR, eigenvalue extraction from the quasi-
-triangular factor, eigenvectors by inverse iteration, and complex
+implicit double-shift QR, eigenvalues read off the quasi-triangular
+factor, eigenvectors back-substituted on the same factor, and complex
 eigenproblems by realification to a doubled real problem.
 
-Everything is deterministic given a seed: inverse iteration starts from
-a seeded generator and all orderings are fixed.  numpy is used for
-array plumbing only; the factorizations themselves are the kernels'.
+Everything is deterministic: no step draws random numbers and all
+orderings are fixed.  numpy is used for array plumbing only; the
+factorizations themselves are the kernels'.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ __all__ = [
 DEFAULT_SEED = 1729
 SOLVER_TOL = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 _MAX_SWEEPS_PER_N = 40
-_INVERSE_ITERATIONS = 10
 
 
 class LinalgError(Exception):
@@ -111,7 +111,7 @@ def lu_solve(A, B):
     fac = np.ascontiguousarray(A, dtype=dtype).copy()
     piv = np.zeros(n, dtype=np.int64)
     fro = _fro(A)
-    code = lu_factor(fac, piv, 0.0)
+    code = lu_factor(fac, piv)
     if code != 0:
         raise SingularMatrixError(code - 1)
     tol = n * _EPS * fro
@@ -131,10 +131,10 @@ def _fro(A) -> float:
 def _schur(A, balance: bool):
     """Hessenberg reduction plus Francis QR of a real square matrix.
 
-    Returns (Q, T) with T quasi-triangular and diagonal 2x2 blocks left
-    only for complex pairs.  Without balancing A = Q T Q^T with Q
-    orthogonal; with balancing the same holds for D^-1 A D, where D is
-    the balancing scaling, so only T is meaningful to callers.
+    Returns (Q, T, scale) with T quasi-triangular and diagonal 2x2
+    blocks left only for complex pairs, Q orthogonal and scale the
+    diagonal of the balancing D (all ones without balancing), so that
+    D^-1 A D = Q T Q^T.
     """
     A = _check_square(A)
     if np.iscomplexobj(A):
@@ -142,10 +142,11 @@ def _schur(A, balance: bool):
     n = A.shape[0]
     T = np.ascontiguousarray(A, dtype=np.float64).copy()
     Q = np.eye(n)
+    scale = np.ones(n)
     if n <= 1:
-        return Q, T
+        return Q, T, scale
     if balance:
-        balance_in_place(T, np.ones(n))
+        balance_in_place(T, scale)
     fro = _fro(T)
     hessenberg_in_place(T, Q)
     code, lo, hi = francis_qr(T, Q, _EPS, fro, _MAX_SWEEPS_PER_N)
@@ -157,13 +158,14 @@ def _schur(A, balance: bool):
             hi,
         )
     split_real_2x2_blocks(T, Q)
-    return Q, T
+    return Q, T, scale
 
 
 def real_schur(A):
     """Real Schur form: orthogonal Q and quasi-triangular T with
     A = Q T Q^T; diagonal 2x2 blocks remain only for complex pairs."""
-    return _schur(A, balance=False)
+    Q, T, _ = _schur(A, balance=False)
+    return Q, T
 
 
 def _read_blocks(T):
@@ -177,23 +179,11 @@ def _read_blocks(T):
     k = 0
     while k < n:
         if k < n - 1 and T[k + 1, k] != 0.0:
-            e, p, qq, r, s, disc = scaled_2x2_block(T, k)
-            if disc < 0.0:
-                a = np.ldexp(0.5 * (p + s), e)
-                b = np.ldexp(0.5 * math.sqrt(-disc), e)
-                blocks.append((k, 2, (complex(a, b), complex(a, -b))))
-            else:
-                # a real pair that split_real_2x2_blocks left whole: both
-                # forms of its eigenvector have squares that underflow even
-                # in the scaled block, which needs off-diagonal entries
-                # below about 1e-162 of the block's largest entry.  Francis
-                # QR deflates such a block in larger matrices, so only a
-                # 2x2 input such as [[1, 1e-170], [1e-170, 1]] gets here.
-                sq = math.sqrt(disc)
-                l1 = 0.5 * ((p + s) + sq) if p + s >= 0.0 else 0.5 * ((p + s) - sq)
-                l2 = (p * s - qq * r) / l1 if l1 != 0.0 else 0.5 * ((p + s) - sq)
-                l1, l2 = np.ldexp(l1, e), np.ldexp(l2, e)
-                blocks.append((k, 2, (complex(l1, 0.0), complex(l2, 0.0))))
+            # split_real_2x2_blocks leaves 2x2 blocks for complex pairs only
+            e, p, _, _, s, disc = scaled_2x2_block(T, k)
+            a = np.ldexp(0.5 * (p + s), e)
+            b = np.ldexp(0.5 * math.sqrt(-disc), e)
+            blocks.append((k, 2, (complex(a, b), complex(a, -b))))
             k += 2
         else:
             blocks.append((k, 1, (complex(T[k, k], 0.0),)))
@@ -210,7 +200,7 @@ def _sorted_values(blocks) -> np.ndarray:
 def eigenvalues(A) -> np.ndarray:
     """All eigenvalues of a real square matrix, sorted by real part then
     by descending imaginary part; conjugate pairs are exact mirrors."""
-    _, T = _schur(A, balance=True)
+    _, T, _ = _schur(A, balance=True)
     return _sorted_values(_read_blocks(T))
 
 
@@ -264,13 +254,9 @@ def _orthogonalize(v, basis):
 
 
 def _fix_phase(v):
-    """Deterministic normalization: unit norm, first significant entry
+    """Deterministic phase of a unit vector: first significant entry
     positive real (sign flip for real vectors, phase rotation for
     complex ones)."""
-    nrm = float(np.sqrt(np.vdot(v, v).real))
-    if nrm == 0.0:
-        return v
-    v = v / nrm
     mags = np.abs(v)
     idx = int(np.argmax(mags > 1e-8 * mags.max()))
     c = v[idx]
@@ -279,111 +265,127 @@ def _fix_phase(v):
     return v if c > 0 else -v
 
 
-def _random_start(rng, n, dtype):
-    """Seeded start vector: real normal draws, plus an imaginary part
-    drawn after them for a complex dtype."""
-    v = rng.standard_normal(n)
-    if dtype == np.complex128:
-        v = v + 1j * rng.standard_normal(n)
-    return v.astype(dtype)
+def _unit(v):
+    """v / ||v||, scaled by its largest entry first so that the squares
+    neither overflow nor underflow; None for a zero vector."""
+    big = float(np.abs(v).max())
+    if big == 0.0:
+        return None
+    v = v / big
+    return v / math.sqrt(np.vdot(v, v).real)
 
 
-def _inverse_iteration(A, z, rng, ortho, fro):
-    """One eigenvector of A for shift z, orthogonal to `ortho`.
+def _residual(A, v, z, fro) -> float:
+    """||A v - z v|| / max(1, fro), the residual an EigenPair carries."""
+    return float(np.sqrt((np.abs(A @ v - z * v) ** 2).sum())) / max(1.0, fro)
 
-    Returns (vector, residual) with the best residual of at most
-    _INVERSE_ITERATIONS steps; the caller checks it against SOLVER_TOL.
+
+def _raise_pivot(d, smin):
+    """d, or smin with the phase of d when |d| < smin."""
+    m = abs(d)
+    if m >= smin:
+        return d
+    return smin if m == 0.0 else d / m * smin
+
+
+def _solve_2x2(c, rhs, smin):
+    """Solve the 2x2 system c x = rhs by complete pivoting, raising both
+    pivots below smin to smin with their phase (as LAPACK dlaln2)."""
+    i, j = divmod(int(np.argmax(np.abs(c))), 2)
+    piv = _raise_pivot(c[i, j], smin)
+    l = c[1 - i, j] / piv
+    u = _raise_pivot(c[1 - i, 1 - j] - l * c[i, 1 - j], smin)
+    x = np.empty(2, dtype=np.result_type(c, rhs))
+    x[1 - j] = (rhs[1 - i] - l * rhs[i]) / u
+    x[j] = (rhs[i] - c[i, 1 - j] * x[1 - j]) / piv
+    return x
+
+
+def _schur_vector(T, Q, scale, blocks, b, z):
+    """Unit eigenvector of A = D Q T Q^T D^-1 for the eigenvalue z of the
+    diagonal block blocks[b] of T.
+
+    y solves (T - z I) y = 0 by back-substitution over the blocks before
+    z's block, last to first (the scheme of LAPACK dtrevc), in real
+    arithmetic for real z; then v = D (Q y).  Pivots below
+    smin = eps max(|z|, max |T|), and at least the smallest normal
+    float, are raised to smin; y is rescaled when its entries pass 1e100.
     """
-    n = A.shape[0]
-    use_complex = np.iscomplexobj(A) or z.imag != 0.0
-    dtype = np.complex128 if use_complex else np.float64
-    M = np.ascontiguousarray(A, dtype=dtype).copy()
-    shift = z if use_complex else z.real
-    M[np.diag_indices(n)] -= shift
-    piv = np.zeros(n, dtype=np.int64)
-    tiny = max(1.0, fro) * _EPS
-    lu_factor(M, piv, tiny)
-    v = _orthogonalize(_random_start(rng, n, dtype), ortho)
-    nv = float(np.sqrt(np.vdot(v, v).real))
-    if nv == 0.0:
-        v = rng.standard_normal(n).astype(dtype)
-        nv = float(np.sqrt(np.vdot(v, v).real))
-    v = v / nv
-    best_v, best_res = v, np.inf
-    for _ in range(_INVERSE_ITERATIONS):
-        w = v.reshape(n, 1).copy()
-        lu_solve_factored(M, piv, w)
-        w = w[:, 0]
-        if not np.all(np.isfinite(w)):
-            v = _random_start(rng, n, dtype)
-            continue
-        w = _orthogonalize(w, ortho)
-        nw = float(np.sqrt(np.vdot(w, w).real))
-        if nw == 0.0:
-            v = _random_start(rng, n, dtype)
-            continue
-        w = w / nw
-        res = float(np.sqrt((np.abs(A @ w - z * w) ** 2).sum())) / max(1.0, fro)
-        v = w
-        if res < best_res:
-            best_v, best_res = w, res
-        if res <= SOLVER_TOL:
-            break
-    return best_v, best_res
+    smin = max(_EPS * max(abs(z), float(np.abs(T).max())), _TINY)
+    if z.imag == 0.0:
+        z = z.real
+    start, size, _ = blocks[b]
+    end = start + size
+    y = np.zeros(end, dtype=np.result_type(z))
+    if size == 1:
+        y[start] = 1.0
+    else:
+        # a 2x2 block with rows (p, q), (r, s) has the null vectors
+        # (q, z - p) and (z - s, r) of B - z I; take the longer one
+        (p, q), (r, s) = T[start:end, start:end].tolist()
+        y[start:end] = max((q, z - p), (z - s, r), key=lambda x: math.hypot(abs(x[0]), abs(x[1])))
+        y /= np.abs(y).max()
+    for j, jsize, _ in reversed(blocks[:b]):
+        jend = j + jsize
+        rhs = -(T[j:jend, jend:end] @ y[jend:end])
+        if jsize == 1:
+            y[j] = rhs[0] / _raise_pivot(T[j, j] - z, smin)
+        else:
+            c = T[j:jend, j:jend] - z * np.eye(2)
+            y[j:jend] = _solve_2x2(c, rhs, smin)
+        big = np.abs(y[j:jend]).max()
+        if big > 1e100:
+            y /= big
+    return _unit(scale * (Q[:, :end] @ y))
 
 
-def eigenvector(A, z, seed: int = DEFAULT_SEED):
-    """Unit eigenvector of A for the (approximate) eigenvalue z, by
-    inverse iteration from a deterministic seeded start.
+def eigenvector(A, z):
+    """Unit eigenvector of a real matrix A for the eigenvalue nearest z,
+    from its Schur factors.
 
-    z must lie near the spectrum; raises ConvergenceError when the
-    relative residual stays above SOLVER_TOL after 10 iterations.
+    Raises ConvergenceError when the relative residual against z is
+    above SOLVER_TOL, as for a z off the spectrum.
     """
     A = _check_square(A)
     z = complex(z)
-    rng = np.random.default_rng(seed)
-    fro = _fro(A)
-    v, res = _inverse_iteration(A, z, rng, (), fro)
+    Q, T, scale = _schur(A, balance=True)
+    blocks = _read_blocks(T)
+    b, w = min(
+        ((b, w) for b, (_, _, vs) in enumerate(blocks) for w in vs),
+        key=lambda bw: abs(bw[1] - z),
+    )
+    v = _schur_vector(T, Q, scale, blocks, b, w)
+    res = _residual(A, v, z, _fro(A))
     if res > SOLVER_TOL:
-        raise ConvergenceError(
-            f"inverse iteration for z={z} stalled at residual {res:.3e}"
-        )
+        raise ConvergenceError(f"no eigenvector for z={z}: residual {res:.3e}")
     return _fix_phase(v)
 
 
-def schur_eigensystem(A, seed: int = DEFAULT_SEED):
+def schur_eigensystem(A):
     """Eigenvalues plus one eigenvector per Schur block of a real matrix.
 
     Returns (values, records).  `values` is the full sorted eigenvalue
     multiset (length n).  `records` holds one (z, vector, residual) per
     diagonal block with Im z >= 0: complex conjugate pairs are
-    represented once.  Within a cluster of close eigenvalues the vectors
-    are mutually orthogonalized so multiplicities yield independent
+    represented once.  The vectors come from the same Schur factors as
+    the values.  Within a cluster of close eigenvalues the vectors are
+    mutually orthogonalized so multiplicities yield independent
     eigenvectors; records whose relative residual exceeds SOLVER_TOL
     (possible only for defective clusters) are dropped.
     """
     A = _check_square(A)
-    rng = np.random.default_rng(seed)
     fro = _fro(A)
-    _, T = _schur(A, balance=True)
+    Q, T, scale = _schur(A, balance=True)
     blocks = _read_blocks(T)
     values = _sorted_values(blocks)
-
-    reps = []  # canonical (Im >= 0) eigenvalue per block position
-    for (start, size, vs) in blocks:
-        if size == 1:
-            reps.append(vs[0])
-        elif vs[0].imag != 0.0:
-            reps.append(vs[0] if vs[0].imag > 0 else vs[1])
-        else:
-            reps.extend(vs)  # 2x2 block with real eigenvalues
-    gap = cluster_gap(A)
+    reps = [vs[0] for (_, _, vs) in blocks]  # the Im >= 0 value of each block
     records = []
-    for rep, idxs in cluster_values(reps, gap):
+    for rep, idxs in cluster_values(reps, cluster_gap(A)):
         found = []
-        for i in idxs:
-            z = reps[i]
-            v, res = _inverse_iteration(A, z, rng, found, fro)
+        for b in idxs:
+            z = reps[b]
+            v = _unit(_orthogonalize(_schur_vector(T, Q, scale, blocks, b, z), found))
+            res = np.inf if v is None else _residual(A, v, z, fro)
             if res <= SOLVER_TOL:
                 found.append(v)
                 records.append((z, _fix_phase(v), res))
@@ -407,15 +409,16 @@ def _mgs_basis(vectors):
     return basis
 
 
-def complex_eigen(A, seed: int = DEFAULT_SEED):
+def complex_eigen(A):
     """All eigenpairs of a complex square matrix.
 
     A = X + iY is realified to the doubled real matrix [[X, -Y], [Y, X]]
     whose spectrum is {z} united with {conj(z)}; the eigenvalues of A are
     recovered from the structure of the embedded eigenvectors (a vector
     (p, q) of the doubled problem maps to p + iq), never by discarding
-    negative imaginary parts.  Returns one EigenPair per eigenvalue
-    counted with multiplicity, sorted by (Re, -Im).
+    negative imaginary parts.  Returns one EigenPair per eigenvector
+    found, sorted by (Re, -Im), and drops those whose residual against
+    their cluster's value exceeds SOLVER_TOL, as schur_eigensystem does.
     """
     A = _check_square(A)
     m = A.shape[0]
@@ -423,12 +426,9 @@ def complex_eigen(A, seed: int = DEFAULT_SEED):
     X = Ac.real.copy()
     Y = Ac.imag.copy()
     R = np.block([[X, -Y], [Y, X]])
-    _, records = schur_eigensystem(R, seed=seed)
+    _, records = schur_eigensystem(R)
     froA = _fro(Ac)
     gap = cluster_gap(R)
-
-    def _residual(u, z):
-        return float(np.sqrt((np.abs(Ac @ u - z * u) ** 2).sum())) / max(1.0, froA)
 
     pairs = []
     clusters = cluster_values([z for (z, _, _) in records], gap)
@@ -441,11 +441,11 @@ def complex_eigen(A, seed: int = DEFAULT_SEED):
             plus_basis = _mgs_basis(u_plus)[:k]
             for u in plus_basis:
                 u = _fix_phase(u)
-                pairs.append(EigenPair(rep, u, _residual(u, rep)))
+                pairs.append(EigenPair(rep, u, _residual(Ac, u, rep, froA)))
             minus_basis = _mgs_basis(u_minus)[: k - len(plus_basis)]
             for u in minus_basis:
-                u = _fix_phase(np.conj(u))
-                pairs.append(EigenPair(rep.conjugate(), u, _residual(u, rep.conjugate())))
+                u, z = _fix_phase(np.conj(u)), rep.conjugate()
+                pairs.append(EigenPair(z, u, _residual(Ac, u, z, froA)))
         else:
             # real eigenvalue of the doubled problem: multiplicity is even
             # and the embedded vectors span the eigenspace of A twice over
@@ -453,7 +453,8 @@ def complex_eigen(A, seed: int = DEFAULT_SEED):
             basis = _mgs_basis(emb)[: max(1, k // 2)]
             for u in basis:
                 u = _fix_phase(u)
-                pairs.append(EigenPair(rep, u, _residual(u, rep)))
+                pairs.append(EigenPair(rep, u, _residual(Ac, u, rep, froA)))
+    pairs = [p for p in pairs if p.residual <= SOLVER_TOL]
     pairs.sort(key=lambda p: (p.value.real, -p.value.imag))
     return pairs
 

@@ -5,8 +5,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
+from octoeig import dirac as dirac_mod
 from octoeig.cli import main
 
 
@@ -94,7 +96,6 @@ class TestEig:
         assert code == 0
         report = json.loads(out)
         assert report["matrix"]["n"] == 2
-        assert report["seed"] == 1729
         key = sorted(
             (round(c["a"], 9), round(c["b"], 9), c["multiplicity"])
             for c in report["clusters"]
@@ -132,26 +133,14 @@ class TestEig:
         assert out.returncode == 0
         assert json.loads(out.stdout)["matrix"]["n"] == 2
 
-    def test_seed_env_override(self, matrix_file, monkeypatch, capsys):
-        monkeypatch.setenv("OCTOEIG_SEED", "99")
-        code, out, _ = run_cli(capsys, "eig", matrix_file, "--format", "json")
-        assert code == 0
-        assert json.loads(out)["seed"] == 99
-
-    def test_malformed_seed_env_exit_2(self, matrix_file, monkeypatch, capsys):
+    def test_output_does_not_depend_on_the_seed(self, matrix_file, monkeypatch, capsys):
+        # eig draws no random numbers, so neither --seed nor a malformed
+        # OCTOEIG_SEED changes its stdout
+        runs = [run_cli(capsys, "eig", matrix_file, "--seed", s) for s in ("1", "2")]
         monkeypatch.setenv("OCTOEIG_SEED", "abc")
-        code, out, err = run_cli(capsys, "eig", matrix_file, "--format", "json")
-        assert code == 2
-        assert out == ""
-        assert "octoeig: bad input" in err and "OCTOEIG_SEED" in err
-
-    def test_malformed_seed_env_unused_with_seed_flag(self, matrix_file, monkeypatch,
-                                                      capsys):
-        monkeypatch.setenv("OCTOEIG_SEED", "abc")
-        code, out, _ = run_cli(capsys, "eig", matrix_file, "--format", "json",
-                               "--seed", "5")
-        assert code == 0
-        assert json.loads(out)["seed"] == 5
+        runs.append(run_cli(capsys, "eig", matrix_file))
+        assert [code for code, _, _ in runs] == [0, 0, 0]
+        assert runs[0][1] == runs[1][1] == runs[2][1]
 
     @pytest.mark.parametrize("method", ["coupled", "complexified"])
     def test_overflowing_norm_exit_2(self, capsys, tmp_path, method):
@@ -261,6 +250,22 @@ class TestVerify:
         assert out == ""
         assert err == "octoeig: bad input: octonion coefficients must be finite\n"
 
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            {"coupled": {"a": 0, "b": 0, "xi": [str(10**155)], "eta": ["0"]}},
+            {"right": {"psi": [str(10**155)], "lambda": "0"}},
+        ],
+        ids=["coupled", "right"],
+    )
+    def test_huge_finite_residual_is_reported(self, capsys, tmp_path, claim):
+        # the residual 1e155 is finite; its square is not
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps({"matrix": {"n": 1, "entries": ["1"]}, **claim}))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--format", "json")
+        assert code == 1
+        assert json.loads(out)["residual"] == 1e155
+
 
 class TestEnumerate:
     def test_pinned_psi_a(self, capsys, tmp_path):
@@ -318,6 +323,44 @@ class TestDiracAndSuite:
         code, out, _ = run_cli(capsys, "dirac")
         assert code == 0
         assert out.count("PASS") == 4
+
+    @staticmethod
+    def _dirac_momenta(monkeypatch):
+        """Record the momenta dirac draws for its dispersion checks."""
+        drawn = []
+        check = dirac_mod.dispersion_check
+
+        def spy(p, m):
+            drawn.append(p.copy())
+            return check(p=p, m=m)
+
+        monkeypatch.setattr(dirac_mod, "dispersion_check", spy)
+        return drawn
+
+    @staticmethod
+    def _first_momentum(seed):
+        return np.random.default_rng(seed).uniform(-2.0, 2.0, 3)
+
+    def test_seed_env_override(self, monkeypatch, capsys):
+        drawn = self._dirac_momenta(monkeypatch)
+        monkeypatch.setenv("OCTOEIG_SEED", "99")
+        code, _, _ = run_cli(capsys, "dirac")
+        assert code == 0
+        assert np.array_equal(drawn[0], self._first_momentum(99))
+
+    def test_malformed_seed_env_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("OCTOEIG_SEED", "abc")
+        code, out, err = run_cli(capsys, "dirac", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "octoeig: bad input" in err and "OCTOEIG_SEED" in err
+
+    def test_malformed_seed_env_unused_with_seed_flag(self, monkeypatch, capsys):
+        drawn = self._dirac_momenta(monkeypatch)
+        monkeypatch.setenv("OCTOEIG_SEED", "abc")
+        code, _, _ = run_cli(capsys, "dirac", "--format", "json", "--seed", "5")
+        assert code == 0
+        assert np.array_equal(drawn[0], self._first_momentum(5))
 
     def test_paper_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "paper-suite")
