@@ -8,7 +8,7 @@ Core pieces:
   operators and the faithful 8x8 real (or complex) matrix translation;
 - :mod:`octoeig.linalg` -- self-contained dense eigensolver (Hessenberg
   + implicit double-shift QR, eigenvectors back-substituted on the
-  Schur factor);
+  Schur factor) and real LU solves;
 - :mod:`octoeig.eigen` -- the coupled eigenproblem M xi = a xi - b eta,
   M eta = a eta + b xi, its complexified equivalent, right-eigenvalue
   verification and enumeration;
@@ -41,7 +41,6 @@ from .operators import (
     parse_word,
 )
 from .linalg import (
-    DEFAULT_SEED,
     ConvergenceError,
     EigenPair,
     LinalgError,

@@ -2,21 +2,20 @@
 
 Subcommands: mul, translate, decompose, eig, verify, enumerate,
 hermiticity, dirac, paper-suite.  Output is text by default or JSON
-with ``--format json``; all runs are deterministic for a given input.
-The seed (``--seed``, else the environment variable ``OCTOEIG_SEED``,
-which must then be an integer, else 1729) is read by ``dirac``, the
-command that uses it.  Input files may be ``-`` for stdin.
+with ``--format json``; all runs are deterministic for a given input
+(``dirac`` draws its random momenta from the fixed seed 1729).  Text
+output prints residuals as ``.2e``; JSON prints them in full.  Input
+files may be ``-`` for stdin.
 
 Exit status: 0 on success, 1 when a verification or solver check
-fails, 2 on parse/IO errors and bad input, a malformed
-``OCTOEIG_SEED`` included.
+fails, 2 on parse/IO errors and bad input, a JSON integer beyond the
+float64 range included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -30,7 +29,7 @@ from .eigen import (
     verify_coupled,
     verify_right_eigen,
 )
-from .linalg import DEFAULT_SEED, SOLVER_TOL, LinalgError
+from .linalg import SOLVER_TOL, LinalgError
 from .octonion import (
     OctonionParseError,
     format_complex_octonion,
@@ -44,20 +43,9 @@ from .operators import (
     matrix_to_generalized,
     parse_word,
 )
-from .suite import run_suite
+from .suite import DEFAULT_SEED, run_suite
 
 __all__ = ["main"]
-
-
-def _seed(args) -> int:
-    """--seed if given, else OCTOEIG_SEED, else DEFAULT_SEED."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("OCTOEIG_SEED", str(DEFAULT_SEED))
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"OCTOEIG_SEED must be an integer, got {env!r}") from None
 
 
 def _read_text(path: str) -> str:
@@ -67,16 +55,19 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer; bad input when it lies beyond the float64 range."""
+    if abs(value := int(text)) > sys.float_info.max:
+        raise ValueError(f"a {len(text)}-character JSON integer exceeds the float64 range")
+    return value
+
+
 def _load_json(path: str):
-    return json.loads(_read_text(path))
+    return json.loads(_read_text(path), parse_int=_json_int)
 
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
-
-
-def _fmt_res(res: float, full: bool) -> str:
-    return repr(res) if full else f"{res:.2e}"
 
 
 def _fmt_matrix(M: np.ndarray) -> str:
@@ -174,7 +165,7 @@ def _cmd_eig(args) -> int:
             f"multiplicity={c['multiplicity']}"
         )
         for k, s in enumerate(c["solutions"]):
-            print(f"  solution {k}: residual {_fmt_res(s['residual'], args.full_precision)}")
+            print(f"  solution {k}: residual {s['residual']:.2e}")
             print("    xi : " + " | ".join(s["xi"]))
             print("    eta: " + " | ".join(s["eta"]))
     return 0
@@ -232,8 +223,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json(out)
     else:
-        print(f"{out['kind']}: residual {_fmt_res(out['residual'], args.full_precision)}"
-              f" -> {'OK' if ok else 'FAIL'}")
+        print(f"{out['kind']}: residual {out['residual']:.2e} -> {'OK' if ok else 'FAIL'}")
         if out.get("zero_vector"):
             print("note: zero vector verifies vacuously")
     return 0 if ok else 1
@@ -297,7 +287,7 @@ def _cmd_hermiticity(args) -> int:
 
 def _cmd_dirac(args) -> int:
     alg = dirac_mod.dirac_algebra_check()
-    rng = np.random.default_rng(_seed(args))
+    rng = np.random.default_rng(DEFAULT_SEED)
     disp_ok = True
     worst = 0.0
     for _ in range(100):
@@ -326,7 +316,7 @@ def _cmd_dirac(args) -> int:
     else:
         for name, flag in rows:
             print(f"{'PASS' if flag else 'FAIL'}  {name}")
-        print(f"dispersion max error: {_fmt_res(worst, args.full_precision)}")
+        print(f"dispersion max error: {worst:.2e}")
     return 0 if ok else 1
 
 
@@ -357,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--full-precision", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mul", parents=[common], help="multiply two octonion literals")

@@ -37,6 +37,9 @@ __all__ = [
     "orthogonal_doublet_check",
 ]
 
+# entrywise bound on H(p)^2 - (|p|^2 + m^2) I in dispersion_check
+DISPERSION_TOL = 1e-12
+
 
 @dataclass
 class DiracRep:
@@ -59,11 +62,10 @@ def _anticomm(A, B):
     return A @ B + B @ A
 
 
-def dirac_algebra_check(rep: DiracRep | None = None) -> dict:
+def dirac_algebra_check() -> dict:
     """Exact matrix identities of the Dirac algebra (integer complex
     entries, so equality is checked without tolerance)."""
-    if rep is None:
-        rep = dirac_representation()
+    rep = dirac_representation()
     eye = np.eye(8, dtype=np.complex128)
     zero = np.zeros((8, 8), dtype=np.complex128)
     report = {}
@@ -85,8 +87,8 @@ def dirac_algebra_check(rep: DiracRep | None = None) -> dict:
 
 
 def dispersion_check(rep: DiracRep | None = None, p=(0.0, 0.0, 0.0),
-                     m: float = 0.0, tol: float = 1e-12) -> dict:
-    """H(p)^2 = (|p|^2 + m^2) I within tol."""
+                     m: float = 0.0) -> dict:
+    """H(p)^2 = (|p|^2 + m^2) I within DISPERSION_TOL."""
     if rep is None:
         rep = dirac_representation()
     p = np.asarray(p, dtype=np.float64)
@@ -103,7 +105,7 @@ def dispersion_check(rep: DiracRep | None = None, p=(0.0, 0.0, 0.0),
         "p": tuple(float(x) for x in p),
         "m": float(m),
         "max_error": err,
-        "ok": err <= tol,
+        "ok": err <= DISPERSION_TOL,
     }
 
 

@@ -7,10 +7,9 @@ Hessenberg reduction and Francis QR are still elementwise loops.
 ``benchmarks/bench_eigensolver.py`` times them against
 ``numpy.linalg.eig``.
 
-All kernels work in place on arrays the callers own; drivers in
-:mod:`octoeig.linalg` do the copying, validation and error reporting.
-The LU kernels are dtype-generic and are used with float64 and
-complex128 arrays.
+All kernels work in place on float64 arrays the callers own; drivers
+in :mod:`octoeig.linalg` do the copying, validation and error
+reporting.
 """
 
 from __future__ import annotations
@@ -24,17 +23,9 @@ def _sub_outer(x, l, u):
     """x -= l u^T in place, on the rows where l is non-zero.
 
     Skipping the rows of zero multipliers keeps signed zeros, as the
-    elementwise loops do.  Complex products are formed from real ones,
-    (lr*ur - li*ui) + i(lr*ui + li*ur), as scalar complex multiplication
-    forms them; numpy's array complex multiply can round differently.
+    elementwise loops do.
     """
-    if np.iscomplexobj(l) or np.iscomplexobj(u):
-        prod = np.empty((l.size, u.size), dtype=np.complex128)
-        prod.real = np.multiply.outer(l.real, u.real) - np.multiply.outer(l.imag, u.imag)
-        prod.imag = np.multiply.outer(l.real, u.imag) + np.multiply.outer(l.imag, u.real)
-    else:
-        prod = np.multiply.outer(l, u)
-    np.subtract(x, prod, out=x, where=(l != 0.0)[:, None])
+    np.subtract(x, np.multiply.outer(l, u), out=x, where=(l != 0.0)[:, None])
 
 
 def lu_factor(a, piv):
@@ -47,12 +38,8 @@ def lu_factor(a, piv):
     a non-zero multiplier are updated (see _sub_outer).
     """
     n = a.shape[0]
-    cplx = np.iscomplexobj(a)
     for k in range(n):
-        col = a[k:, k]
-        # np.hypot matches the scalar abs of a complex; np.abs may not
-        mags = np.hypot(col.real, col.imag) if cplx else np.abs(col)
-        p = k + int(np.argmax(mags))
+        p = k + int(np.argmax(np.abs(a[k:, k])))
         piv[k] = p
         if p != k:
             a[[k, p]] = a[[p, k]]

@@ -1,7 +1,7 @@
 """Self-contained dense eigensolver and linear solves.
 
-Drivers around the kernels in :mod:`octoeig.kernels`: LU solves with
-partial pivoting, real Schur form via Hessenberg reduction plus
+Drivers around the kernels in :mod:`octoeig.kernels`: real LU solves
+with partial pivoting, real Schur form via Hessenberg reduction plus
 implicit double-shift QR, eigenvalues read off the quasi-triangular
 factor, eigenvectors back-substituted on the same factor, and complex
 eigenproblems by realification to a doubled real problem.
@@ -29,7 +29,6 @@ from .kernels import (
 )
 
 __all__ = [
-    "DEFAULT_SEED",
     "SOLVER_TOL",
     "EigenPair",
     "LinalgError",
@@ -46,7 +45,6 @@ __all__ = [
     "cluster_values",
 ]
 
-DEFAULT_SEED = 1729
 SOLVER_TOL = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -93,7 +91,7 @@ def _check_square(A) -> np.ndarray:
 
 
 def lu_solve(A, B):
-    """Solve A X = B by LU with partial pivoting.
+    """Solve A X = B by LU with partial pivoting, for real A and B.
 
     B may be a vector or a matrix of right-hand sides.  Raises
     SingularMatrixError (with the failing pivot index) when a pivot
@@ -101,14 +99,15 @@ def lu_solve(A, B):
     """
     A = _check_square(A)
     B = np.asarray(B)
+    if np.iscomplexobj(A) or np.iscomplexobj(B):
+        raise ValueError("expected a real system; realify complex input first")
     vector_rhs = B.ndim == 1
     if vector_rhs:
         B = B.reshape(-1, 1)
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
-    dtype = np.promote_types(np.promote_types(A.dtype, B.dtype), np.float64)
     n = A.shape[0]
-    fac = np.ascontiguousarray(A, dtype=dtype).copy()
+    fac = np.array(A, dtype=np.float64, order="C")
     piv = np.zeros(n, dtype=np.int64)
     fro = _fro(A)
     code = lu_factor(fac, piv)
@@ -119,7 +118,7 @@ def lu_solve(A, B):
     small = np.nonzero(diag <= tol)[0]
     if small.size:
         raise SingularMatrixError(int(small[0]))
-    X = np.ascontiguousarray(B, dtype=dtype).copy()
+    X = np.array(B, dtype=np.float64, order="C")
     lu_solve_factored(fac, piv, X)
     return X[:, 0] if vector_rhs else X
 

@@ -24,6 +24,7 @@ is not available inside literals.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -212,16 +213,33 @@ class Octonion:
     def norm_sq(self) -> float:
         return float(self._coeffs @ self._coeffs)
 
+    def _scaled(self) -> tuple[np.ndarray, int]:
+        """(c, e) with coefficients 2**e * c.  e is 0 unless the largest
+        coefficient lies outside [2**-500, 2**500]; then c's largest is
+        in [0.5, 1), so c @ c neither overflows nor underflows."""
+        big = float(np.abs(self._coeffs).max())
+        if 2.0**-500 <= big <= 2.0**500:
+            return self._coeffs, 0
+        e = math.frexp(big)[1]
+        return np.ldexp(self._coeffs, -e), e
+
     def norm(self) -> float:
-        """Euclidean norm sqrt(sum r_k^2) = sqrt(o^dag o)."""
-        return float(np.sqrt(self.norm_sq()))
+        """Euclidean norm sqrt(sum r_k^2) = sqrt(o^dag o); OverflowError
+        where it exceeds the float64 range."""
+        c, e = self._scaled()
+        return math.ldexp(float(np.sqrt(c @ c)), e)
 
     def inverse(self) -> "Octonion":
-        """Multiplicative inverse o^dag / N(o)^2, so that o * o^-1 = 1."""
-        n2 = self.norm_sq()
+        """Multiplicative inverse o^dag / N(o)^2, so that o * o^-1 = 1;
+        ValueError where it exceeds the float64 range."""
+        c, e = self._scaled()
+        n2 = float(c @ c)
         if n2 == 0.0:
             raise ZeroDivisionError("zero octonion has no inverse")
-        return Octonion(self.conj()._coeffs / n2)
+        inv = -c / n2
+        inv[0] = -inv[0]  # the conjugate keeps the real part
+        with np.errstate(over="ignore"):
+            return Octonion(np.ldexp(inv, -e))
 
     # -- structure ----------------------------------------------------------
 

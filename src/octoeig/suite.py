@@ -24,7 +24,7 @@ from .eigen import (
     verify_coupled,
     verify_right_eigen,
 )
-from .linalg import DEFAULT_SEED, eigenvalues
+from .linalg import eigenvalues
 from .octonion import ComplexOctonion, Octonion, structure_constant
 from .operators import (
     OperatorMatrix,
@@ -34,6 +34,9 @@ from .operators import (
 )
 
 __all__ = ["run_suite", "CHECKS"]
+
+# the seed of every random draw: two checks here and the CLI's dirac
+DEFAULT_SEED = 1729
 
 
 def _e(k: int) -> Octonion:
@@ -317,7 +320,7 @@ def check_dirac():
     for _ in range(100):
         p = rng.uniform(-3, 3, 3)
         m = float(rng.uniform(0, 3))
-        ok = ok and dirac.dispersion_check(rep, p=p, m=m, tol=1e-12)["ok"]
+        ok = ok and dirac.dispersion_check(rep, p=p, m=m)["ok"]
     ok = ok and dirac.orthogonal_doublet_check()["all_passed"]
     return ok, "Dirac algebra, dispersion and doublet orthogonality"
 

@@ -1,15 +1,23 @@
 """CLI surface: commands, formats, determinism, exit codes, stdin."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octoeig import dirac as dirac_mod
 from octoeig.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +34,134 @@ def matrix_file(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(MATRIX_2X2))
     return str(path)
+
+
+def write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestRemovedOptions:
+    """--seed and --full-precision are not options of any subcommand."""
+
+    @staticmethod
+    def _argv(command, tmp_path):
+        if command == "mul":
+            return ["mul", "e1", "e2"]
+        if command == "translate":
+            return ["translate", "L1 R2"]
+        if command == "decompose":
+            return ["decompose", write_json(tmp_path, "d.json", np.eye(8).tolist())]
+        if command == "verify":
+            claim = {"matrix": MATRIX_2X2, "right": {"psi": ["0", "0"], "lambda": "1"}}
+            return ["verify", write_json(tmp_path, "v.json", claim)]
+        if command in ("dirac", "paper-suite"):
+            return [command]
+        return [command, write_json(tmp_path, "m.json", MATRIX_2X2)]
+
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--full-precision"]])
+    @pytest.mark.parametrize(
+        "command",
+        ["mul", "translate", "decompose", "eig", "verify", "enumerate",
+         "hermiticity", "dirac", "paper-suite"],
+    )
+    def test_rejected(self, capsys, tmp_path, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(command, tmp_path) + option)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+
+HUGE = 10**400  # beyond float64
+
+
+class TestHugeJsonIntegers:
+    """An integer float64 cannot hold is bad input, not an OverflowError."""
+
+    @pytest.mark.parametrize(
+        "argv,obj",
+        [
+            (["eig"], {"n": 1, "entries": [HUGE]}),
+            (["translate", "--matrix"], {"n": 1, "entries": [HUGE]}),
+            (["hermiticity"], {"n": 1, "entries": [HUGE]}),
+            (["enumerate"], {"n": 2, "entries": [HUGE, 0, 0, 1]}),
+            (["decompose"], [[HUGE] + [0] * 7] + [[0] * 8] * 7),
+            (["verify"], {"matrix": {"n": 1, "entries": ["1"]},
+                          "coupled": {"a": HUGE, "b": 0, "xi": ["1"], "eta": ["0"]}}),
+        ],
+        ids=["eig", "translate", "hermiticity", "enumerate", "decompose", "verify"],
+    )
+    def test_exit_2(self, capsys, tmp_path, argv, obj):
+        code, out, err = run_cli(capsys, *argv, write_json(tmp_path, "in.json", obj))
+        assert code == 2
+        assert out == ""
+        assert err == "octoeig: bad input: a 401-character JSON integer exceeds the float64 range\n"
+
+
+# arbitrary JSON, biased towards the shapes, keys and literals the inputs use
+NUMBERS = st.floats() | st.integers(-3, 3) | st.integers(-(10**400), 10**400)
+LITERALS = st.sampled_from(["0", "1", "e4", "-e1 + 2e7", "1e", "i"]) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | LITERALS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "entries", "matrix", "coupled", "right", "a", "psi"])
+        | st.text(max_size=4),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+ENTRIES = (
+    NUMBERS
+    | LITERALS
+    | st.lists(st.lists(NUMBERS, min_size=8, max_size=8) | LITERALS | JSON_VALUES,
+               min_size=8, max_size=8)
+    | JSON_VALUES
+)
+
+
+def json_matrices(n):
+    grid = st.lists(ENTRIES, min_size=n * n, max_size=n * n)
+    return st.fixed_dictionaries(
+        {"n": st.just(n), "entries": grid},
+        optional={"entries_im": grid, "complexified": st.booleans() | JSON_VALUES},
+    )
+
+
+def json_claims(n):
+    vectors = st.lists(LITERALS, min_size=n, max_size=n) | JSON_VALUES
+    scalars = NUMBERS | LITERALS | JSON_VALUES
+    return st.fixed_dictionaries(
+        {}, optional={"a": scalars, "b": scalars, "xi": vectors, "eta": vectors,
+                      "psi": vectors, "lambda": scalars},
+    )
+
+
+JSON_DOCUMENTS = st.integers(1, 2).flatmap(
+    lambda n: JSON_VALUES
+    | json_matrices(n)
+    | st.fixed_dictionaries(
+        {"matrix": json_matrices(n)},
+        optional={"coupled": json_claims(n) | JSON_VALUES,
+                  "right": json_claims(n) | JSON_VALUES},
+    )
+)
+
+
+class TestArbitraryJson:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_DOCUMENTS)
+    def test_never_raises(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp), "doc.json", doc)
+            for argv in (["translate", "--matrix", path], ["verify", path]):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    assert main(argv) in (0, 1, 2)
 
 
 class TestMul:
@@ -132,15 +268,6 @@ class TestEig:
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["matrix"]["n"] == 2
-
-    def test_output_does_not_depend_on_the_seed(self, matrix_file, monkeypatch, capsys):
-        # eig draws no random numbers, so neither --seed nor a malformed
-        # OCTOEIG_SEED changes its stdout
-        runs = [run_cli(capsys, "eig", matrix_file, "--seed", s) for s in ("1", "2")]
-        monkeypatch.setenv("OCTOEIG_SEED", "abc")
-        runs.append(run_cli(capsys, "eig", matrix_file))
-        assert [code for code, _, _ in runs] == [0, 0, 0]
-        assert runs[0][1] == runs[1][1] == runs[2][1]
 
     @pytest.mark.parametrize("method", ["coupled", "complexified"])
     def test_overflowing_norm_exit_2(self, capsys, tmp_path, method):
@@ -283,6 +410,27 @@ class TestEnumerate:
              "1 - e5", "1 + e5", "1 + e4", "1 - e4"]
         )
 
+    @pytest.mark.parametrize(
+        "entries,psi_a,count",
+        [
+            (["1", "e1", "-e1", "1"], "0." + "0" * 169 + "1", 0),
+            (["1", "0", "0", "1"], format(2.0**-600, ".700f").rstrip("0"), 16),
+        ],
+        ids=["1e-170", "2^-600"],
+    )
+    def test_tiny_psi_a(self, capsys, tmp_path, entries, psi_a, count):
+        # psi_a's squared norm underflows; its inverse must not
+        matrix = {"n": 2, "entries": entries}
+        path = write_json(tmp_path, "m.json", matrix)
+        code, out, _ = run_cli(capsys, "enumerate", path, "--psi-a", psi_a,
+                               "--format", "json")
+        assert code == 0
+        solutions = json.loads(out)["solutions"]
+        for claim in solutions:
+            claim_path = write_json(tmp_path, "c.json", {"matrix": matrix, "right": claim})
+            assert run_cli(capsys, "verify", claim_path)[0] == 0
+        assert len(solutions) == count
+
     def test_zero_psi_a_exit_2(self, capsys, tmp_path):
         # bad input (exit 2), not a ZeroDivisionError traceback (exit 1)
         path = tmp_path / "m.json"
@@ -337,30 +485,18 @@ class TestDiracAndSuite:
         monkeypatch.setattr(dirac_mod, "dispersion_check", spy)
         return drawn
 
-    @staticmethod
-    def _first_momentum(seed):
-        return np.random.default_rng(seed).uniform(-2.0, 2.0, 3)
-
-    def test_seed_env_override(self, monkeypatch, capsys):
+    def test_momenta_from_seed_1729(self, monkeypatch, capsys):
         drawn = self._dirac_momenta(monkeypatch)
-        monkeypatch.setenv("OCTOEIG_SEED", "99")
         code, _, _ = run_cli(capsys, "dirac")
         assert code == 0
-        assert np.array_equal(drawn[0], self._first_momentum(99))
+        assert len(drawn) == 100
+        assert np.array_equal(drawn[0], np.random.default_rng(1729).uniform(-2.0, 2.0, 3))
 
-    def test_malformed_seed_env_exit_2(self, monkeypatch, capsys):
+    def test_seed_env_is_not_read(self, monkeypatch, capsys):
         monkeypatch.setenv("OCTOEIG_SEED", "abc")
-        code, out, err = run_cli(capsys, "dirac", "--format", "json")
-        assert code == 2
-        assert out == ""
-        assert "octoeig: bad input" in err and "OCTOEIG_SEED" in err
-
-    def test_malformed_seed_env_unused_with_seed_flag(self, monkeypatch, capsys):
-        drawn = self._dirac_momenta(monkeypatch)
-        monkeypatch.setenv("OCTOEIG_SEED", "abc")
-        code, _, _ = run_cli(capsys, "dirac", "--format", "json", "--seed", "5")
+        code, out, _ = run_cli(capsys, "dirac", "--format", "json")
         assert code == 0
-        assert np.array_equal(drawn[0], self._first_momentum(5))
+        assert out == (DATA / "golden" / "dirac.out").read_text(encoding="utf-8")
 
     def test_paper_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "paper-suite")

@@ -53,8 +53,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_golden(case, capsys, monkeypatch):
-    monkeypatch.delenv("OCTOEIG_SEED", raising=False)
+def test_cli_golden(case, capsys):
     argv, want_code = CASES[case]
     code = main(argv)
     out = capsys.readouterr().out

@@ -59,7 +59,7 @@ class TestDispersion:
         for _ in range(100):
             p = rng.uniform(-3, 3, 3)
             m = float(rng.uniform(0, 3))
-            assert dispersion_check(p=p, m=m, tol=1e-12)["ok"]
+            assert dispersion_check(p=p, m=m)["ok"]
 
 
 class TestDoublet:

@@ -3,6 +3,8 @@ inverses, complexification and the literal grammar."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from octoeig import (
     ComplexOctonion,
@@ -170,6 +172,45 @@ class TestConjNormInverse:
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError, match="zero octonion"):
             Octonion.zero().inverse()
+
+    @pytest.mark.parametrize("k", [-1022, -1000, -600, -501, 501, 600, 1000, 1022])
+    def test_powers_of_two_exact(self, k):
+        for j in range(8):
+            o = 2.0**k * E(j)
+            assert o.norm() == 2.0**k
+            assert o.inverse() == 2.0**-k * E(j).conj()
+        assert (2.0**k * (E(0) + E(1) + E(2) + E(3))).norm() == 2.0 ** (k + 1)
+
+    def test_tiny_norm_is_not_zero(self):
+        assert Octonion.from_scalar(1e-170).norm() == 1e-170
+        assert abs(Octonion(np.full(8, 1e-170)).norm() / (8**0.5 * 1e-170) - 1.0) <= 1e-15
+
+    def test_beyond_float64_raises(self):
+        # 1 / 5e-324 and the norm 2**1024 are beyond float64: typed
+        # errors, not 0, inf or a warning
+        with pytest.raises(ValueError, match="finite"):
+            Octonion.from_scalar(5e-324).inverse()
+        with pytest.raises(OverflowError):
+            (2.0**1023 * (E(0) + E(1) + E(2) + E(3))).norm()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8),
+           st.integers(-1000, 1000))
+    def test_inverse_at_extreme_exponents(self, mantissas, k):
+        assume(max(abs(x) for x in mantissas) >= 0.5)
+        o = Octonion(np.ldexp(mantissas, k))
+        for prod in (o * o.inverse(), o.inverse() * o):
+            assert np.abs(prod.coeffs - Octonion.one().coeffs).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-(2.0**500), 2.0**500), min_size=8, max_size=8))
+    def test_bitwise_equal_to_the_unscaled_formula_in_range(self, coeffs):
+        # inside [2**-500, 2**500] the norm and inverse are unscaled
+        assume(max(abs(x) for x in coeffs) >= 2.0**-500)
+        o = Octonion(coeffs)
+        n2 = o.coeffs @ o.coeffs
+        assert o.norm() == float(np.sqrt(n2))
+        assert o.inverse().coeffs.tobytes() == (o.conj().coeffs / n2).tobytes()
 
 
 class TestComplexOctonion:
