@@ -5,11 +5,13 @@ Times octoeig's real Schur factorization and its eigensystem (Schur
 plus eigenvectors back-substituted on the Schur factor) on seeded
 random matrices, beside ``numpy.linalg.eig`` as the speed-of-light
 reference.  The ``lu`` column times the real LU kernel alone on the
-same matrix, so a change to that layer shows apart from the whole
-solve.  The ``verify`` column times the exact check of one
-coupled solution (``verify_coupled``) on a seeded dense generalized
-operator matrix with n = size / 8, after one warm-up call, so the
-verification layer shows apart from ``schur`` and ``eigensystem``.
+same matrix, and the ``hessenberg`` column balancing plus Hessenberg
+reduction, the first stage of ``eigensystem``, so a change to those
+kernels shows apart from the whole solve.  The ``verify`` column times
+the exact check of one coupled solution (``verify_coupled``) on a
+seeded dense generalized operator matrix with n = size / 8, after one
+warm-up call, so the verification layer shows apart from ``schur``
+and ``eigensystem``.
 Each column is the best of ``--repeats`` runs.
 
 Usage:
@@ -23,7 +25,7 @@ import time
 import numpy as np
 
 from octoeig import GeneralizedOperator, Octonion, OperatorMatrix, verify_coupled
-from octoeig.kernels import lu_factor
+from octoeig.kernels import balance_in_place, hessenberg_in_place, lu_factor
 from octoeig.linalg import real_schur, schur_eigensystem
 
 
@@ -34,6 +36,13 @@ def best_time(fn, repeats):
         result = fn()
         times.append(time.perf_counter() - t0)
     return min(times), result
+
+
+def hessenberg_stage(A):
+    """Balancing plus Hessenberg reduction of a fresh copy of A."""
+    H = A.copy()
+    balance_in_place(H, np.ones(len(A)))
+    hessenberg_in_place(H, np.eye(len(A)))
 
 
 def coupled_check(rng, n):
@@ -60,15 +69,16 @@ def main() -> int:
 
     rng = np.random.default_rng(1729)
     op_rng = np.random.default_rng(1731)
-    print(f"{'n':>5} | {'lu':>10} | {'schur':>10} {'eigensystem':>12} "
+    print(f"{'n':>5} | {'lu':>10} {'hessenberg':>10} | {'schur':>10} {'eigensystem':>12} "
           f"{'verify':>10} | {'numpy eig':>10} {'eig/numpy':>10}")
-    print("-" * 82)
+    print("-" * 93)
     worst = 0.0
     for n in sizes:
         A = rng.uniform(-1.0, 1.0, (n, n))
         piv = np.zeros(n, dtype=np.int64)
         # lu_factor works in place, so each run factors a fresh copy
         lu_s, _ = best_time(lambda: lu_factor(A.copy(), piv), args.repeats)
+        hess_s, _ = best_time(lambda: hessenberg_stage(A), args.repeats)
         schur_s, (Q, T) = best_time(lambda: real_schur(A), args.repeats)
         eig_s, _ = best_time(lambda: schur_eigensystem(A), args.repeats)
         check = coupled_check(op_rng, max(1, n // 8))
@@ -77,7 +87,7 @@ def main() -> int:
         ref_s, _ = best_time(lambda: np.linalg.eig(A), args.repeats)
         froA = float(np.sqrt((A * A).sum()))
         worst = max(worst, float(np.abs(Q @ T @ Q.T - A).max() / max(1.0, froA)))
-        print(f"{n:>5} | {lu_s:10.5f} | {schur_s:10.5f} {eig_s:12.5f} "
+        print(f"{n:>5} | {lu_s:10.5f} {hess_s:10.5f} | {schur_s:10.5f} {eig_s:12.5f} "
               f"{verify_s:10.5f} | {ref_s:10.5f} {eig_s / ref_s:9.1f}x")
     print(f"worst relative Schur residual: {worst:.2e}")
     return 0

@@ -1,11 +1,13 @@
 """Hot numeric kernels: LU, Hessenberg reduction, Francis double-shift QR.
 
-The LU kernels are numpy row-slice updates, one Python step per pivot,
-and bit-identical to elementwise loops while no entry is NaN
-(``tests/test_linalg.py`` keeps those loops as the oracle).  Balancing,
-Hessenberg reduction and Francis QR are still elementwise loops.
-``benchmarks/bench_eigensolver.py`` times them against
-``numpy.linalg.eig``.
+The LU, balancing and Hessenberg kernels are numpy row and column
+slice updates, one Python step per pivot, row or reflector column, and
+bit-identical to elementwise loops while no entry is NaN
+(``tests/test_linalg.py`` keeps those loops as the oracle).  Every
+sum still accumulates from zero in the loops' order: never ``@``,
+``dot`` or ``sum``, whose order numpy does not fix.  Francis QR is
+still elementwise loops.  ``benchmarks/bench_eigensolver.py`` times
+the kernels against ``numpy.linalg.eig``.
 
 All kernels work in place on float64 arrays the callers own; drivers
 in :mod:`octoeig.linalg` do the copying, validation and error
@@ -69,21 +71,17 @@ def balance_in_place(a, scale):
 
     Rescales a <- D^-1 a D to equalize row/column 1-norms and records
     the diagonal of D in `scale`.  Powers of two keep the similarity
-    exact in floating point.
+    exact in floating point.  Each off-diagonal 1-norm is a cumsum, a
+    strictly sequential sum, so it matches the elementwise loop.
     """
     n = a.shape[0]
-    for i in range(n):
-        scale[i] = 1.0
-    changed = True
+    scale[:] = 1.0
+    changed = n > 1  # a 1x1 matrix has no off-diagonal entries to sum
     while changed:
         changed = False
         for i in range(n):
-            c = 0.0
-            r = 0.0
-            for j in range(n):
-                if j != i:
-                    c += abs(a[j, i])
-                    r += abs(a[i, j])
+            c = np.abs(np.delete(a[:, i], i)).cumsum()[-1]
+            r = np.abs(np.delete(a[i], i)).cumsum()[-1]
             if c == 0.0 or r == 0.0:
                 continue
             f = 1.0
@@ -99,61 +97,59 @@ def balance_in_place(a, scale):
             if c + r < 0.95 * s and f != 1.0:
                 changed = True
                 scale[i] *= f
-                for j in range(n):
-                    a[i, j] /= f
-                for j in range(n):
-                    a[j, i] *= f
+                a[i] /= f
+                a[:, i] *= f
+
+
+def _reflect_right(x, v, beta):
+    """x <- x (I - beta v v^T) in place.
+
+    Each row's s = sum_j x[i, j] v[j] accumulates column by column from
+    zero, in the order of the elementwise loop.
+    """
+    s = np.zeros(x.shape[0])
+    for j in range(x.shape[1]):
+        s += x[:, j] * v[j]
+    x -= np.multiply.outer(beta * s, v)
 
 
 def hessenberg_in_place(h, q):
     """Householder reduction to upper Hessenberg; q accumulates the
-    orthogonal similarity (pass q = identity)."""
+    orthogonal similarity (pass q = identity).
+
+    Each reflector is applied on whole rows and columns, and every sum
+    accumulates from zero in the order of the elementwise loop, so the
+    result is bit-identical to it (``tests/test_linalg.py`` keeps the
+    loop as the oracle).
+    """
     n = h.shape[0]
-    v = np.zeros(n)
     for k in range(n - 2):
         alpha = 0.0
-        for i in range(k + 1, n):
-            alpha += h[i, k] * h[i, k]
+        for x in h[k + 1:, k]:
+            alpha += x * x
         alpha = np.sqrt(alpha)
         if alpha == 0.0:
             continue
         if h[k + 1, k] > 0.0:
             alpha = -alpha
+        v = h[k + 1:, k].copy()
+        v[0] -= alpha
         vnorm2 = 0.0
-        for i in range(k + 1, n):
-            v[i] = h[i, k]
-        v[k + 1] -= alpha
-        for i in range(k + 1, n):
-            vnorm2 += v[i] * v[i]
+        for x in v:
+            vnorm2 += x * x
         if vnorm2 == 0.0:
             continue
         beta = 2.0 / vnorm2
         # rows k+1..n-1 from the left; columns < k are already zero there
-        for j in range(k, n):
-            s = 0.0
-            for i in range(k + 1, n):
-                s += v[i] * h[i, j]
-            s *= beta
-            for i in range(k + 1, n):
-                h[i, j] -= s * v[i]
+        s = np.zeros(n - k)
+        for i in range(n - k - 1):
+            s += v[i] * h[k + 1 + i, k:]
+        h[k + 1:, k:] -= np.multiply.outer(v, beta * s)
         # columns k+1..n-1 from the right
-        for i in range(n):
-            s = 0.0
-            for j in range(k + 1, n):
-                s += h[i, j] * v[j]
-            s *= beta
-            for j in range(k + 1, n):
-                h[i, j] -= s * v[j]
-        for i in range(n):
-            s = 0.0
-            for j in range(k + 1, n):
-                s += q[i, j] * v[j]
-            s *= beta
-            for j in range(k + 1, n):
-                q[i, j] -= s * v[j]
+        _reflect_right(h[:, k + 1:], v, beta)
+        _reflect_right(q[:, k + 1:], v, beta)
         h[k + 1, k] = alpha
-        for i in range(k + 2, n):
-            h[i, k] = 0.0
+        h[k + 2:, k] = 0.0
 
 
 def _apply_house3_left(h, k, lo, n, v0, v1, v2, beta):

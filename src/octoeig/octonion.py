@@ -119,6 +119,17 @@ def right_mul_matrix(b: np.ndarray) -> np.ndarray:
     return np.tensordot(MUL_TENSOR, b, axes=(1, 0)).T
 
 
+def _scaled(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
+    """(c, e) with coeffs = 2**e * c.  e is 0 unless the largest
+    coefficient lies outside [2**-500, 2**500]; then c's largest is in
+    [0.5, 1), so c @ c neither overflows nor underflows."""
+    big = float(np.abs(coeffs).max())
+    if 2.0**-500 <= big <= 2.0**500:
+        return coeffs, 0
+    e = math.frexp(big)[1]
+    return np.ldexp(coeffs, -e), e
+
+
 class Octonion:
     """Immutable octonion with 8 real coefficients over (1, e1..e7)."""
 
@@ -213,26 +224,16 @@ class Octonion:
     def norm_sq(self) -> float:
         return float(self._coeffs @ self._coeffs)
 
-    def _scaled(self) -> tuple[np.ndarray, int]:
-        """(c, e) with coefficients 2**e * c.  e is 0 unless the largest
-        coefficient lies outside [2**-500, 2**500]; then c's largest is
-        in [0.5, 1), so c @ c neither overflows nor underflows."""
-        big = float(np.abs(self._coeffs).max())
-        if 2.0**-500 <= big <= 2.0**500:
-            return self._coeffs, 0
-        e = math.frexp(big)[1]
-        return np.ldexp(self._coeffs, -e), e
-
     def norm(self) -> float:
         """Euclidean norm sqrt(sum r_k^2) = sqrt(o^dag o); OverflowError
         where it exceeds the float64 range."""
-        c, e = self._scaled()
+        c, e = _scaled(self._coeffs)
         return math.ldexp(float(np.sqrt(c @ c)), e)
 
     def inverse(self) -> "Octonion":
         """Multiplicative inverse o^dag / N(o)^2, so that o * o^-1 = 1;
         ValueError where it exceeds the float64 range."""
-        c, e = self._scaled()
+        c, e = _scaled(self._coeffs)
         n2 = float(c @ c)
         if n2 == 0.0:
             raise ZeroDivisionError("zero octonion has no inverse")
@@ -342,7 +343,10 @@ class ComplexOctonion:
         return ComplexOctonion(self.re.conj(), -self.im.conj())
 
     def norm(self) -> float:
-        return float(np.sqrt(self.re.norm_sq() + self.im.norm_sq()))
+        """sqrt(|re|^2 + |im|^2), with re and im scaled together as in
+        Octonion.norm; OverflowError where it exceeds the float64 range."""
+        (re, im), e = _scaled(np.stack((self.re._coeffs, self.im._coeffs)))
+        return math.ldexp(float(np.sqrt(re @ re + im @ im)), e)
 
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()

@@ -18,7 +18,12 @@ from octoeig import (
     real_schur,
 )
 from octoeig.eigen import coupled_clusters, solve_complexified
-from octoeig.kernels import lu_factor, lu_solve_factored
+from octoeig.kernels import (
+    balance_in_place,
+    hessenberg_in_place,
+    lu_factor,
+    lu_solve_factored,
+)
 from octoeig.linalg import (
     SOLVER_TOL,
     cluster_gap,
@@ -443,6 +448,144 @@ class TestLuKernelsAgainstLoops:
                 lu_solve_factored(got_a, got_piv, got_b)
                 loop_lu_solve_factored(want_a, want_piv, want_b)
             assert got_b.tobytes() == want_b.tobytes()
+
+
+def loop_balance_in_place(a, scale):
+    """The elementwise balancing loops that the slice kernel replaced."""
+    n = a.shape[0]
+    for i in range(n):
+        scale[i] = 1.0
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            c = 0.0
+            r = 0.0
+            for j in range(n):
+                if j != i:
+                    c += abs(a[j, i])
+                    r += abs(a[i, j])
+            if c == 0.0 or r == 0.0:
+                continue
+            f = 1.0
+            s = c + r
+            while c < 0.5 * r:
+                c *= 2.0
+                r *= 0.5
+                f *= 2.0
+            while c >= 2.0 * r:
+                c *= 0.5
+                r *= 2.0
+                f *= 0.5
+            if c + r < 0.95 * s and f != 1.0:
+                changed = True
+                scale[i] *= f
+                for j in range(n):
+                    a[i, j] /= f
+                for j in range(n):
+                    a[j, i] *= f
+
+
+def loop_hessenberg_in_place(h, q):
+    """The elementwise Householder loops that the slice kernel replaced."""
+    n = h.shape[0]
+    v = np.zeros(n)
+    for k in range(n - 2):
+        alpha = 0.0
+        for i in range(k + 1, n):
+            alpha += h[i, k] * h[i, k]
+        alpha = np.sqrt(alpha)
+        if alpha == 0.0:
+            continue
+        if h[k + 1, k] > 0.0:
+            alpha = -alpha
+        vnorm2 = 0.0
+        for i in range(k + 1, n):
+            v[i] = h[i, k]
+        v[k + 1] -= alpha
+        for i in range(k + 1, n):
+            vnorm2 += v[i] * v[i]
+        if vnorm2 == 0.0:
+            continue
+        beta = 2.0 / vnorm2
+        for j in range(k, n):
+            s = 0.0
+            for i in range(k + 1, n):
+                s += v[i] * h[i, j]
+            s *= beta
+            for i in range(k + 1, n):
+                h[i, j] -= s * v[i]
+        for i in range(n):
+            s = 0.0
+            for j in range(k + 1, n):
+                s += h[i, j] * v[j]
+            s *= beta
+            for j in range(k + 1, n):
+                h[i, j] -= s * v[j]
+        for i in range(n):
+            s = 0.0
+            for j in range(k + 1, n):
+                s += q[i, j] * v[j]
+            s *= beta
+            for j in range(k + 1, n):
+                q[i, j] -= s * v[j]
+        h[k + 1, k] = alpha
+        for i in range(k + 2, n):
+            h[i, k] = 0.0
+
+
+@st.composite
+def reduction_cases(draw):
+    """(matrix, starting Q) in float64.  Some matrices have a column of
+    exact zeros, so a reflector is skipped, and some have rows scaled by
+    2**e with |e| up to 40, so balancing rescales.  Q starts as the
+    identity or as a seeded random orthogonal matrix."""
+    n = draw(st.integers(1, 12))
+    entries = draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))
+    a = np.reshape(np.array(entries, dtype=np.float64), (n, n))
+    zero_col = draw(st.none() | st.integers(0, n - 1))
+    if zero_col is not None:
+        a[:, zero_col] = draw(st.sampled_from([0.0, -0.0]))
+    exps = draw(st.none() | st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    if exps is not None:
+        a = np.ldexp(a, np.array(exps)[:, None])
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    if seed is None:
+        q = np.eye(n)
+    else:
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    return a, q
+
+
+class TestReductionKernelsAgainstLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(reduction_cases())
+    def test_bitwise_equal_to_the_loops(self, case):
+        A, Q = case
+        n = A.shape[0]
+        got_a, want_a = A.copy(), A.copy()
+        got_scale, want_scale = np.zeros(n), np.zeros(n)
+        got_h, want_h = A.copy(), A.copy()
+        got_q, want_q = Q.copy(), Q.copy()
+        with np.errstate(all="ignore"):
+            balance_in_place(got_a, got_scale)
+            loop_balance_in_place(want_a, want_scale)
+            hessenberg_in_place(got_h, got_q)
+            loop_hessenberg_in_place(want_h, want_q)
+        assert got_a.tobytes() == want_a.tobytes()
+        assert got_scale.tobytes() == want_scale.tobytes()
+        assert got_h.tobytes() == want_h.tobytes()
+        assert got_q.tobytes() == want_q.tobytes()
+
+    def test_zero_column_skips_its_reflector(self):
+        # column 0 below the diagonal is zero, so step k = 0 reflects nothing
+        A = np.array([[1.0, 2.0, 3.0], [-0.0, 4.0, 5.0], [0.0, 6.0, 7.0]])
+        got, want = A.copy(), A.copy()
+        Q, Q_loop = np.eye(3), np.eye(3)
+        hessenberg_in_place(got, Q)
+        loop_hessenberg_in_place(want, Q_loop)
+        assert got.tobytes() == A.tobytes() == want.tobytes()
+        assert Q.tobytes() == np.eye(3).tobytes() == Q_loop.tobytes()
 
 
 class TestComplexEigen:

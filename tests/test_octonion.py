@@ -252,6 +252,29 @@ class TestComplexOctonion:
         x = ComplexOctonion(E(4), E(1))
         assert x * (-1j) == ComplexOctonion(E(1), -E(4))
 
+    def test_tiny_norm_is_not_zero(self):
+        assert ComplexOctonion(Octonion.from_scalar(1e-170)).norm() == 1e-170
+        assert ComplexOctonion(Octonion.zero(), 2.0**-600 * E(3)).norm() == 2.0**-600
+
+    def test_huge_norm_is_finite(self):
+        # re and im are scaled together, so 1e160 squares without overflow
+        # and without a RuntimeWarning
+        with np.errstate(over="raise"):
+            assert ComplexOctonion(Octonion.from_scalar(1e160)).norm() == 1e160
+            x = ComplexOctonion(3.0 * 2.0**600 * E(2), 4.0 * 2.0**600 * E(5))
+            assert x.norm() == 5.0 * 2.0**600
+        with pytest.raises(OverflowError):
+            ComplexOctonion(2.0**1023 * (E(0) + E(1)), 2.0**1023 * (E(2) + E(3))).norm()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-(2.0**500), 2.0**500), min_size=16, max_size=16))
+    def test_bitwise_equal_to_the_unscaled_formula_in_range(self, coeffs):
+        # inside [2**-500, 2**500] the norm is unscaled
+        assume(max(abs(x) for x in coeffs) >= 2.0**-500)
+        x = ComplexOctonion(Octonion(coeffs[:8]), Octonion(coeffs[8:]))
+        want = float(np.sqrt(x.re.norm_sq() + x.im.norm_sq()))
+        assert np.float64(x.norm()).tobytes() == np.float64(want).tobytes()
+
 
 class TestGrammar:
     @pytest.mark.parametrize(
