@@ -139,6 +139,8 @@ def _cmd_translate(args) -> int:
 def _cmd_decompose(args) -> int:
     data = _load_json(args.input)
     arr = np.asarray(data, dtype=np.float64)
+    if any(isinstance(x, bool) for x in np.asarray(data, dtype=object).flat):
+        raise ValueError("the matrix must hold numbers, not booleans")
     g = matrix_to_generalized(arr)
     parts = [format_octonion(p) for p in g.parts]
     if args.format == "json":
@@ -180,6 +182,9 @@ def _claim(data: dict, kind: str, n: int, vectors: tuple, scalars: tuple) -> dic
     for key in scalars + vectors:
         if key not in spec:
             raise ValueError(f"missing key {key!r} in the {kind} claim")
+    for key in scalars:
+        if isinstance(spec[key], bool):
+            raise ValueError(f"{key!r} in the {kind} claim must not be a boolean")
     for key in vectors:
         vec = spec[key]
         if not (isinstance(vec, list) and len(vec) == n

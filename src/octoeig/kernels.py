@@ -5,9 +5,16 @@ slice updates, one Python step per pivot, row or reflector column, and
 bit-identical to elementwise loops while no entry is NaN
 (``tests/test_linalg.py`` keeps those loops as the oracle).  Every
 sum still accumulates from zero in the loops' order: never ``@``,
-``dot`` or ``sum``, whose order numpy does not fix.  Francis QR is
-still elementwise loops.  ``benchmarks/bench_eigensolver.py`` times
-the kernels against ``numpy.linalg.eig``.
+``dot`` or ``sum``, whose order numpy does not fix.
+
+The Schur stage has one helper per transform: _reflect_right (a
+Householder reflector), _reflect3 (Francis QR's 3-row reflector) and
+_rotate (a plane rotation).  A column update is the row update on the
+transposed view ``x.T``, with the same products and sums in the same
+order.  _reflect3 and _rotate stay loops until perfbench stops keeping
+every output: its ``peak_rss_mb`` grows with throughput (ROADMAP 1, 2).
+``benchmarks/bench_eigensolver.py`` times the kernels against
+``numpy.linalg.eig``.
 
 All kernels work in place on float64 arrays the callers own; drivers
 in :mod:`octoeig.linalg` do the copying, validation and error
@@ -141,10 +148,7 @@ def hessenberg_in_place(h, q):
             continue
         beta = 2.0 / vnorm2
         # rows k+1..n-1 from the left; columns < k are already zero there
-        s = np.zeros(n - k)
-        for i in range(n - k - 1):
-            s += v[i] * h[k + 1 + i, k:]
-        h[k + 1:, k:] -= np.multiply.outer(v, beta * s)
+        _reflect_right(h[k + 1:, k:].T, v, beta)
         # columns k+1..n-1 from the right
         _reflect_right(h[:, k + 1:], v, beta)
         _reflect_right(q[:, k + 1:], v, beta)
@@ -152,20 +156,22 @@ def hessenberg_in_place(h, q):
         h[k + 2:, k] = 0.0
 
 
-def _apply_house3_left(h, k, lo, n, v0, v1, v2, beta):
-    for j in range(lo, n):
-        s = beta * (v0 * h[k, j] + v1 * h[k + 1, j] + v2 * h[k + 2, j])
-        h[k, j] -= s * v0
-        h[k + 1, j] -= s * v1
-        h[k + 2, j] -= s * v2
+def _reflect3(x, k, lo, hi, v0, v1, v2, beta):
+    """x[k:k+3, lo:hi] <- (I - beta v v^T) x[k:k+3, lo:hi], v = (v0, v1, v2)."""
+    for j in range(lo, hi):
+        s = beta * (v0 * x[k, j] + v1 * x[k + 1, j] + v2 * x[k + 2, j])
+        x[k, j] -= s * v0
+        x[k + 1, j] -= s * v1
+        x[k + 2, j] -= s * v2
 
 
-def _apply_house3_right(h, k, hi, v0, v1, v2, beta):
-    for i in range(hi + 1):
-        s = beta * (v0 * h[i, k] + v1 * h[i, k + 1] + v2 * h[i, k + 2])
-        h[i, k] -= s * v0
-        h[i, k + 1] -= s * v1
-        h[i, k + 2] -= s * v2
+def _rotate(x, k, lo, hi, c, s):
+    """x[k:k+2, lo:hi] <- [[c, s], [-s, c]] x[k:k+2, lo:hi], in place."""
+    for j in range(lo, hi):
+        t1 = x[k, j]
+        t2 = x[k + 1, j]
+        x[k, j] = c * t1 + s * t2
+        x[k + 1, j] = -s * t1 + c * t2
 
 
 def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
@@ -242,14 +248,9 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
                 continue
             beta = 2.0 / vnorm2
             lo = k - 1 if k > l else l
-            _apply_house3_left(h, k, lo, n, v0, v1, v2, beta)
-            hi = k + 3 if k + 3 < m else m
-            _apply_house3_right(h, k, hi, v0, v1, v2, beta)
-            for i in range(n):
-                s = beta * (v0 * q[i, k] + v1 * q[i, k + 1] + v2 * q[i, k + 2])
-                q[i, k] -= s * v0
-                q[i, k + 1] -= s * v1
-                q[i, k + 2] -= s * v2
+            _reflect3(h, k, lo, n, v0, v1, v2, beta)
+            _reflect3(h.T, k, 0, min(k + 3, m) + 1, v0, v1, v2, beta)
+            _reflect3(q.T, k, 0, n, v0, v1, v2, beta)
             if k > l:
                 h[k, k - 1] = alpha
                 h[k + 1, k - 1] = 0.0
@@ -261,21 +262,9 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
         if r != 0.0 and y != 0.0:
             c = x / r
             s = y / r
-            for j in range(m - 2, n):
-                t1 = h[m - 1, j]
-                t2 = h[m, j]
-                h[m - 1, j] = c * t1 + s * t2
-                h[m, j] = -s * t1 + c * t2
-            for i in range(m + 1):
-                t1 = h[i, m - 1]
-                t2 = h[i, m]
-                h[i, m - 1] = c * t1 + s * t2
-                h[i, m] = -s * t1 + c * t2
-            for i in range(n):
-                t1 = q[i, m - 1]
-                t2 = q[i, m]
-                q[i, m - 1] = c * t1 + s * t2
-                q[i, m] = -s * t1 + c * t2
+            _rotate(h, m - 1, m - 2, n, c, s)
+            _rotate(h.T, m - 1, 0, m + 1, c, s)
+            _rotate(q.T, m - 1, 0, n, c, s)
             h[m, m - 2] = 0.0
     return (0, 0, 0)
 
@@ -334,20 +323,8 @@ def split_real_2x2_blocks(t, q):
             continue
         c = v0 / nrm
         sn = v1 / nrm
-        for j in range(n):
-            t1 = t[k, j]
-            t2 = t[k + 1, j]
-            t[k, j] = c * t1 + sn * t2
-            t[k + 1, j] = -sn * t1 + c * t2
-        for i in range(n):
-            t1 = t[i, k]
-            t2 = t[i, k + 1]
-            t[i, k] = c * t1 + sn * t2
-            t[i, k + 1] = -sn * t1 + c * t2
-        for i in range(q.shape[0]):
-            t1 = q[i, k]
-            t2 = q[i, k + 1]
-            q[i, k] = c * t1 + sn * t2
-            q[i, k + 1] = -sn * t1 + c * t2
+        _rotate(t, k, 0, n, c, sn)
+        _rotate(t.T, k, 0, n, c, sn)
+        _rotate(q.T, k, 0, q.shape[0], c, sn)
         t[k + 1, k] = 0.0
         k += 2

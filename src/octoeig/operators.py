@@ -328,6 +328,11 @@ class OperatorMatrixFormatError(ValueError):
         self.path = path
 
 
+def _is_number(x) -> bool:
+    """A JSON number: true and false are bools, which Python counts as ints."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 # real half negated, imaginary half kept: multiplication by i on (re, im)
 _I_TIMES = np.array([-1.0, 1.0])[:, None, None, None, None]
 
@@ -484,7 +489,7 @@ class OperatorMatrix:
                 return GeneralizedOperator.left(parse_octonion(e))
             except OctonionParseError as exc:
                 raise OperatorMatrixFormatError(str(exc), path) from exc
-        if isinstance(e, (int, float)):
+        if _is_number(e):
             return GeneralizedOperator.left(Octonion.from_scalar(e))
         if isinstance(e, list):
             if len(e) != 8:
@@ -500,9 +505,7 @@ class OperatorMatrix:
                     except OctonionParseError as exc:
                         raise OperatorMatrixFormatError(str(exc), p) from exc
                 elif isinstance(part, list):
-                    if len(part) != 8 or not all(
-                        isinstance(x, (int, float)) for x in part
-                    ):
+                    if len(part) != 8 or not all(map(_is_number, part)):
                         raise OperatorMatrixFormatError(
                             "coefficient array must hold 8 numbers", p
                         )

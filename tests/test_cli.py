@@ -101,6 +101,32 @@ class TestHugeJsonIntegers:
         assert err == "octoeig: bad input: a 401-character JSON integer exceeds the float64 range\n"
 
 
+class TestJsonBooleans:
+    """true and false are not the numbers 1 and 0, wherever a number goes."""
+
+    @pytest.mark.parametrize(
+        "argv,obj,message",
+        [
+            (["eig"], {"n": 1, "entries": [True]},
+             "got bool (at $.entries[0])"),
+            (["translate", "--matrix"],
+             {"n": 1, "entries": [[[True] + [0] * 7] + ["0"] * 7]},
+             "coefficient array must hold 8 numbers (at $.entries[0][0])"),
+            (["verify"], {"matrix": {"n": 1, "entries": ["1"]},
+                          "coupled": {"a": True, "b": False, "xi": ["1"], "eta": ["0"]}},
+             "'a' in the coupled claim must not be a boolean"),
+            (["decompose"], [[True] + [0] * 7] + [[0] * 8] * 7,
+             "the matrix must hold numbers, not booleans"),
+        ],
+        ids=["eig-entry", "translate-coefficients", "verify-scalar", "decompose"],
+    )
+    def test_exit_2(self, capsys, tmp_path, argv, obj, message):
+        code, out, err = run_cli(capsys, *argv, write_json(tmp_path, "in.json", obj))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
 # arbitrary JSON, biased towards the shapes, keys and literals the inputs use
 NUMBERS = st.floats() | st.integers(-3, 3) | st.integers(-(10**400), 10**400)
 LITERALS = st.sampled_from(["0", "1", "e4", "-e1 + 2e7", "1e", "i"]) | st.text(max_size=6)

@@ -20,11 +20,15 @@ from octoeig import (
 from octoeig.eigen import coupled_clusters, solve_complexified
 from octoeig.kernels import (
     balance_in_place,
+    francis_qr,
     hessenberg_in_place,
     lu_factor,
     lu_solve_factored,
+    scaled_2x2_block,
+    split_real_2x2_blocks,
 )
 from octoeig.linalg import (
+    _EPS,
     SOLVER_TOL,
     cluster_gap,
     cluster_values,
@@ -586,6 +590,251 @@ class TestReductionKernelsAgainstLoops:
         loop_hessenberg_in_place(want, Q_loop)
         assert got.tobytes() == A.tobytes() == want.tobytes()
         assert Q.tobytes() == np.eye(3).tobytes() == Q_loop.tobytes()
+
+
+# The elementwise Francis QR and 2x2 split that the helper-based kernels
+# replaced, kept verbatim as their oracle.
+def _apply_house3_left(h, k, lo, n, v0, v1, v2, beta):
+    for j in range(lo, n):
+        s = beta * (v0 * h[k, j] + v1 * h[k + 1, j] + v2 * h[k + 2, j])
+        h[k, j] -= s * v0
+        h[k + 1, j] -= s * v1
+        h[k + 2, j] -= s * v2
+
+
+def _apply_house3_right(h, k, hi, v0, v1, v2, beta):
+    for i in range(hi + 1):
+        s = beta * (v0 * h[i, k] + v1 * h[i, k + 1] + v2 * h[i, k + 2])
+        h[i, k] -= s * v0
+        h[i, k + 1] -= s * v1
+        h[i, k + 2] -= s * v2
+
+
+def loop_francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
+    """Implicit double-shift QR on an upper Hessenberg matrix, in place.
+
+    Deflates subdiagonal entries with |h[k+1,k]| <= eps*(|h[k,k]| +
+    |h[k+1,k+1]|), falling back to eps*fro_norm when both neighbours
+    vanish.  Every 10 stalled sweeps on the same block an exceptional
+    ad-hoc shift is used.  Returns (0, 0, 0) on success, or
+    (1, lo, hi) naming the block that failed to converge within
+    max_sweeps_per_n * n sweeps.
+    """
+    n = h.shape[0]
+    if n <= 2:
+        return (0, 0, 0)
+    ihi = n - 1
+    total = 0
+    stall = 0
+    limit = max_sweeps_per_n * n
+    while ihi > 0:
+        for k in range(1, ihi + 1):
+            tst = abs(h[k - 1, k - 1]) + abs(h[k, k])
+            if tst == 0.0:
+                tst = fro_norm
+            if abs(h[k, k - 1]) <= eps * tst:
+                h[k, k - 1] = 0.0
+        if h[ihi, ihi - 1] == 0.0:
+            ihi -= 1
+            stall = 0
+            continue
+        if ihi == 1:
+            break  # converged 2x2 block at the top
+        if h[ihi - 1, ihi - 2] == 0.0:
+            ihi -= 2
+            stall = 0
+            continue
+        l = ihi - 1
+        while l > 0 and h[l, l - 1] != 0.0:
+            l -= 1
+        # active block h[l:ihi+1, l:ihi+1] has size >= 3 here
+        total += 1
+        stall += 1
+        if total > limit:
+            return (1, l, ihi)
+        m = ihi
+        if stall > 0 and stall % 10 == 0:
+            # exceptional ad-hoc shift built from subdiagonal magnitudes
+            x = abs(h[m, m - 1]) + abs(h[m - 1, m - 2])
+            trace = 1.5 * x
+            det = x * x
+        else:
+            trace = h[m - 1, m - 1] + h[m, m]
+            det = h[m - 1, m - 1] * h[m, m] - h[m - 1, m] * h[m, m - 1]
+        # first column of (H - aI)(H - bI) with a + b = trace, ab = det
+        x = h[l, l] * h[l, l] + h[l, l + 1] * h[l + 1, l] - trace * h[l, l] + det
+        y = h[l + 1, l] * (h[l, l] + h[l + 1, l + 1] - trace)
+        z = h[l + 2, l + 1] * h[l + 1, l]
+        for k in range(l, m - 1):
+            if k > l:
+                x = h[k, k - 1]
+                y = h[k + 1, k - 1]
+                z = h[k + 2, k - 1] if k + 2 <= m else 0.0
+            # Householder mapping (x, y, z) to (+-r, 0, 0)
+            alpha = np.sqrt(x * x + y * y + z * z)
+            if alpha == 0.0:
+                continue
+            if x > 0.0:
+                alpha = -alpha
+            v0 = x - alpha
+            v1 = y
+            v2 = z
+            vnorm2 = v0 * v0 + v1 * v1 + v2 * v2
+            if vnorm2 == 0.0:
+                continue
+            beta = 2.0 / vnorm2
+            lo = k - 1 if k > l else l
+            _apply_house3_left(h, k, lo, n, v0, v1, v2, beta)
+            hi = k + 3 if k + 3 < m else m
+            _apply_house3_right(h, k, hi, v0, v1, v2, beta)
+            for i in range(n):
+                s = beta * (v0 * q[i, k] + v1 * q[i, k + 1] + v2 * q[i, k + 2])
+                q[i, k] -= s * v0
+                q[i, k + 1] -= s * v1
+                q[i, k + 2] -= s * v2
+            if k > l:
+                h[k, k - 1] = alpha
+                h[k + 1, k - 1] = 0.0
+                h[k + 2, k - 1] = 0.0
+        # final 2-rotation clearing the leftover bulge entry h[m, m-2]
+        x = h[m - 1, m - 2]
+        y = h[m, m - 2]
+        r = np.sqrt(x * x + y * y)
+        if r != 0.0 and y != 0.0:
+            c = x / r
+            s = y / r
+            for j in range(m - 2, n):
+                t1 = h[m - 1, j]
+                t2 = h[m, j]
+                h[m - 1, j] = c * t1 + s * t2
+                h[m, j] = -s * t1 + c * t2
+            for i in range(m + 1):
+                t1 = h[i, m - 1]
+                t2 = h[i, m]
+                h[i, m - 1] = c * t1 + s * t2
+                h[i, m] = -s * t1 + c * t2
+            for i in range(n):
+                t1 = q[i, m - 1]
+                t2 = q[i, m]
+                q[i, m - 1] = c * t1 + s * t2
+                q[i, m] = -s * t1 + c * t2
+            h[m, m - 2] = 0.0
+    return (0, 0, 0)
+
+
+def loop_split_real_2x2_blocks(t, q):
+    """Rotate 2x2 diagonal blocks with real eigenvalues into two 1x1
+    blocks, so 2x2 blocks remain only for complex conjugate pairs.
+
+    Each block is classified and rotated from its scaled_2x2_block form,
+    so tiny and huge blocks split as well as moderate ones.  A real block
+    whose eigenvector squares underflow even there has off-diagonal
+    entries below about 1e-162 of its largest one; its subdiagonal entry
+    is dropped instead.
+    """
+    n = t.shape[0]
+    k = 0
+    while k < n - 1:
+        if t[k + 1, k] == 0.0:
+            k += 1
+            continue
+        _, p, qq, r, s, disc = scaled_2x2_block(t, k)
+        if disc < 0.0:
+            k += 2
+            continue
+        sq = np.sqrt(disc)
+        lam = 0.5 * ((p + s) + sq) if p + s >= 0.0 else 0.5 * ((p + s) - sq)
+        # eigenvector of the block for lam; pick the better-scaled form
+        v0 = qq
+        v1 = lam - p
+        w0 = lam - s
+        w1 = r
+        if v0 * v0 + v1 * v1 < w0 * w0 + w1 * w1:
+            v0 = w0
+            v1 = w1
+        nrm = np.sqrt(v0 * v0 + v1 * v1)
+        if nrm == 0.0:
+            t[k + 1, k] = 0.0
+            k += 2
+            continue
+        c = v0 / nrm
+        sn = v1 / nrm
+        for j in range(n):
+            t1 = t[k, j]
+            t2 = t[k + 1, j]
+            t[k, j] = c * t1 + sn * t2
+            t[k + 1, j] = -sn * t1 + c * t2
+        for i in range(n):
+            t1 = t[i, k]
+            t2 = t[i, k + 1]
+            t[i, k] = c * t1 + sn * t2
+            t[i, k + 1] = -sn * t1 + c * t2
+        for i in range(q.shape[0]):
+            t1 = q[i, k]
+            t2 = q[i, k + 1]
+            q[i, k] = c * t1 + sn * t2
+            q[i, k + 1] = -sn * t1 + c * t2
+        t[k + 1, k] = 0.0
+        k += 2
+
+
+
+@st.composite
+def qr_cases(draw):
+    """(Hessenberg matrix, starting Q, Frobenius norm, max_sweeps_per_n)
+    in float64.  The matrix is reduced by hessenberg_in_place, and its
+    norm is taken before that, as _schur does.  Q starts as the identity
+    or as a seeded random orthogonal matrix.  One sweep per row often
+    runs out, so the early (1, lo, hi) return is reached."""
+    n = draw(st.integers(1, 12))
+    entries = draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))
+    h = np.reshape(np.array(entries, dtype=np.float64), (n, n))
+    fro = float(np.sqrt((h * h).sum()))
+    hessenberg_in_place(h, np.eye(n))
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    if seed is None:
+        q = np.eye(n)
+    else:
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    return h, q, fro, draw(st.sampled_from([1, 2, 40]))
+
+
+def assert_qr_stage_matches_the_loops(H, Q, fro, sweeps):
+    """francis_qr then split_real_2x2_blocks against the loops: the
+    return tuple, T and Q are equal to the bit."""
+    got_h, want_h = H.copy(), H.copy()
+    got_q, want_q = Q.copy(), Q.copy()
+    with np.errstate(all="ignore"):
+        got = francis_qr(got_h, got_q, _EPS, fro, sweeps)
+        want = loop_francis_qr(want_h, want_q, _EPS, fro, sweeps)
+    assert got == want
+    assert got_h.tobytes() == want_h.tobytes()
+    assert got_q.tobytes() == want_q.tobytes()
+    with np.errstate(all="ignore"):
+        split_real_2x2_blocks(got_h, got_q)
+        loop_split_real_2x2_blocks(want_h, want_q)
+    assert got_h.tobytes() == want_h.tobytes()
+    assert got_q.tobytes() == want_q.tobytes()
+    return want
+
+
+class TestQrKernelsAgainstLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(qr_cases())
+    def test_bitwise_equal_to_the_loops(self, case):
+        assert_qr_stage_matches_the_loops(*case)
+
+    def test_stalled_translation(self):
+        # [[e7, 0], [-e4, 1]] by the coupled method: QR stalls through
+        # repeated exceptional shifts and gives up on rows 10..12
+        A = OperatorMatrix.from_json({"n": 2, "entries": ["e7", "0", "-e4", "1"]})
+        H = A.to_real_matrix()
+        balance_in_place(H, np.ones(16))
+        fro = float(np.sqrt((H * H).sum()))
+        hessenberg_in_place(H, np.eye(16))
+        Q = np.linalg.qr(np.random.default_rng(16).standard_normal((16, 16)))[0]
+        for q in (np.eye(16), Q):
+            assert assert_qr_stage_matches_the_loops(H, q, fro, 40) == (1, 10, 12)
 
 
 class TestComplexEigen:
