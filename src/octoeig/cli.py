@@ -41,6 +41,7 @@ from .operators import (
     OperatorMatrix,
     OperatorMatrixFormatError,
     matrix_to_generalized,
+    _is_number,
     parse_word,
 )
 from .suite import DEFAULT_SEED, run_suite
@@ -136,12 +137,20 @@ def _cmd_translate(args) -> int:
     return 0
 
 
+def _json_kind(x) -> str:
+    """The JSON type of a decoded value that is not a number, plural."""
+    return {bool: "booleans", str: "strings", list: "arrays", dict: "objects"}.get(
+        type(x), "null")
+
+
 def _cmd_decompose(args) -> int:
-    data = _load_json(args.input)
-    arr = np.asarray(data, dtype=np.float64)
-    if any(isinstance(x, bool) for x in np.asarray(data, dtype=object).flat):
-        raise ValueError("the matrix must hold numbers, not booleans")
-    g = matrix_to_generalized(arr)
+    data = np.asarray(_load_json(args.input), dtype=object)
+    if data.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 matrix, got shape {data.shape}")
+    for x in data.flat:
+        if not _is_number(x):
+            raise ValueError(f"the matrix must hold numbers, not {_json_kind(x)}")
+    g = matrix_to_generalized(data.astype(np.float64))
     parts = [format_octonion(p) for p in g.parts]
     if args.format == "json":
         _emit_json({"parts": parts})
@@ -173,18 +182,25 @@ def _cmd_eig(args) -> int:
     return 0
 
 
-def _claim(data: dict, kind: str, n: int, vectors: tuple, scalars: tuple) -> dict:
-    """The `kind` claim of a verify input, checked: every key present and
-    each vector a JSON array of n octonion literals."""
+def _claim(data: dict, kind: str, n: int, vectors: tuple,
+           numbers: tuple = (), literals: tuple = ()) -> dict:
+    """The `kind` claim of a verify input, checked: every key present,
+    each of `numbers` a JSON number, each of `literals` an octonion
+    literal and each vector a JSON array of n octonion literals."""
     spec = data[kind]
     if not isinstance(spec, dict):
         raise ValueError(f"the {kind} claim must be a JSON object")
-    for key in scalars + vectors:
+    for key in numbers + literals + vectors:
         if key not in spec:
             raise ValueError(f"missing key {key!r} in the {kind} claim")
-    for key in scalars:
+    for key in numbers:
         if isinstance(spec[key], bool):
             raise ValueError(f"{key!r} in the {kind} claim must not be a boolean")
+        if not _is_number(spec[key]):
+            raise ValueError(f"{key!r} in the {kind} claim must be a number")
+    for key in literals:
+        if not isinstance(spec[key], str):
+            raise ValueError(f"{key!r} in the {kind} claim must be an octonion literal")
     for key in vectors:
         vec = spec[key]
         if not (isinstance(vec, list) and len(vec) == n
@@ -204,14 +220,14 @@ def _cmd_verify(args) -> int:
         return 2
     M = OperatorMatrix.from_json(data["matrix"])
     if "coupled" in data:
-        spec = _claim(data, "coupled", M.n, ("xi", "eta"), ("a", "b"))
+        spec = _claim(data, "coupled", M.n, ("xi", "eta"), numbers=("a", "b"))
         xi = tuple(parse_octonion(s) for s in spec["xi"])
         eta = tuple(parse_octonion(s) for s in spec["eta"])
-        res = verify_coupled(M, float(spec["a"]), float(spec["b"]), xi, eta)
+        res = verify_coupled(M, spec["a"], spec["b"], xi, eta)
         ok = res <= SOLVER_TOL
         out = {"kind": "coupled", "residual": res, "ok": ok}
     elif "right" in data:
-        spec = _claim(data, "right", M.n, ("psi",), ("lambda",))
+        spec = _claim(data, "right", M.n, ("psi",), literals=("lambda",))
         psi = tuple(parse_octonion(s) for s in spec["psi"])
         lam = parse_octonion(spec["lambda"])
         check = verify_right_eigen(M, RightEigenClaim(psi, lam))
@@ -404,9 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: argparse keeps no state between parse_args
+# calls, and building the tree costs more than a small request.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (OctonionParseError, OperatorMatrixFormatError) as exc:

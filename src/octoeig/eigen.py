@@ -12,8 +12,11 @@ whose pieces all translate back to octonions: two real parameters
 (a, b) and two octonion vectors (xi, eta) replace one complex
 eigenvalue.  Equivalently, adjoining a commuting imaginary unit i to
 the octonions lets the same problem be written as O Phi = Phi (a + ib)
-with Phi = phi1 + i*phi2 a complexified octonion vector; both routes
-are implemented and agree.
+with Phi = phi1 + i*phi2 a complexified octonion vector.  For an
+i-free matrix that is the coupled pair itself with Phi = xi + i*eta, so
+both are solved on the 8n x 8n real translation; only a complexified
+matrix (entries with an i part) goes through the 8n x 8n complex
+translation and complex_eigen, which realifies it to 16n x 16n.
 
 Also here: exact verification of right-eigenvalue claims
 M Psi = Psi lambda (the eigenvalue on the right, where it must sit for
@@ -186,6 +189,23 @@ def _clusters(sols, gap: float) -> list[CoupledCluster]:
     ]
 
 
+def _coupled_vectors(M: OperatorMatrix) -> list[tuple]:
+    """(a, b, xi, eta) for every eigenvector that schur_eigensystem keeps
+    on the real translation, sorted by (a, b); see solve_coupled."""
+    _, records = schur_eigensystem(M.to_real_matrix())
+    sols = []
+    for (z, v, _) in records:
+        a, b = z.real, z.imag
+        xi = _chunk_real(np.real(v))
+        if b == 0.0:
+            eta = tuple(Octonion.zero() for _ in range(M.n))
+        else:
+            eta = _chunk_real(np.imag(v))
+        sols.append((a, b, xi, eta))
+    sols.sort(key=lambda s: s[:2])
+    return sols
+
+
 def solve_coupled(M: OperatorMatrix) -> list[CoupledSolution]:
     """All coupled solutions of a real-coefficient operator matrix.
 
@@ -200,20 +220,10 @@ def solve_coupled(M: OperatorMatrix) -> list[CoupledSolution]:
     """
     if M.complexified:
         raise ValueError("solve_coupled needs a real-coefficient operator matrix")
-    A = M.to_real_matrix()
-    _, records = schur_eigensystem(A)
-    sols = []
-    for (z, v, _) in records:
-        a, b = z.real, z.imag
-        xi = _chunk_real(np.real(v))
-        if b == 0.0:
-            eta = tuple(Octonion.zero() for _ in range(M.n))
-        else:
-            eta = _chunk_real(np.imag(v))
-        res = verify_coupled(M, a, b, xi, eta)
-        sols.append(CoupledSolution(a, b, xi, eta, res))
-    sols.sort(key=lambda s: (s.a, s.b))
-    return sols
+    return [
+        CoupledSolution(a, b, xi, eta, verify_coupled(M, a, b, xi, eta))
+        for a, b, xi, eta in _coupled_vectors(M)
+    ]
 
 
 def coupled_clusters(M: OperatorMatrix) -> list[CoupledCluster]:
@@ -239,25 +249,27 @@ def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
 
 
 def solve_complexified(M: OperatorMatrix) -> list[ComplexifiedSolution]:
-    """Solve O Phi = Phi z through the complex matrix translation.
+    """Solve O Phi = Phi z, sorted by (Re z, Im z).
 
-    For a complexified matrix every eigenvalue of the 8n x 8n complex
-    translation yields one solution.  For an i-free matrix the complex
-    spectrum is conjugation-symmetric and carries each solution twice
-    (as (z, Phi) and (conj z, conj Phi)); only the canonical b >= 0
-    representative of each pair is returned, which makes the output
-    directly comparable with solve_coupled.
+    For an i-free matrix O Phi = Phi (a + ib) with Phi = xi + i eta is
+    the coupled pair itself, so it is solved on the 8n x 8n real
+    translation as solve_coupled does: one solution per eigenvector,
+    with b >= 0, z = a + ib and Phi = xi + i eta bit for bit.  For a
+    complexified matrix every eigenpair of the 8n x 8n complex
+    translation (complex_eigen) yields one solution.  Either way the
+    residual is that of verify_complexified.
     """
-    A = M.to_complex_matrix()
-    pairs = complex_eigen(A)
-    gap = cluster_gap(A)
-    sols = []
-    for p in pairs:
-        if not M.complexified and p.value.imag < -gap:
-            continue
-        phi = _chunk_complex(np.asarray(p.vector, dtype=np.complex128))
-        res = verify_complexified(M, p.value, phi)
-        sols.append(ComplexifiedSolution(p.value, phi, res))
+    if M.complexified:
+        pairs = [
+            (p.value, _chunk_complex(np.asarray(p.vector, dtype=np.complex128)))
+            for p in complex_eigen(M.to_complex_matrix())
+        ]
+    else:
+        pairs = [
+            (complex(a, b), tuple(ComplexOctonion(x, y) for x, y in zip(xi, eta)))
+            for a, b, xi, eta in _coupled_vectors(M)
+        ]
+    sols = [ComplexifiedSolution(z, phi, verify_complexified(M, z, phi)) for z, phi in pairs]
     sols.sort(key=lambda s: (s.z.real, s.z.imag))
     return sols
 
@@ -393,13 +405,17 @@ def eig_report(M: OperatorMatrix, method: str) -> dict:
 
     method is "coupled", which needs an i-free matrix, or
     "complexified", which works for both and reports xi = phi1, eta =
-    phi2 of Phi = phi1 + i*phi2, the same data for i-free inputs.
+    phi2 of Phi = phi1 + i*phi2.  For an i-free matrix both methods
+    solve the same 8n x 8n real translation and report the same
+    clusters, a, b, xi and eta bit for bit; only the residual differs,
+    that of verify_complexified against that of verify_coupled.
     """
     if method == "coupled":
         clusters = coupled_clusters(M)
     elif method == "complexified":
         sols = [coupled_from_complexified(s) for s in solve_complexified(M)]
-        clusters = _clusters(sols, cluster_gap(M.to_complex_matrix()))
+        A = M.to_complex_matrix() if M.complexified else M.to_real_matrix()
+        clusters = _clusters(sols, cluster_gap(A))
     else:
         raise ValueError(f"unknown method {method!r}")
     return {

@@ -16,7 +16,7 @@ def test_bench_eigensolver_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--sizes", "8,16", "--repeats", "1"])
     assert bench.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["n", "|", "lu", "hessenberg", "qr", "|", "schur",
+    assert lines[0].split() == ["n", "|", "hessenberg", "qr", "|", "schur",
                                 "eigensystem", "verify", "|", "numpy", "eig", "eig/numpy"]
     assert [line.split()[0] for line in lines[2:4]] == ["8", "16"]
     residual = re.fullmatch(r"worst relative Schur residual: (\S+)", lines[-1])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octoeig import cli
 from octoeig import dirac as dirac_mod
 from octoeig.cli import main
 
@@ -125,6 +126,90 @@ class TestJsonBooleans:
         assert code == 2
         assert out == ""
         assert message in err
+
+
+class TestJsonNonNumbers:
+    """Strings, null and arrays are refused where a number goes, with a
+    message that names the key."""
+
+    MATRIX = {"n": 1, "entries": ["1"]}
+
+    @pytest.mark.parametrize(
+        "argv,obj,message",
+        [
+            (["verify"], {"matrix": MATRIX,
+                          "coupled": {"a": "1", "b": 0, "xi": ["1"], "eta": ["0"]}},
+             "'a' in the coupled claim must be a number"),
+            (["verify"], {"matrix": MATRIX,
+                          "coupled": {"a": None, "b": 0, "xi": ["1"], "eta": ["0"]}},
+             "'a' in the coupled claim must be a number"),
+            (["verify"], {"matrix": MATRIX,
+                          "coupled": {"a": 1, "b": [1], "xi": ["1"], "eta": ["0"]}},
+             "'b' in the coupled claim must be a number"),
+            (["verify"], {"matrix": MATRIX, "right": {"psi": ["1"], "lambda": 1}},
+             "'lambda' in the right claim must be an octonion literal"),
+            (["decompose"], [["1"] + ["0"] * 7] + [["0"] * 8] * 7,
+             "the matrix must hold numbers, not strings"),
+            (["decompose"], [[None] + [0] * 7] + [[0] * 8] * 7,
+             "the matrix must hold numbers, not null"),
+            (["decompose"], [[[1]] + [0] * 7] + [[0] * 8] * 7,
+             "the matrix must hold numbers, not arrays"),
+            (["decompose"], [[0] * 8] * 7 + [[0] * 7],
+             "expected an 8x8 matrix, got shape (8,)"),
+        ],
+        ids=["verify-string", "verify-null", "verify-array", "verify-lambda-number",
+             "decompose-strings", "decompose-null", "decompose-nested", "decompose-ragged"],
+    )
+    def test_exit_2(self, capsys, tmp_path, argv, obj, message):
+        code, out, err = run_cli(capsys, *argv, write_json(tmp_path, "in.json", obj))
+        assert code == 2
+        assert out == ""
+        assert err == f"octoeig: bad input: {message}\n"
+
+
+class TestSharedParser:
+    """main parses with one parser built at import; interleaved calls
+    print what a freshly built parser prints."""
+
+    @staticmethod
+    def _calls():
+        herm = str(DATA / "herm_2x2.json")
+        bad = str(DATA / "missing.json")
+        return [
+            ["hermiticity", herm, "--survey"],
+            ["hermiticity", herm],
+            ["enumerate", herm, "--psi-a", "e2"],
+            ["enumerate", herm],
+            ["eig", bad],
+            ["mul", "e1", "e2"],
+            ["mul", "e1"],
+            ["eig", herm, "--format", "json"],
+            ["--help"],
+            ["--help"],
+        ]
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_no_state_between_calls(self, capsys, monkeypatch):
+        shared = cli._PARSER
+        got = [self._run(capsys, argv) for argv in self._calls()]
+        assert cli._PARSER is shared
+        want = []
+        for argv in self._calls():
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            want.append(self._run(capsys, argv))
+        assert got == want
+        codes = [code for code, _, _ in got]
+        assert codes == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0]
+        assert "unit_survey" not in got[1][1] and "e7:" in got[0][1]
+        assert got[2][1] != got[3][1]
 
 
 # arbitrary JSON, biased towards the shapes, keys and literals the inputs use

@@ -3,6 +3,8 @@ and enumeration, and the quaternionic limit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octoeig import (
     ComplexOctonion,
@@ -18,6 +20,8 @@ from octoeig import (
     verify_coupled,
     verify_right_eigen,
 )
+from octoeig.eigen import eig_report
+from octoeig.linalg import ConvergenceError, cluster_gap, complex_eigen
 
 from conftest import rand_int_octonion
 
@@ -154,16 +158,18 @@ class TestSolveComplexified:
             assert verify_complexified(M, 1.0 + 0j, (phi1, ComplexOctonion.zero())) == 0.0
 
     def test_solver_equivalence_with_coupled(self):
+        # the oracle is complex_eigen on the complex translation: for i-free
+        # input solve_complexified is the coupled route itself
         M = m_2x2()
         coupled = solve_coupled(M)
-        complexified = solve_complexified(M)
+        pairs = folded_complex_eigen(M)
         a = sorted((round(s.a, 9), round(s.b, 9)) for s in coupled)
-        b = sorted((round(s.z.real, 9), round(abs(s.z.imag), 9)) for s in complexified)
+        b = sorted((round(p.value.real, 9), round(abs(p.value.imag), 9)) for p in pairs)
         assert a == b
-        for s in complexified:
-            xi = tuple(p.re for p in s.phi)
-            eta = tuple(p.im for p in s.phi)
-            assert verify_coupled(M, s.z.real, s.z.imag, xi, eta) <= 1e-8
+        for p in pairs:
+            xi = tuple(Octonion(c) for c in p.vector.real.reshape(-1, 8))
+            eta = tuple(Octonion(c) for c in p.vector.imag.reshape(-1, 8))
+            assert verify_coupled(M, p.value.real, p.value.imag, xi, eta) <= 1e-8
 
     def test_complexified_input(self):
         # [i e4]: i L4 squares to +1, so the spectrum is {-1 x4, +1 x4};
@@ -173,6 +179,85 @@ class TestSolveComplexified:
         got = sorted((round(s.z.real, 9), round(s.z.imag, 9)) for s in sols)
         assert got == [(-1.0, 0.0)] * 4 + [(1.0, 0.0)] * 4
         assert max(s.residual for s in sols) <= 1e-8
+
+
+def folded_complex_eigen(M):
+    """complex_eigen on the complex translation of an i-free M, one pair
+    per conjugate pair (Im z >= -gap): the old complexified route."""
+    A = M.to_complex_matrix()
+    return [p for p in complex_eigen(A) if p.value.imag >= -cluster_gap(A)]
+
+
+def conjugate_symmetric(rng, n, support):
+    """M_ji = conj(M_ij) with a real diagonal and coefficients -2..2 on
+    the first `support` units: quaternionic (4) or octonionic (8)
+    entries.  The real translation is exactly symmetric."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Octonion.from_scalar(float(rng.integers(-2, 3)))
+        for j in range(i + 1, n):
+            c = np.zeros(8)
+            c[:support] = rng.integers(-2, 3, support)
+            rows[i][j], rows[j][i] = Octonion(c), Octonion(c).conj()
+    return OperatorMatrix(rows)
+
+
+def report_or_none(M, method):
+    try:
+        return eig_report(M, method)
+    except ConvergenceError:
+        return None
+
+
+def solution_key(rep):
+    """Everything of an eig report but the residuals."""
+    return [(c["a"], c["b"], c["multiplicity"], [(s["xi"], s["eta"]) for s in c["solutions"]])
+            for c in rep["clusters"]]
+
+
+class TestComplexifiedByTheCoupledRoute:
+    def test_conjugate_symmetric_family_against_complex_eigen(self):
+        # wherever complex_eigen converges, the i-free complexified report
+        # converges too, with at least as many solutions and the same
+        # cluster values within the gap
+        rng = np.random.default_rng(5)
+        compared = 0
+        for t in range(16):
+            M = conjugate_symmetric(rng, (2, 3)[t % 2], (4, 8)[t // 2 % 2])
+            A = M.to_real_matrix()
+            assert np.array_equal(A, A.T)
+            try:
+                pairs = folded_complex_eigen(M)
+            except ConvergenceError:
+                continue
+            rep = eig_report(M, "complexified")
+            gap = cluster_gap(M.to_complex_matrix())
+            values = [complex(c["a"], c["b"]) for c in rep["clusters"]]
+            assert sum(c["multiplicity"] for c in rep["clusters"]) >= len(pairs)
+            for z in values:
+                assert min(abs(z - p.value) for p in pairs) <= gap
+            for p in pairs:
+                assert min(abs(z - p.value) for z in values) <= gap
+            compared += 1
+        assert compared >= 12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.0, 1.0, 1.5, 2.0]),
+                          min_size=8, max_size=8), min_size=n * n, max_size=n * n))))
+    def test_report_equals_coupled_bit_for_bit(self, case):
+        n, coeffs = case
+        M = OperatorMatrix([[Octonion(coeffs[n * i + j]) for j in range(n)] for i in range(n)])
+        coupled = report_or_none(M, "coupled")
+        complexified = report_or_none(M, "complexified")
+        if coupled is None:
+            assert complexified is None
+            return
+        assert solution_key(complexified) == solution_key(coupled)
+        tol = 1e-8 * max(1.0, float(np.linalg.norm(M.to_real_matrix())))
+        for c in complexified["clusters"]:
+            assert all(s["residual"] <= tol for s in c["solutions"])
 
 
 class TestRightEigen:
