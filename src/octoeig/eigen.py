@@ -282,6 +282,14 @@ def coupled_from_complexified(sol: ComplexifiedSolution) -> CoupledSolution:
     return CoupledSolution(sol.z.real, sol.z.imag, xi, eta, sol.residual)
 
 
+def _right_residual(m_psi: np.ndarray, x: np.ndarray, lam: Octonion) -> float:
+    """Max entrywise norm of M Psi - Psi lambda from the (n, 8) rows of
+    M Psi and of Psi."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
+        # psi_i lambda = lambda @ P(psi_i): per row the gemv of Octonion.__mul__
+        return _max_norm(m_psi - lam.coeffs @ product_matrices(x))
+
+
 def verify_right_eigen(M: OperatorMatrix, claim: RightEigenClaim) -> RightEigenCheck:
     """Check M Psi = Psi lambda with the products parenthesized as
     written: entry actions M_ij(psi_j) summed per row against psi_i *
@@ -290,11 +298,8 @@ def verify_right_eigen(M: OperatorMatrix, claim: RightEigenClaim) -> RightEigenC
     psi = list(claim.psi)
     if len(psi) != M.n:
         raise ValueError(f"vector length != matrix size {M.n}")
-    lhs = _coeffs(M.apply(psi))
     x = _coeffs(psi)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
-        # psi_i lambda = lambda @ P(psi_i): per row the gemv of Octonion.__mul__
-        res = _max_norm(lhs - claim.lam.coeffs @ product_matrices(x))
+    res = _right_residual(_coeffs(M.apply(psi)), x, claim.lam)
     zero = not x.any()
     return RightEigenCheck(ok=(res == 0.0), residual=res, zero_vector=zero)
 
@@ -303,11 +308,13 @@ def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None)
     """Brute-force right-eigenvalue solutions of a 2x2 integer matrix
     over basis vectors Psi = (e_j, +-e_k).
 
-    lambda is derived from the first row, psi_a^-1 (row value), and the
-    claim is kept only if both rows verify exactly.  Psi and -Psi give
-    the same lambda and verify together, so one claim is listed per
-    +-Psi pair: by default the first component runs over e_j for
-    j = 0..7; passing a non-zero psi_a pins it instead.
+    M Psi is evaluated once per candidate: lambda is derived from its
+    first row, psi_a^-1 (M Psi)_0, and the claim is kept only if both
+    rows of the same M Psi verify exactly, by verify_right_eigen's
+    residual.  Psi and -Psi give the same lambda and verify together,
+    so one claim is listed per +-Psi pair: by default the first
+    component runs over e_j for j = 0..7; passing a non-zero psi_a pins
+    it instead.
     """
     if M.n != 2:
         raise ValueError("the basis enumerator handles 2x2 matrices")
@@ -319,15 +326,16 @@ def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None)
         raise ValueError("psi_a must be non-zero")
     else:
         firsts = [psi_a]
+    seconds = [s * Octonion.basis(k) for k in range(8) for s in (1.0, -1.0)]
     claims = []
     for pa in firsts:
         pa_inv = pa.inverse()
-        for k in range(8):
-            for s in (1.0, -1.0):
-                psi = (pa, s * Octonion.basis(k))
-                claim = RightEigenClaim(psi, pa_inv * M.apply(list(psi))[0])
-                if verify_right_eigen(M, claim).ok:
-                    claims.append(claim)
+        for pb in seconds:
+            psi = (pa, pb)
+            m_psi = M.apply(psi)
+            lam = pa_inv * m_psi[0]
+            if _right_residual(_coeffs(m_psi), _coeffs(psi), lam) == 0.0:
+                claims.append(RightEigenClaim(psi, lam))
     return claims
 
 

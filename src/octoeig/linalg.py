@@ -145,7 +145,12 @@ def _schur(A, balance: bool):
     if n <= 1:
         return Q, T, scale
     if balance:
-        balance_in_place(T, scale)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            balance_in_place(T, scale)
+        # balancing scales whole rows, diagonal included, so an entry
+        # spread such as [[1e154, 1e-160], [1e150, 1]] can overflow
+        if not np.isfinite(T).all():
+            raise ValueError("balancing overflowed: the entries span too wide a range")
     fro = _fro(T)
     hessenberg_in_place(T, Q)
     code, lo, hi = francis_qr(T, Q, _EPS, fro, _MAX_SWEEPS_PER_N)

@@ -392,6 +392,18 @@ class TestEig:
         assert out == ""
         assert "octoeig: bad input" in err and "overflows" in err
 
+    @pytest.mark.parametrize("method", ["coupled", "complexified"])
+    def test_balancing_overflow_exit_2(self, capsys, tmp_path, method):
+        # balancing overflows on this translation: bad input, where it
+        # used to end in a QR failure (exit 1) and RuntimeWarnings
+        path = write_json(tmp_path, "wide.json", {"n": 2, "entries": [3e153, 1e-160, 1e150, 1]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "eig", path, "--method", method)
+        assert code == 2
+        assert out == ""
+        assert err == "octoeig: bad input: balancing overflowed: the entries span too wide a range\n"
+
 
 class TestVerify:
     def test_coupled_ok(self, capsys, tmp_path):
@@ -585,23 +597,33 @@ class TestDiracAndSuite:
 
     @staticmethod
     def _dirac_momenta(monkeypatch):
-        """Record the momenta dirac draws for its dispersion checks."""
-        drawn = []
+        """Record the momenta dirac draws for its dispersion checks, and
+        the representation each check is handed."""
+        drawn, reps = [], []
         check = dirac_mod.dispersion_check
 
-        def spy(p, m):
+        def spy(rep=None, *, p, m):
             drawn.append(p.copy())
-            return check(p=p, m=m)
+            reps.append(rep)
+            return check(rep, p=p, m=m)
 
         monkeypatch.setattr(dirac_mod, "dispersion_check", spy)
-        return drawn
+        return drawn, reps
 
     def test_momenta_from_seed_1729(self, monkeypatch, capsys):
-        drawn = self._dirac_momenta(monkeypatch)
+        drawn, _ = self._dirac_momenta(monkeypatch)
         code, _, _ = run_cli(capsys, "dirac")
         assert code == 0
         assert len(drawn) == 100
         assert np.array_equal(drawn[0], np.random.default_rng(1729).uniform(-2.0, 2.0, 3))
+
+    def test_representation_built_once(self, monkeypatch, capsys):
+        _, reps = self._dirac_momenta(monkeypatch)
+        code, _, _ = run_cli(capsys, "dirac")
+        assert code == 0
+        assert len(reps) == 100
+        assert isinstance(reps[0], dirac_mod.DiracRep)
+        assert all(rep is reps[0] for rep in reps)
 
     def test_seed_env_is_not_read(self, monkeypatch, capsys):
         monkeypatch.setenv("OCTOEIG_SEED", "abc")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from octoeig import (
     ComplexOctonion,
+    GeneralizedOperator,
     Octonion,
     OperatorMatrix,
     RightEigenClaim,
@@ -382,24 +383,41 @@ class TestEnumeration:
                 return ZERO
             return float(rng.choice([-1, 1])) * E(int(rng.integers(0, 8)))
 
+        def generalized(rng):
+            # o_0 x + (o_m x) e_m: a unit-or-zero left part and one
+            # non-zero integer R-part
+            parts = [unit_or_zero(rng)] + [ZERO] * 7
+            parts[int(rng.integers(1, 8))] = float(rng.choice([-2, -1, 1, 2])) * E(
+                int(rng.integers(0, 8))
+            )
+            return GeneralizedOperator(parts)
+
         rng = np.random.default_rng(20261018)
         pins = [E(2), -E(5), -ONE, ONE + E(2), 2 * E(1), 0.5 * E(4)]
-        nonempty = 0
-        for t in range(8):
+        nonempty = {False: 0, True: 0}
+        for t in range(16):
             # M built so that Psi = (e_j, +-e_k) solves M Psi = Psi lambda
             # for an integer lambda: the first column is (Psi_i lambda -
-            # M_i2 Psi_b) e_j^dagger, exact by alternativity
+            # M_i2(Psi_b)) e_j^dagger, exact by alternativity.  The second
+            # column holds left multiplications in the first 8 trials and
+            # operators with R-parts in the last 8.
             j, k, m = (int(x) for x in rng.integers(0, 8, 3))
             psi = (E(j), float(rng.choice([-1, 1])) * E(k))
             lam = float(rng.integers(-1, 3)) * ONE + float(rng.choice([-1, 1])) * E(m)
-            right = [unit_or_zero(rng) for _ in range(2)]
-            left = [(psi[i] * lam - right[i] * psi[1]) * psi[0].conj() for i in range(2)]
+            gen = t >= 8
+            right = [(generalized if gen else unit_or_zero)(rng) for _ in range(2)]
+            if gen:
+                assert not any(g.is_left_only() for g in right)
+            else:
+                right = [GeneralizedOperator.left(o) for o in right]
+            left = [(psi[i] * lam - right[i].apply(psi[1])) * psi[0].conj() for i in range(2)]
             M = OperatorMatrix([[left[0], right[0]], [left[1], right[1]]])
+            assert M.is_integer_valued()
             for pin in [None, E(j), -E(j)] + pins[t % 3 :: 3]:
                 got = as_bytes(enumerate_basis_right_eigs(M, psi_a=pin))
                 assert got == as_bytes(signed_scan(M, psi_a=pin))
-                nonempty += bool(got)
-        assert nonempty >= 16
+                nonempty[gen] += bool(got)
+        assert nonempty[False] >= 16 and nonempty[True] >= 16
 
 
 class TestQuaternionicLimit:

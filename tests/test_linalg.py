@@ -1,6 +1,8 @@
 """Dense kernel drivers: LU, real Schur, eigenvalues, eigenvectors and
 the complex eigensolver built on realification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,17 @@ class TestEigenvalues:
                 solve(A)
         with pytest.raises(ValueError, match="norm overflows"):
             complex_eigen(1j * A)
+
+    def test_rejects_balancing_overflow(self):
+        # balancing divides the whole first row, diagonal included, by
+        # 2**-515; the overflow used to come back as [nan, nan] from
+        # eigenvalues and as no records at all from schur_eigensystem
+        A = np.array([[1e154, 1e-160], [1e150, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for solve in (eigenvalues, schur_eigensystem):
+                with pytest.raises(ValueError, match="balancing overflowed"):
+                    solve(A)
 
     def test_large_finite_norm_still_solved(self):
         vals = eigenvalues(np.diag([1e150, 1.0]))
