@@ -307,25 +307,7 @@ def _cmd_hermiticity(args) -> int:
 
 
 def _cmd_dirac(args) -> int:
-    alg = dirac_mod.dirac_algebra_check()
-    rep = dirac_mod.dirac_representation()
-    rng = np.random.default_rng(DEFAULT_SEED)
-    disp_ok = True
-    worst = 0.0
-    for _ in range(100):
-        p = rng.uniform(-2.0, 2.0, 3)
-        m = float(rng.uniform(0.0, 2.0))
-        r = dirac_mod.dispersion_check(rep, p=p, m=m)
-        worst = max(worst, r["max_error"])
-        disp_ok = disp_ok and r["ok"]
-    doublet = dirac_mod.orthogonal_doublet_check()
-    anticomm = dirac_mod.left_anticommutator_check()
-    rows = [
-        ("dirac-algebra", alg["all_passed"]),
-        ("dispersion-100-random", disp_ok),
-        ("left-anticommutators", anticomm["ok"]),
-        ("doublet-orthogonality", doublet["all_passed"]),
-    ]
+    rows, worst = dirac_mod.dirac_checks(DEFAULT_SEED)
     ok = all(flag for _, flag in rows)
     if args.format == "json":
         _emit_json(

@@ -35,6 +35,7 @@ __all__ = [
     "left_anticommutator_check",
     "split_doublet",
     "orthogonal_doublet_check",
+    "dirac_checks",
 ]
 
 # entrywise bound on H(p)^2 - (|p|^2 + m^2) I in dispersion_check
@@ -193,3 +194,24 @@ def orthogonal_doublet_check() -> dict:
     report["split_reconstructs"] = recon_ok
     report["all_passed"] = cross_ok and within_ok and recon_ok
     return report
+
+
+def dirac_checks(seed: int) -> tuple[list[tuple[str, bool]], float]:
+    """Every check of this module: the exact algebra, the dispersion
+    identity at 100 seeded draws p in [-2, 2]^3 and m in [0, 2], the
+    left anticommutators and the doublet orthogonality.  Returns
+    (rows, worst) with rows the (name, passed) pairs and worst the
+    largest dispersion error."""
+    rep = dirac_representation()
+    rng = np.random.default_rng(seed)
+    draws = [
+        dispersion_check(rep, p=rng.uniform(-2.0, 2.0, 3), m=float(rng.uniform(0.0, 2.0)))
+        for _ in range(100)
+    ]
+    rows = [
+        ("dirac-algebra", dirac_algebra_check()["all_passed"]),
+        ("dispersion-100-random", all(r["ok"] for r in draws)),
+        ("left-anticommutators", left_anticommutator_check()["ok"]),
+        ("doublet-orthogonality", orthogonal_doublet_check()["all_passed"]),
+    ]
+    return rows, max(r["max_error"] for r in draws)

@@ -16,6 +16,9 @@ every output: its ``peak_rss_mb`` grows with throughput (ROADMAP 1, 2).
 ``benchmarks/bench_eigensolver.py`` times the kernels against
 ``numpy.linalg.eig``.
 
+split_real_2x2_blocks returns the eigenvalues from the same scaled
+reading of each 2x2 block that sorts it, as LAPACK dlanv2 does.
+
 All kernels work in place on float64 arrays the callers own; drivers
 in :mod:`octoeig.linalg` do the copying, validation and error
 reporting.
@@ -108,6 +111,17 @@ def balance_in_place(a, scale):
                 a[:, i] *= f
 
 
+def scaled_by_power_of_two(x):
+    """(c, e) with x = 2**e * c.  e is 0 unless the largest magnitude in
+    x lies outside [2**-500, 2**500]; then c's largest is in [0.5, 1),
+    so sums of squares of c neither overflow nor underflow."""
+    big = float(np.abs(x).max())
+    if 2.0**-500 <= big <= 2.0**500:
+        return x, 0
+    e = math.frexp(big)[1]
+    return np.ldexp(x, -e), e
+
+
 def _reflect_right(x, v, beta):
     """x <- x (I - beta v v^T) in place.
 
@@ -127,19 +141,21 @@ def hessenberg_in_place(h, q):
     Each reflector is applied on whole rows and columns, and every sum
     accumulates from zero in the order of the elementwise loop, so the
     result is bit-identical to it (``tests/test_linalg.py`` keeps the
-    loop as the oracle).
+    loop as the oracle).  v and beta come from the column as
+    scaled_by_power_of_two leaves it, so its squares stay in range.
     """
     n = h.shape[0]
     for k in range(n - 2):
+        col, e = scaled_by_power_of_two(h[k + 1:, k])
         alpha = 0.0
-        for x in h[k + 1:, k]:
+        for x in col:
             alpha += x * x
         alpha = np.sqrt(alpha)
         if alpha == 0.0:
             continue
-        if h[k + 1, k] > 0.0:
+        if col[0] > 0.0:
             alpha = -alpha
-        v = h[k + 1:, k].copy()
+        v = col.copy()
         v[0] -= alpha
         vnorm2 = 0.0
         for x in v:
@@ -152,7 +168,7 @@ def hessenberg_in_place(h, q):
         # columns k+1..n-1 from the right
         _reflect_right(h[:, k + 1:], v, beta)
         _reflect_right(q[:, k + 1:], v, beta)
-        h[k + 1, k] = alpha
+        h[k + 1, k] = np.ldexp(alpha, e)
         h[k + 2:, k] = 0.0
 
 
@@ -288,22 +304,30 @@ def scaled_2x2_block(t, k):
 
 def split_real_2x2_blocks(t, q):
     """Rotate 2x2 diagonal blocks with real eigenvalues into two 1x1
-    blocks, so 2x2 blocks remain only for complex conjugate pairs.
+    blocks, so 2x2 blocks remain only for complex conjugate pairs, and
+    return the diagonal blocks as (start, size, values).
 
     Each block is classified and rotated from its scaled_2x2_block form,
     so tiny and huge blocks split as well as moderate ones.  A real block
     whose eigenvector squares underflow even there has off-diagonal
     entries below about 1e-162 of its largest one; its subdiagonal entry
-    is dropped instead.
+    is dropped instead.  A complex pair is read from that same form, as
+    exact mirrors; a 1x1 value is the diagonal entry after its block's
+    rotation, which later rotations do not touch.
     """
     n = t.shape[0]
+    blocks = []
     k = 0
-    while k < n - 1:
-        if t[k + 1, k] == 0.0:
+    while k < n:
+        if k == n - 1 or t[k + 1, k] == 0.0:
+            blocks.append((k, 1, (complex(t[k, k], 0.0),)))
             k += 1
             continue
-        _, p, qq, r, s, disc = scaled_2x2_block(t, k)
+        e, p, qq, r, s, disc = scaled_2x2_block(t, k)
         if disc < 0.0:
+            a = np.ldexp(0.5 * (p + s), e)
+            b = np.ldexp(0.5 * math.sqrt(-disc), e)
+            blocks.append((k, 2, (complex(a, b), complex(a, -b))))
             k += 2
             continue
         sq = np.sqrt(disc)
@@ -317,14 +341,13 @@ def split_real_2x2_blocks(t, q):
             v0 = w0
             v1 = w1
         nrm = np.sqrt(v0 * v0 + v1 * v1)
-        if nrm == 0.0:
-            t[k + 1, k] = 0.0
-            k += 2
-            continue
-        c = v0 / nrm
-        sn = v1 / nrm
-        _rotate(t, k, 0, n, c, sn)
-        _rotate(t.T, k, 0, n, c, sn)
-        _rotate(q.T, k, 0, q.shape[0], c, sn)
+        if nrm != 0.0:
+            c = v0 / nrm
+            sn = v1 / nrm
+            _rotate(t, k, 0, n, c, sn)
+            _rotate(t.T, k, 0, n, c, sn)
+            _rotate(q.T, k, 0, q.shape[0], c, sn)
         t[k + 1, k] = 0.0
+        blocks += [(j, 1, (complex(t[j, j], 0.0),)) for j in (k, k + 1)]
         k += 2
+    return blocks

@@ -2,8 +2,9 @@
 
 Drivers around the kernels in :mod:`octoeig.kernels`: real LU solves
 with partial pivoting, real Schur form via Hessenberg reduction plus
-implicit double-shift QR, eigenvalues read off the quasi-triangular
-factor, eigenvectors back-substituted on the same factor, and complex
+implicit double-shift QR, eigenvalues read as the 2x2 blocks of the
+quasi-triangular factor are split, eigenvectors back-substituted on the
+same factor, and complex
 eigenproblems by realification to a doubled real problem.
 
 Everything is deterministic: no step draws random numbers and all
@@ -24,7 +25,6 @@ from .kernels import (
     hessenberg_in_place,
     lu_factor,
     lu_solve_factored,
-    scaled_2x2_block,
     split_real_2x2_blocks,
 )
 
@@ -130,10 +130,12 @@ def _fro(A) -> float:
 def _schur(A, balance: bool):
     """Hessenberg reduction plus Francis QR of a real square matrix.
 
-    Returns (Q, T, scale) with T quasi-triangular and diagonal 2x2
-    blocks left only for complex pairs, Q orthogonal and scale the
+    Returns (Q, T, scale, blocks) with T quasi-triangular and diagonal
+    2x2 blocks left only for complex pairs, Q orthogonal and scale the
     diagonal of the balancing D (all ones without balancing), so that
-    D^-1 A D = Q T Q^T.
+    D^-1 A D = Q T Q^T.  blocks lists T's diagonal blocks as (start,
+    size, values), read as split_real_2x2_blocks sorts them; complex
+    pairs are exact mirrors.
     """
     A = _check_square(A)
     if np.iscomplexobj(A):
@@ -142,8 +144,6 @@ def _schur(A, balance: bool):
     T = np.ascontiguousarray(A, dtype=np.float64).copy()
     Q = np.eye(n)
     scale = np.ones(n)
-    if n <= 1:
-        return Q, T, scale
     if balance:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             balance_in_place(T, scale)
@@ -161,38 +161,15 @@ def _schur(A, balance: bool):
             lo,
             hi,
         )
-    split_real_2x2_blocks(T, Q)
-    return Q, T, scale
+    blocks = split_real_2x2_blocks(T, Q)
+    return Q, T, scale, blocks
 
 
 def real_schur(A):
     """Real Schur form: orthogonal Q and quasi-triangular T with
     A = Q T Q^T; diagonal 2x2 blocks remain only for complex pairs."""
-    Q, T, _ = _schur(A, balance=False)
+    Q, T, _, _ = _schur(A, balance=False)
     return Q, T
-
-
-def _read_blocks(T):
-    """Diagonal blocks of a quasi-triangular T as (start, size, values).
-
-    Complex pairs are emitted as exact mirrors: a + ib and a - ib share
-    the bitwise-identical a and b.
-    """
-    n = T.shape[0]
-    blocks = []
-    k = 0
-    while k < n:
-        if k < n - 1 and T[k + 1, k] != 0.0:
-            # split_real_2x2_blocks leaves 2x2 blocks for complex pairs only
-            e, p, _, _, s, disc = scaled_2x2_block(T, k)
-            a = np.ldexp(0.5 * (p + s), e)
-            b = np.ldexp(0.5 * math.sqrt(-disc), e)
-            blocks.append((k, 2, (complex(a, b), complex(a, -b))))
-            k += 2
-        else:
-            blocks.append((k, 1, (complex(T[k, k], 0.0),)))
-            k += 1
-    return blocks
 
 
 def _sorted_values(blocks) -> np.ndarray:
@@ -204,8 +181,7 @@ def _sorted_values(blocks) -> np.ndarray:
 def eigenvalues(A) -> np.ndarray:
     """All eigenvalues of a real square matrix, sorted by real part then
     by descending imaginary part; conjugate pairs are exact mirrors."""
-    _, T, _ = _schur(A, balance=True)
-    return _sorted_values(_read_blocks(T))
+    return _sorted_values(_schur(A, balance=True)[3])
 
 
 def cluster_gap(A) -> float:
@@ -352,8 +328,7 @@ def eigenvector(A, z):
     """
     A = _check_square(A)
     z = complex(z)
-    Q, T, scale = _schur(A, balance=True)
-    blocks = _read_blocks(T)
+    Q, T, scale, blocks = _schur(A, balance=True)
     b, w = min(
         ((b, w) for b, (_, _, vs) in enumerate(blocks) for w in vs),
         key=lambda bw: abs(bw[1] - z),
@@ -379,8 +354,7 @@ def schur_eigensystem(A):
     """
     A = _check_square(A)
     fro = _fro(A)
-    Q, T, scale = _schur(A, balance=True)
-    blocks = _read_blocks(T)
+    Q, T, scale, blocks = _schur(A, balance=True)
     values = _sorted_values(blocks)
     reps = [vs[0] for (_, _, vs) in blocks]  # the Im >= 0 value of each block
     records = []

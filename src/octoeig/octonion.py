@@ -29,6 +29,8 @@ import re
 
 import numpy as np
 
+from .kernels import scaled_by_power_of_two
+
 __all__ = [
     "TRIPLES",
     "Octonion",
@@ -117,17 +119,6 @@ def left_mul_matrix(a: np.ndarray) -> np.ndarray:
 def right_mul_matrix(b: np.ndarray) -> np.ndarray:
     """8x8 matrix of psi -> psi*b acting on coefficient columns."""
     return np.tensordot(MUL_TENSOR, b, axes=(1, 0)).T
-
-
-def _scaled(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
-    """(c, e) with coeffs = 2**e * c.  e is 0 unless the largest
-    coefficient lies outside [2**-500, 2**500]; then c's largest is in
-    [0.5, 1), so c @ c neither overflows nor underflows."""
-    big = float(np.abs(coeffs).max())
-    if 2.0**-500 <= big <= 2.0**500:
-        return coeffs, 0
-    e = math.frexp(big)[1]
-    return np.ldexp(coeffs, -e), e
 
 
 class Octonion:
@@ -227,13 +218,13 @@ class Octonion:
     def norm(self) -> float:
         """Euclidean norm sqrt(sum r_k^2) = sqrt(o^dag o); OverflowError
         where it exceeds the float64 range."""
-        c, e = _scaled(self._coeffs)
+        c, e = scaled_by_power_of_two(self._coeffs)
         return math.ldexp(float(np.sqrt(c @ c)), e)
 
     def inverse(self) -> "Octonion":
         """Multiplicative inverse o^dag / N(o)^2, so that o * o^-1 = 1;
         ValueError where it exceeds the float64 range."""
-        c, e = _scaled(self._coeffs)
+        c, e = scaled_by_power_of_two(self._coeffs)
         n2 = float(c @ c)
         if n2 == 0.0:
             raise ZeroDivisionError("zero octonion has no inverse")
@@ -345,7 +336,7 @@ class ComplexOctonion:
     def norm(self) -> float:
         """sqrt(|re|^2 + |im|^2), with re and im scaled together as in
         Octonion.norm; OverflowError where it exceeds the float64 range."""
-        (re, im), e = _scaled(np.stack((self.re._coeffs, self.im._coeffs)))
+        (re, im), e = scaled_by_power_of_two(np.stack((self.re._coeffs, self.im._coeffs)))
         return math.ldexp(float(np.sqrt(re @ re + im @ im)), e)
 
     def is_zero(self) -> bool:

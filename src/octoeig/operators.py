@@ -14,10 +14,7 @@ most general real-linear operator is
 
     L_{o_0} + sum_m R_m . L_{o_m}        (o_0 .. o_7 octonions),
 
-here ``GeneralizedOperator``.  Square matrices of such operators
-translate blockwise to 8n x 8n real (or complex, when each entry also
-carries an i-part) matrices; that translation is what the eigensolvers
-consume.
+here ``GeneralizedOperator``.
 
 ``OperatorMatrix.apply`` evaluates M psi on stacked (n, 8) coefficient
 arrays, from a plan of per-part product matrices built once per matrix.
@@ -25,6 +22,12 @@ It forms the same products as octonion multiplication and adds them in
 the same order (parts of an entry in m order, entries of a row in j
 order), so the result is bit-for-bit the octonion-by-octonion one, and
 exact on integer data; the exact verifications rely on that.
+
+A square matrix of operators translates to an 8n x 8n real matrix (or
+complex, when each entry also carries an i-part), which the
+eigensolvers consume.  The translation is M applied to the coefficient
+basis through that same plan, so block (i, j) equals entry (i, j)'s
+``GeneralizedOperator.to_matrix`` to the bit.
 
 Operator words use the text grammar ``L<k>``/``R<k>`` separated by
 whitespace, leftmost factor applied last, e.g. ``L4 R5 R1 L6``.
@@ -459,25 +462,34 @@ class OperatorMatrix:
 
     # -- translation --------------------------------------------------------
 
+    def _translation(self):
+        """[re] or [re, im]: M on the coefficient basis (Psi = (I, 0) if
+        complexified) as C-ordered 8n x 8n arrays, column 8t + b being
+        M(e_b at slot t).  Each evaluation takes as many basis vectors as
+        keep its scratch arrays (grids * 64 n^2 floats per vector) near
+        4096 floats, so a translation needs no more memory than a solve."""
+        n8 = 8 * self.n
+        basis = np.eye(n8).reshape(n8, self.n, 8)
+        step = max(1, 4096 // ((2 if self.complexified else 1) * 64 * self.n**2))
+        outs = [
+            self._evaluate(x, np.zeros_like(x)) if self.complexified else (self._evaluate(x),)
+            for x in (basis[s:s + step] for s in range(0, n8, step))
+        ]
+        return [np.ascontiguousarray(np.concatenate(c).reshape(n8, n8).T) for c in zip(*outs)]
+
     def to_real_matrix(self) -> np.ndarray:
-        """Blockwise 8n x 8n real translation; block (i, j) is the 8x8
-        matrix of entry (i, j)."""
+        """The 8n x 8n real translation, with vec(M Psi) = A vec(Psi)."""
         if self.complexified:
             raise ValueError("complexified operator matrix translates to a complex matrix")
-        out = np.zeros((8 * self.n, 8 * self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                out[8 * i : 8 * i + 8, 8 * j : 8 * j + 8] = self.entries[i][j].to_matrix()
-        return out
+        return self._translation()[0]
 
     def to_complex_matrix(self) -> np.ndarray:
-        out = np.zeros((8 * self.n, 8 * self.n), dtype=np.complex128)
-        for i in range(self.n):
-            for j in range(self.n):
-                block = self.entries[i][j].to_matrix().astype(np.complex128)
-                if self.entries_im is not None:
-                    block = block + 1j * self.entries_im[i][j].to_matrix()
-                out[8 * i : 8 * i + 8, 8 * j : 8 * j + 8] = block
+        """The 8n x 8n complex translation; an i-free matrix gives its real
+        one cast to complex128."""
+        re, *im = self._translation()
+        out = re.astype(np.complex128)
+        if im:
+            out.imag = im[0]
         return out
 
     # -- JSON wire format ----------------------------------------------------

@@ -316,15 +316,8 @@ def check_hermiticity_classification():
 
 
 def check_dirac():
-    ok = dirac.dirac_algebra_check()["all_passed"]
-    rep = dirac.dirac_representation()
-    rng = np.random.default_rng(DEFAULT_SEED)
-    for _ in range(100):
-        p = rng.uniform(-3, 3, 3)
-        m = float(rng.uniform(0, 3))
-        ok = ok and dirac.dispersion_check(rep, p=p, m=m)["ok"]
-    ok = ok and dirac.orthogonal_doublet_check()["all_passed"]
-    return ok, "Dirac algebra, dispersion and doublet orthogonality"
+    rows, _ = dirac.dirac_checks(DEFAULT_SEED)
+    return all(ok for _, ok in rows), "Dirac algebra, dispersion and doublet orthogonality"
 
 
 CHECKS = [

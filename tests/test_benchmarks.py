@@ -1,6 +1,6 @@
-"""Smoke tests of benchmarks/bench_eigensolver.py and perfbench/run.py,
-so a change that breaks either script fails here rather than when it is
-next run."""
+"""Smoke tests of benchmarks/bench_eigensolver.py,
+benchmarks/output_digest.py and perfbench/run.py, so a change that
+breaks one of the scripts fails here rather than when it is next run."""
 
 import importlib.util
 import json
@@ -13,10 +13,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "benchmarks" / "bench_eigensolver.py"
 
 
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_eigensolver_runs(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("bench_eigensolver", SCRIPT)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _load(SCRIPT)
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--sizes", "8,16", "--repeats", "1"])
     assert bench.main() == 0
     lines = capsys.readouterr().out.splitlines()
@@ -37,3 +42,19 @@ def test_perfbench_traced_lab_mix_runs():
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_output_digest_is_reproducible(tmp_path):
+    # one lab-mix deck served twice, from inputs written to two places,
+    # gives the same line for every request
+    digest = _load(ROOT / "benchmarks" / "output_digest.py")
+    runs = []
+    for k in range(2):
+        warm, decks = digest.workloads.build("lab-mix", 1, str(tmp_path / str(k)))
+        runs.append(digest.digest_lines("lab-mix", [warm] + decks[0]))
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 1 + len(decks[0])
+    for index, line in enumerate(runs[0]):
+        workload, i, kind, rc, sha = line.split()
+        assert (workload, int(i), rc, len(sha)) == ("lab-mix", index, "0", 64)
+    assert {line.split()[2] for line in runs[0]} >= {"dirac", "enumerate", "translate"}

@@ -324,6 +324,18 @@ class TestTranslate:
         code, _, err = run_cli(capsys, "translate", "L9")
         assert code == 2
 
+    def test_overflowing_entry_exit_2(self, capsys, tmp_path):
+        # L(1e308 e1) + R1 L(1e308) sends 1 to 2e308 e1: bad input, where
+        # the translation used to hold inf and the text format crashed
+        entry = [[0.0, 1e308] + [0.0] * 6, [1e308] + [0.0] * 7] + [[0.0] * 8] * 6
+        path = write_json(tmp_path, "big.json", {"n": 1, "entries": [entry]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "translate", "--matrix", path)
+        assert code == 2
+        assert out == ""
+        assert err == "octoeig: bad input: octonion coefficients must be finite\n"
+
 
 class TestDecompose:
     def test_identity(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Dense kernel drivers: LU, real Schur, eigenvalues, eigenvectors and
 the complex eigensolver built on realification."""
 
+import math
 import warnings
 
 import numpy as np
@@ -143,6 +144,19 @@ class TestRealSchur:
     def test_rejects_complex(self):
         with pytest.raises(ValueError):
             real_schur(np.eye(2, dtype=complex))
+
+    def test_tiny_column_is_scaled(self):
+        # the squares of column 0 below the diagonal used to underflow, so
+        # beta = 2 / vnorm2 overflowed and Francis QR ran on NaN
+        A = np.array([[1.0, 2.0, 3.0], [1e-160, 2.0, 1.0], [1e-160, 1.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            Q, T = real_schur(A)
+            vals = eigenvalues(A)
+        self._assert_schur(A, Q, T)
+        want = np.sort(np.linalg.eigvals(A).real)
+        assert np.abs(np.sort(np.diag(T)) - want).max() <= 1e-14 * want.max()
+        assert np.abs(vals - want).max() <= 1e-14 * want.max()
 
 
 class TestEigenvalues:
@@ -504,13 +518,20 @@ def loop_balance_in_place(a, scale):
 
 
 def loop_hessenberg_in_place(h, q):
-    """The elementwise Householder loops that the slice kernel replaced."""
+    """The elementwise Householder loops that the slice kernel replaced,
+    with its power-of-two scaling of a column whose largest entry lies
+    outside [2**-500, 2**500]."""
     n = h.shape[0]
     v = np.zeros(n)
     for k in range(n - 2):
+        big = 0.0
+        for i in range(k + 1, n):
+            big = max(big, abs(h[i, k]))
+        e = 0 if 2.0**-500 <= big <= 2.0**500 else math.frexp(big)[1]
         alpha = 0.0
         for i in range(k + 1, n):
-            alpha += h[i, k] * h[i, k]
+            x = math.ldexp(h[i, k], -e)
+            alpha += x * x
         alpha = np.sqrt(alpha)
         if alpha == 0.0:
             continue
@@ -518,7 +539,7 @@ def loop_hessenberg_in_place(h, q):
             alpha = -alpha
         vnorm2 = 0.0
         for i in range(k + 1, n):
-            v[i] = h[i, k]
+            v[i] = math.ldexp(h[i, k], -e)
         v[k + 1] -= alpha
         for i in range(k + 1, n):
             vnorm2 += v[i] * v[i]
@@ -546,7 +567,7 @@ def loop_hessenberg_in_place(h, q):
             s *= beta
             for j in range(k + 1, n):
                 q[i, j] -= s * v[j]
-        h[k + 1, k] = alpha
+        h[k + 1, k] = np.ldexp(alpha, e)
         for i in range(k + 2, n):
             h[i, k] = 0.0
 
@@ -593,6 +614,20 @@ class TestReductionKernelsAgainstLoops:
         assert got_scale.tobytes() == want_scale.tobytes()
         assert got_h.tobytes() == want_h.tobytes()
         assert got_q.tobytes() == want_q.tobytes()
+
+    @pytest.mark.parametrize("x", [1e-160, 1.75e-306, 5e-324, 1e300])
+    def test_tiny_or_huge_column_scaled_as_the_loop(self, x):
+        # column 0 below the diagonal lies outside [2**-500, 2**500]
+        A = np.array([[1.0, 2.0, 3.0], [x, 2.0, 1.0], [x, 1.0, 3.0]])
+        got, want = A.copy(), A.copy()
+        Q, Q_loop = np.eye(3), np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hessenberg_in_place(got, Q)
+            loop_hessenberg_in_place(want, Q_loop)
+        assert got.tobytes() == want.tobytes()
+        assert Q.tobytes() == Q_loop.tobytes()
+        assert got[1, 0] != 0.0 and got[2, 0] == 0.0
 
     def test_zero_column_skips_its_reflector(self):
         # column 0 below the diagonal is zero, so step k = 0 reflects nothing
@@ -812,9 +847,38 @@ def qr_cases(draw):
     return h, q, fro, draw(st.sampled_from([1, 2, 40]))
 
 
+def assert_blocks_read_off(T, blocks):
+    """The blocks split_real_2x2_blocks returns for a converged T tile
+    0..n-1 as T's subdiagonal does, pair their complex values as exact
+    mirrors and hold numpy.linalg.eigvals(T), to 1e-12 of its largest."""
+    n = T.shape[0]
+    starts = [start for start, _, _ in blocks]
+    assert starts == [0] + [start + size for start, size, _ in blocks[:-1]]
+    assert sum(size for _, size, _ in blocks) == n
+    for start, size, vals in blocks:
+        end = start + size
+        assert len(vals) == size
+        assert end == n or T[end, end - 1] == 0.0
+        if size == 1:
+            assert vals[0].imag == 0.0 and vals[0].real == T[start, start]
+        else:
+            assert T[start + 1, start] != 0.0
+            a, b = vals
+            assert b == a.conjugate() and a.imag > 0.0
+    # each value against the nearest one numpy has left unmatched: a sort
+    # could pair two values whose real parts differ only by rounding
+    want = list(np.linalg.eigvals(T)) if n else []
+    tol = 1e-12 * max([1.0] + [abs(w) for w in want])
+    for _, _, vals in blocks:
+        for z in vals:
+            j = min(range(len(want)), key=lambda j: abs(want[j] - z))
+            assert abs(want.pop(j) - z) <= tol
+
+
 def assert_qr_stage_matches_the_loops(H, Q, fro, sweeps):
     """francis_qr then split_real_2x2_blocks against the loops: the
-    return tuple, T and Q are equal to the bit."""
+    return tuple, T and Q are equal to the bit, and on convergence the
+    returned blocks are T's."""
     got_h, want_h = H.copy(), H.copy()
     got_q, want_q = Q.copy(), Q.copy()
     with np.errstate(all="ignore"):
@@ -824,10 +888,12 @@ def assert_qr_stage_matches_the_loops(H, Q, fro, sweeps):
     assert got_h.tobytes() == want_h.tobytes()
     assert got_q.tobytes() == want_q.tobytes()
     with np.errstate(all="ignore"):
-        split_real_2x2_blocks(got_h, got_q)
+        blocks = split_real_2x2_blocks(got_h, got_q)
         loop_split_real_2x2_blocks(want_h, want_q)
     assert got_h.tobytes() == want_h.tobytes()
     assert got_q.tobytes() == want_q.tobytes()
+    if want == (0, 0, 0):
+        assert_blocks_read_off(got_h, blocks)
     return want
 
 

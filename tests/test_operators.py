@@ -398,11 +398,27 @@ class TestEvaluator:
             [ComplexOctonion(Octonion(x), Octonion(y)) for x, y in zip(*pair)]
             for pair in vecs
         ]
+        # the translation is M on the coefficient basis: to the bit, signed
+        # zeros included, the blocks of the entries' 8x8 matrices
+        blocks = np.block([[g.to_matrix() for g in row] for row in M.entries])
+        if M.complexified:
+            blocks = blocks + 1j * np.block([[g.to_matrix() for g in row] for row in M.entries_im])
+        else:
+            A = M.to_real_matrix()
+            assert A.tobytes() == blocks.tobytes()
+        C = M.to_complex_matrix()
+        assert C.tobytes() == blocks.astype(np.complex128).tobytes()
+        exact = M.is_integer_valued() and np.array_equal(vecs, np.round(vecs))
         re, im = M._evaluate(vecs[:, 0], vecs[:, 1])
         for k, phi in enumerate(phis):
             want = object_apply_complex(M, phi)
             assert np.array_equal(re[k], coeffs(w.re for w in want))
             assert np.array_equal(im[k], coeffs(w.im for w in want))
+            if exact:
+                # and it acts on vec(Psi) as M does on Psi, exactly
+                z = C @ (vecs[k, 0] + 1j * vecs[k, 1]).ravel()
+                assert np.array_equal(z.real, re[k].ravel())
+                assert np.array_equal(z.imag, im[k].ravel())
             got = M.apply_complex(phi)
             assert np.array_equal(coeffs(g.re for g in got), re[k])
             assert np.array_equal(coeffs(g.im for g in got), im[k])
@@ -414,6 +430,9 @@ class TestEvaluator:
         for k, (x, y) in enumerate(vecs):
             xi, eta = octs(x), octs(y)
             assert np.array_equal(out[k, 0], coeffs(object_apply(M, xi)))
+            if exact:
+                assert np.array_equal(A @ x.ravel(), coeffs(object_apply(M, xi)).ravel())
+                assert np.array_equal(A @ y.ravel(), coeffs(object_apply(M, eta)).ravel())
             assert np.array_equal(out[k, 1], coeffs(object_apply(M, eta)))
             assert np.array_equal(coeffs(M.apply(xi)), out[k, 0])
             assert verify_coupled(M, a, b, xi, eta) == object_verify_coupled(M, a, b, xi, eta)
