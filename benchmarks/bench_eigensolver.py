@@ -4,10 +4,12 @@
 Times octoeig's real Schur factorization and its eigensystem (Schur
 plus eigenvectors back-substituted on the Schur factor) on seeded
 random matrices, beside ``numpy.linalg.eig`` as the speed-of-light
-reference.  The ``hessenberg`` column times balancing plus Hessenberg
-reduction, the first stage of ``eigensystem``, and the ``qr`` column
-Francis QR plus the 2x2 split on that Hessenberg form, the second
-stage, so a change to those kernels shows apart from the whole solve.
+reference.  The ``hessenberg`` and ``qr`` columns time the solver's
+own two stages, the calls ``schur_eigensystem`` makes:
+``linalg._hessenberg_stage`` (balancing plus Hessenberg reduction) and
+``linalg._qr_stage`` (Francis QR plus the 2x2 split, which raises
+``ConvergenceError`` as the solver does) on that Hessenberg form, so a
+change to those kernels shows apart from the whole solve.
 The ``verify`` column times the exact check of one coupled solution
 (``verify_coupled``) on a seeded dense generalized operator matrix
 with n = size / 8, after one warm-up call, so the verification layer
@@ -25,13 +27,7 @@ import time
 import numpy as np
 
 from octoeig import GeneralizedOperator, Octonion, OperatorMatrix, verify_coupled
-from octoeig.kernels import (
-    balance_in_place,
-    francis_qr,
-    hessenberg_in_place,
-    split_real_2x2_blocks,
-)
-from octoeig.linalg import _EPS, _MAX_SWEEPS_PER_N, _fro, real_schur, schur_eigensystem
+from octoeig.linalg import _hessenberg_stage, _qr_stage, real_schur, schur_eigensystem
 
 
 def best_time(fn, repeats):
@@ -43,23 +39,10 @@ def best_time(fn, repeats):
     return min(times), result
 
 
-def hessenberg_stage(A):
-    """Balancing plus Hessenberg reduction of a fresh copy of A.  Returns
-    the Hessenberg form, its Q and the balanced Frobenius norm, as the
-    solver hands them to francis_qr."""
-    H = A.copy()
-    Q = np.eye(len(A))
-    balance_in_place(H, np.ones(len(A)))
-    fro = _fro(H)
-    hessenberg_in_place(H, Q)
-    return H, Q, fro
-
-
-def qr_stage(H, Q, fro):
-    """Francis QR plus the 2x2 split on fresh copies of H and Q."""
-    T, Q = H.copy(), Q.copy()
-    francis_qr(T, Q, _EPS, fro, _MAX_SWEEPS_PER_N)
-    split_real_2x2_blocks(T, Q)
+def qr_stage(H, Q, scale, fro):
+    """The solver's second stage on fresh copies of its first stage's H
+    and Q; raises ConvergenceError where the solver would."""
+    _qr_stage(H.copy(), Q.copy(), fro)
 
 
 def coupled_check(rng, n):
@@ -92,7 +75,7 @@ def main() -> int:
     worst = 0.0
     for n in sizes:
         A = rng.uniform(-1.0, 1.0, (n, n))
-        hess_s, hess = best_time(lambda: hessenberg_stage(A), args.repeats)
+        hess_s, hess = best_time(lambda: _hessenberg_stage(A, balance=True), args.repeats)
         qr_s, _ = best_time(lambda: qr_stage(*hess), args.repeats)
         schur_s, (Q, T) = best_time(lambda: real_schur(A), args.repeats)
         eig_s, _ = best_time(lambda: schur_eigensystem(A), args.repeats)

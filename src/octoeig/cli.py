@@ -1,15 +1,19 @@
 """Command-line interface.
 
 Subcommands: mul, translate, decompose, eig, verify, enumerate,
-hermiticity, dirac, paper-suite.  Output is text by default or JSON
-with ``--format json``; all runs are deterministic for a given input
-(``dirac`` draws its random momenta from the fixed seed 1729).  Text
-output prints residuals as ``.2e``; JSON prints them in full.  Input
-files may be ``-`` for stdin.
+hermiticity, dirac, paper-suite.  Each command returns its result, the
+lines that render it as text and its exit status; ``main`` alone reads
+``--format`` and prints either the lines (the default) or the result
+as JSON.  All runs are deterministic for a given input (``dirac`` draws
+its random momenta from the fixed seed 1729).  Text output prints
+residuals as ``.2e``; JSON prints them in full.  Input files may be
+``-`` for stdin.
 
 Exit status: 0 on success, 1 when a verification or solver check
-fails, 2 on parse/IO errors and bad input, a JSON integer beyond the
-float64 range included.
+fails, 2 on parse/IO errors, bad input (a JSON integer beyond the
+float64 range included) and usage errors (``translate`` with both a
+word and ``--matrix`` or with neither, ``verify`` without a matrix or
+a claim), whose message goes to stderr.
 """
 
 from __future__ import annotations
@@ -67,11 +71,13 @@ def _load_json(path: str):
     return json.loads(_read_text(path), parse_int=_json_int)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+class _UsageError(Exception):
+    """A command line the parser accepts but the command cannot run;
+    ``main`` prints the message to stderr and exits 2."""
 
 
-def _fmt_matrix(M: np.ndarray) -> str:
+def _fmt_matrix(M: np.ndarray):
+    """The text rows of a translation, one line each (lazily)."""
     is_complex = np.iscomplexobj(M)
     if is_complex:
         integer = bool(
@@ -79,7 +85,6 @@ def _fmt_matrix(M: np.ndarray) -> str:
         )
     else:
         integer = bool(np.all(M == np.round(M)))
-    lines = []
     for row in M:
         cells = []
         for x in row:
@@ -90,23 +95,21 @@ def _fmt_matrix(M: np.ndarray) -> str:
                     cells.append(f"{x.real:9.4f}{x.imag:+9.4f}i")
             else:
                 cells.append(f"{int(x):3d}" if integer else f"{x:9.4f}")
-        lines.append(" ".join(cells))
-    return "\n".join(lines)
+        yield " ".join(cells)
 
 
 def _matrix_json(M: np.ndarray):
     if np.iscomplexobj(M):
-        return {
-            "re": [[float(x) for x in row] for row in M.real],
-            "im": [[float(x) for x in row] for row in M.imag],
-        }
-    return [[float(x) for x in row] for row in M]
+        return {"re": M.real.tolist(), "im": M.imag.tolist()}
+    return M.tolist()
 
 
 # -- subcommands --------------------------------------------------------------
+# Each returns (result, lines, code): the JSON-ready result, the lines
+# that text output prints (any iterable of str), and the exit status.
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args):
     x = parse_complex_octonion(args.lhs)
     y = parse_complex_octonion(args.rhs)
     prod = x * y
@@ -114,27 +117,20 @@ def _cmd_mul(args) -> int:
         text = format_octonion(prod.re)
     else:
         text = format_complex_octonion(prod)
-    if args.format == "json":
-        _emit_json({"product": text})
-    else:
-        print(text)
-    return 0
+    return {"product": text}, [text], 0
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args):
+    if args.word is not None and args.matrix is not None:
+        raise _UsageError("translate: give an operator word or --matrix FILE, not both")
     if args.matrix is not None:
         M = OperatorMatrix.from_json(_load_json(args.matrix))
         mat = M.to_complex_matrix() if M.complexified else M.to_real_matrix()
-    else:
-        if args.word is None:
-            print("translate: give an operator word or --matrix FILE", file=sys.stderr)
-            return 2
+    elif args.word is not None:
         mat = parse_word(args.word).to_matrix()
-    if args.format == "json":
-        _emit_json({"matrix": _matrix_json(mat)})
     else:
-        print(_fmt_matrix(mat))
-    return 0
+        raise _UsageError("translate: give an operator word or --matrix FILE")
+    return {"matrix": _matrix_json(mat)}, _fmt_matrix(mat), 0
 
 
 def _json_kind(x) -> str:
@@ -143,7 +139,7 @@ def _json_kind(x) -> str:
         type(x), "null")
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     data = np.asarray(_load_json(args.input), dtype=object)
     if data.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {data.shape}")
@@ -152,34 +148,26 @@ def _cmd_decompose(args) -> int:
             raise ValueError(f"the matrix must hold numbers, not {_json_kind(x)}")
     g = matrix_to_generalized(data.astype(np.float64))
     parts = [format_octonion(p) for p in g.parts]
-    if args.format == "json":
-        _emit_json({"parts": parts})
-    else:
-        for k, p in enumerate(parts):
-            print(f"o{k}: {p}")
-    return 0
+    return {"parts": parts}, [f"o{k}: {p}" for k, p in enumerate(parts)], 0
 
 
-def _cmd_eig(args) -> int:
+def _eig_lines(method: str, report: dict):
+    yield f"method: {method}"
+    for c in report["clusters"]:
+        yield f"cluster a={c['a']:.9g} b={c['b']:.9g} multiplicity={c['multiplicity']}"
+        for k, s in enumerate(c["solutions"]):
+            yield f"  solution {k}: residual {s['residual']:.2e}"
+            yield "    xi : " + " | ".join(s["xi"])
+            yield "    eta: " + " | ".join(s["eta"])
+
+
+def _cmd_eig(args):
     M = OperatorMatrix.from_json(_load_json(args.input))
     method = args.method
     if method == "auto":
         method = "complexified" if M.complexified else "coupled"
     report = eig_report(M, method=method)
-    if args.format == "json":
-        _emit_json(report)
-        return 0
-    print(f"method: {method}")
-    for c in report["clusters"]:
-        print(
-            f"cluster a={c['a']:.9g} b={c['b']:.9g} "
-            f"multiplicity={c['multiplicity']}"
-        )
-        for k, s in enumerate(c["solutions"]):
-            print(f"  solution {k}: residual {s['residual']:.2e}")
-            print("    xi : " + " | ".join(s["xi"]))
-            print("    eta: " + " | ".join(s["eta"]))
-    return 0
+    return report, _eig_lines(method, report), 0
 
 
 def _claim(data: dict, kind: str, n: int, vectors: tuple,
@@ -212,47 +200,40 @@ def _claim(data: dict, kind: str, n: int, vectors: tuple,
     return spec
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     data = _load_json(args.input)
     if not isinstance(data, dict) or "matrix" not in data:
-        print("verify: input must be {'matrix': ..., 'coupled'|'right': ...}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("verify: input must be {'matrix': ..., 'coupled'|'right': ...}")
     M = OperatorMatrix.from_json(data["matrix"])
     if "coupled" in data:
         spec = _claim(data, "coupled", M.n, ("xi", "eta"), numbers=("a", "b"))
         xi = tuple(parse_octonion(s) for s in spec["xi"])
         eta = tuple(parse_octonion(s) for s in spec["eta"])
         res = verify_coupled(M, spec["a"], spec["b"], xi, eta)
-        ok = res <= SOLVER_TOL
-        out = {"kind": "coupled", "residual": res, "ok": ok}
+        out = {"kind": "coupled", "residual": res, "ok": res <= SOLVER_TOL}
     elif "right" in data:
         spec = _claim(data, "right", M.n, ("psi",), literals=("lambda",))
         psi = tuple(parse_octonion(s) for s in spec["psi"])
         lam = parse_octonion(spec["lambda"])
         check = verify_right_eigen(M, RightEigenClaim(psi, lam))
-        ok = check.ok
         out = {
             "kind": "right",
             "residual": check.residual,
-            "ok": ok,
+            "ok": check.ok,
             "zero_vector": check.zero_vector,
         }
     else:
-        print("verify: need a 'coupled' or 'right' claim", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        _emit_json(out)
-    else:
-        print(f"{out['kind']}: residual {out['residual']:.2e} -> {'OK' if ok else 'FAIL'}")
-        if out.get("zero_vector"):
-            print("note: zero vector verifies vacuously")
-    return 0 if ok else 1
+        raise _UsageError("verify: need a 'coupled' or 'right' claim")
+    ok = out["ok"]
+    lines = [f"{out['kind']}: residual {out['residual']:.2e} -> {'OK' if ok else 'FAIL'}"]
+    if out.get("zero_vector"):
+        lines.append("note: zero vector verifies vacuously")
+    return out, lines, 0 if ok else 1
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     M = OperatorMatrix.from_json(_load_json(args.input))
-    psi_a = parse_octonion(args.psi_a) if args.psi_a else None
+    psi_a = parse_octonion(args.psi_a) if args.psi_a is not None else None
     claims = enumerate_basis_right_eigs(M, psi_a=psi_a)
     items = [
         {
@@ -261,16 +242,12 @@ def _cmd_enumerate(args) -> int:
         }
         for c in claims
     ]
-    if args.format == "json":
-        _emit_json({"count": len(items), "solutions": items})
-    else:
-        for it in items:
-            print("{ " + ", ".join(it["psi"]) + " ; " + it["lambda"] + " }")
-        print(f"total: {len(items)}")
-    return 0
+    lines = ["{ " + ", ".join(it["psi"]) + " ; " + it["lambda"] + " }" for it in items]
+    lines.append(f"total: {len(items)}")
+    return {"count": len(items), "solutions": items}, lines, 0
 
 
-def _cmd_hermiticity(args) -> int:
+def _cmd_hermiticity(args):
     M = OperatorMatrix.from_json(_load_json(args.input))
     kind = herm_mod.FULL if args.kind == "full" else herm_mod.COMPLEX_PROJECTED
     report = herm_mod.classify(M, kind)
@@ -279,69 +256,48 @@ def _cmd_hermiticity(args) -> int:
         "kind": report.kind,
         "classification": report.classification,
     }
+    lines = [f"product: {report.kind}", f"classification: {report.classification}"]
     if report.witness is not None:
         psi, phi, left, right = report.witness
-        out["witness"] = {
+        w = out["witness"] = {
             "psi": [format_octonion(p) for p in psi],
             "phi": [format_octonion(p) for p in phi],
             "left": format_octonion(left),
             "right": format_octonion(right),
         }
+        lines.append(f"witness psi: ({', '.join(w['psi'])})  phi: ({', '.join(w['phi'])})")
+        lines.append(f"  <psi, O phi> = {w['left']}    <O psi, phi> = {w['right']}")
     if args.survey:
-        out["unit_survey"] = {
+        survey = out["unit_survey"] = {
             f"e{m}": cls for m, cls in herm_mod.survey_imaginary_units(kind).items()
         }
-    if args.format == "json":
-        _emit_json(out)
-    else:
-        print(f"product: {out['kind']}")
-        print(f"classification: {out['classification']}")
-        if "witness" in out:
-            w = out["witness"]
-            print(f"witness psi: ({', '.join(w['psi'])})  phi: ({', '.join(w['phi'])})")
-            print(f"  <psi, O phi> = {w['left']}    <O psi, phi> = {w['right']}")
-        if "unit_survey" in out:
-            for unit, cls in out["unit_survey"].items():
-                print(f"  {unit}: {cls}")
-    return 0
+        lines += [f"  {unit}: {cls}" for unit, cls in survey.items()]
+    return out, lines, 0
 
 
-def _cmd_dirac(args) -> int:
+def _cmd_dirac(args):
     rows, worst = dirac_mod.dirac_checks(DEFAULT_SEED)
     ok = all(flag for _, flag in rows)
-    if args.format == "json":
-        _emit_json(
-            {
-                "checks": {name: bool(flag) for name, flag in rows},
-                "dispersion_max_error": worst,
-                "ok": ok,
-            }
-        )
-    else:
-        for name, flag in rows:
-            print(f"{'PASS' if flag else 'FAIL'}  {name}")
-        print(f"dispersion max error: {worst:.2e}")
-    return 0 if ok else 1
+    out = {
+        "checks": {name: bool(flag) for name, flag in rows},
+        "dispersion_max_error": worst,
+        "ok": ok,
+    }
+    lines = [f"{'PASS' if flag else 'FAIL'}  {name}" for name, flag in rows]
+    lines.append(f"dispersion max error: {worst:.2e}")
+    return out, lines, 0 if ok else 1
 
 
-def _cmd_paper_suite(args) -> int:
+def _cmd_paper_suite(args):
     results = run_suite()
     ok_all = all(ok for _, ok, _ in results)
-    if args.format == "json":
-        _emit_json(
-            {
-                "checks": [
-                    {"name": name, "ok": ok, "detail": detail}
-                    for name, ok, detail in results
-                ],
-                "ok": ok_all,
-            }
-        )
-    else:
-        for name, ok, detail in results:
-            print(f"{'PASS' if ok else 'FAIL'}  {name:32s} {detail}")
-        print(f"{sum(1 for _, ok, _ in results if ok)}/{len(results)} checks passed")
-    return 0 if ok_all else 1
+    out = {
+        "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results],
+        "ok": ok_all,
+    }
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name:32s} {detail}" for name, ok, detail in results]
+    lines.append(f"{sum(1 for _, ok, _ in results if ok)}/{len(results)} checks passed")
+    return out, lines, 0 if ok_all else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +367,12 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        result, lines, code = args.func(args)
+        print(json.dumps(result, indent=2) if args.format == "json" else "\n".join(lines))
+        return code
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (OctonionParseError, OperatorMatrixFormatError) as exc:
         print(f"octoeig: parse error: {exc}", file=sys.stderr)
         return 2

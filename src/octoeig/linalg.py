@@ -127,6 +127,51 @@ def _fro(A) -> float:
     return float(np.sqrt((np.abs(np.asarray(A)) ** 2).sum()))
 
 
+def _hessenberg_stage(A, balance: bool):
+    """The first stage of _schur: balancing, when asked, then Hessenberg
+    reduction of a copy of a real square matrix.
+
+    Returns (H, Q, scale, fro): H upper Hessenberg and Q orthogonal with
+    D^-1 A D = Q H Q^T, scale the diagonal of the balancing D (all ones
+    without balancing), and fro the Frobenius norm of D^-1 A D, which
+    francis_qr measures its deflations against.  Refuses a balancing
+    that overflows.
+    """
+    A = _check_square(A)
+    if np.iscomplexobj(A):
+        raise ValueError("expected a real matrix; use complex_eigen for complex input")
+    n = A.shape[0]
+    H = np.ascontiguousarray(A, dtype=np.float64).copy()
+    Q = np.eye(n)
+    scale = np.ones(n)
+    if balance:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            balance_in_place(H, scale)
+        # balancing scales whole rows, diagonal included, so an entry
+        # spread such as [[1e154, 1e-160], [1e150, 1]] can overflow
+        if not np.isfinite(H).all():
+            raise ValueError("balancing overflowed: the entries span too wide a range")
+    fro = _fro(H)
+    hessenberg_in_place(H, Q)
+    return H, Q, scale, fro
+
+
+def _qr_stage(H, Q, fro: float):
+    """The second stage of _schur: Francis QR plus the 2x2 split, in
+    place, turning H into T and accumulating into Q.  Returns T's
+    diagonal blocks as split_real_2x2_blocks reads them; raises
+    ConvergenceError when QR runs out of sweeps."""
+    code, lo, hi = francis_qr(H, Q, _EPS, fro, _MAX_SWEEPS_PER_N)
+    if code != 0:
+        raise ConvergenceError(
+            f"QR iteration did not converge on rows {lo}..{hi} "
+            f"after {_MAX_SWEEPS_PER_N * H.shape[0]} sweeps",
+            lo,
+            hi,
+        )
+    return split_real_2x2_blocks(H, Q)
+
+
 def _schur(A, balance: bool):
     """Hessenberg reduction plus Francis QR of a real square matrix.
 
@@ -137,32 +182,8 @@ def _schur(A, balance: bool):
     size, values), read as split_real_2x2_blocks sorts them; complex
     pairs are exact mirrors.
     """
-    A = _check_square(A)
-    if np.iscomplexobj(A):
-        raise ValueError("expected a real matrix; use complex_eigen for complex input")
-    n = A.shape[0]
-    T = np.ascontiguousarray(A, dtype=np.float64).copy()
-    Q = np.eye(n)
-    scale = np.ones(n)
-    if balance:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            balance_in_place(T, scale)
-        # balancing scales whole rows, diagonal included, so an entry
-        # spread such as [[1e154, 1e-160], [1e150, 1]] can overflow
-        if not np.isfinite(T).all():
-            raise ValueError("balancing overflowed: the entries span too wide a range")
-    fro = _fro(T)
-    hessenberg_in_place(T, Q)
-    code, lo, hi = francis_qr(T, Q, _EPS, fro, _MAX_SWEEPS_PER_N)
-    if code != 0:
-        raise ConvergenceError(
-            f"QR iteration did not converge on rows {lo}..{hi} "
-            f"after {_MAX_SWEEPS_PER_N * n} sweeps",
-            lo,
-            hi,
-        )
-    blocks = split_real_2x2_blocks(T, Q)
-    return Q, T, scale, blocks
+    T, Q, scale, fro = _hessenberg_stage(A, balance)
+    return Q, T, scale, _qr_stage(T, Q, fro)
 
 
 def real_schur(A):

@@ -25,9 +25,11 @@ exact on integer data; the exact verifications rely on that.
 
 A square matrix of operators translates to an 8n x 8n real matrix (or
 complex, when each entry also carries an i-part), which the
-eigensolvers consume.  The translation is M applied to the coefficient
-basis through that same plan, so block (i, j) equals entry (i, j)'s
-``GeneralizedOperator.to_matrix`` to the bit.
+eigensolvers consume.  The translation is each entry applied to the
+coefficient basis through that same plan and the same per-entry stage
+(row b of a part's product matrix is the part times e_b), so block
+(i, j) equals entry (i, j)'s ``GeneralizedOperator.to_matrix`` to the
+bit.
 
 Operator words use the text grammar ``L<k>``/``R<k>`` separated by
 whitespace, leftmost factor applied last, e.g. ``L4 R5 R1 L6``.
@@ -408,13 +410,25 @@ class OperatorMatrix:
             )
         return self._terms
 
+    def _entry_values(self, prod):
+        """Each entry's value from its parts' products, prod of shape
+        (b, terms, ..., 8) in plan order: the gather x -> x e_m, then the
+        parts summed in m order.  Returns shape (b, grids, n, n, 8)."""
+        _, _, take, sign, put = self._plan()
+        b, n = len(prod), self.n
+        parts = np.zeros((b, (2 if self.complexified else 1) * n * n * 64))
+        parts[:, put] = prod.reshape(b, -1)[:, take] * sign
+        # cumsum adds strictly left to right (add.accumulate has no
+        # pairwise path), and a missing part adds an exact 0
+        return parts.reshape(b, -1, n, n, 8, 8).cumsum(axis=4)[..., -1, :]
+
     def _evaluate(self, re, im=None):
         """M Psi on coefficient arrays of shape (..., n, 8), bit for bit
         the entry-by-entry octonion arithmetic: (M Psi)_i = sum_j M_ij(Psi_j)
         summed in j order, M_ij(x) = o_0 x + sum_m (o_m x) e_m in m order.
         With im, Psi = re + i im and the pair (re, im) of M Psi comes back.
         Raises ValueError where that arithmetic leaves the finite range."""
-        mats, src, take, sign, put = self._plan()
+        mats, src = self._plan()[:2]
         n, grids = self.n, 2 if self.complexified else 1
         vecs = re if im is None else np.stack((re, im))
         b = vecs.size // (8 * n)
@@ -422,12 +436,7 @@ class OperatorMatrix:
             # One (1, 8) @ (8, 8) product per term and vector, which numpy
             # hands to the same gemv as Octonion.__mul__'s x @ P.  A 2-D
             # gemm or einsum would sum the 8 terms in another order.
-            prod = vecs.reshape(b, n, 8)[:, src, None, :] @ mats
-            parts = np.zeros((b, grids * n * n * 64))
-            parts[:, put] = prod.reshape(b, -1)[:, take] * sign
-            # cumsum adds strictly left to right (add.accumulate has no
-            # pairwise path), and a missing part adds an exact 0
-            ent = parts.reshape(b, grids, n, n, 8, 8).cumsum(axis=4)[..., -1, :]
+            ent = self._entry_values(vecs.reshape(b, n, 8)[:, src, None, :] @ mats)
             if grids == 2:
                 # i M_im(x + iy) = -M_im(y) + i M_im(x), exactly
                 halves = ent.reshape(2, -1, 2, n, n, 8)
@@ -463,19 +472,20 @@ class OperatorMatrix:
     # -- translation --------------------------------------------------------
 
     def _translation(self):
-        """[re] or [re, im]: M on the coefficient basis (Psi = (I, 0) if
-        complexified) as C-ordered 8n x 8n arrays, column 8t + b being
-        M(e_b at slot t).  Each evaluation takes as many basis vectors as
-        keep its scratch arrays (grids * 64 n^2 floats per vector) near
-        4096 floats, so a translation needs no more memory than a solve."""
-        n8 = 8 * self.n
-        basis = np.eye(n8).reshape(n8, self.n, 8)
-        step = max(1, 4096 // ((2 if self.complexified else 1) * 64 * self.n**2))
-        outs = [
-            self._evaluate(x, np.zeros_like(x)) if self.complexified else (self._evaluate(x),)
-            for x in (basis[s:s + step] for s in range(0, n8, step))
-        ]
-        return [np.ascontiguousarray(np.concatenate(c).reshape(n8, n8).T) for c in zip(*outs)]
+        """[re] or [re, im]: each grid's entries on the coefficient basis as
+        C-ordered 8n x 8n arrays, block (i, j) column b being M_ij(e_b).
+        Row b of a part's product matrix is part * e_b, so each part's
+        product with e_b is read, not formed, and every entry sees only
+        its own column's basis vectors."""
+        mats = self._plan()[0]
+        n, grids = self.n, 2 if self.complexified else 1
+        out = np.empty((grids, n, 8, n, 8))  # (grid, i, row c, j, column b)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for b in range(8):
+                out[..., b] = self._entry_values(mats[None, :, b])[0].transpose(0, 1, 3, 2)
+        if not np.isfinite(out).all():
+            raise ValueError("octonion coefficients must be finite")
+        return list(out.reshape(grids, 8 * n, 8 * n))
 
     def to_real_matrix(self) -> np.ndarray:
         """The 8n x 8n real translation, with vec(M Psi) = A vec(Psi)."""

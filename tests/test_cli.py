@@ -275,6 +275,28 @@ class TestArbitraryJson:
                     assert main(argv) in (0, 1, 2)
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,doc,message",
+        [
+            (["translate"], None, "translate: give an operator word or --matrix FILE"),
+            (["verify"], {"n": 1, "entries": ["1"]},
+             "verify: input must be {'matrix': ..., 'coupled'|'right': ...}"),
+            (["verify"], {"matrix": {"n": 1, "entries": ["1"]}},
+             "verify: need a 'coupled' or 'right' claim"),
+        ],
+        ids=["translate-no-input", "verify-no-matrix", "verify-no-claim"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_message_on_stderr_exit_2(self, capsys, tmp_path, argv, doc, message, fmt):
+        if doc is not None:
+            argv = argv + [write_json(tmp_path, "in.json", doc)]
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
+
+
 class TestMul:
     def test_basic(self, capsys):
         code, out, _ = run_cli(capsys, "mul", "e1", "e2")
@@ -323,6 +345,13 @@ class TestTranslate:
     def test_bad_word(self, capsys):
         code, _, err = run_cli(capsys, "translate", "L9")
         assert code == 2
+
+    def test_word_and_matrix_exit_2(self, capsys, matrix_file):
+        # the word used to be dropped without a message
+        code, out, err = run_cli(capsys, "translate", "L2", "--matrix", matrix_file)
+        assert code == 2
+        assert out == ""
+        assert err == "translate: give an operator word or --matrix FILE, not both\n"
 
     def test_overflowing_entry_exit_2(self, capsys, tmp_path):
         # L(1e308 e1) + R1 L(1e308) sends 1 to 2e308 e1: bad input, where
@@ -565,6 +594,14 @@ class TestEnumerate:
             claim_path = write_json(tmp_path, "c.json", {"matrix": matrix, "right": claim})
             assert run_cli(capsys, "verify", claim_path)[0] == 0
         assert len(solutions) == count
+
+    def test_empty_psi_a_exit_2(self, capsys, matrix_file):
+        # an empty literal is a parse error, as " " is; it used to run
+        # the unpinned scan
+        code, out, err = run_cli(capsys, "enumerate", matrix_file, "--psi-a", "")
+        assert code == 2
+        assert out == ""
+        assert err == "octoeig: parse error: empty octonion literal (at position 0)\n"
 
     def test_zero_psi_a_exit_2(self, capsys, tmp_path):
         # bad input (exit 2), not a ZeroDivisionError traceback (exit 1)

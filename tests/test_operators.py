@@ -379,6 +379,17 @@ def evaluator_cases(draw):
     return M, values((batch, 2, n, 8)), values(3), values(8)
 
 
+def assert_translation_is_the_blocks(M):
+    """The translation is M on the coefficient basis: to the bit, signed
+    zeros included, the blocks of the entries' 8x8 matrices."""
+    blocks = np.block([[g.to_matrix() for g in row] for row in M.entries])
+    if M.complexified:
+        blocks = blocks + 1j * np.block([[g.to_matrix() for g in row] for row in M.entries_im])
+    else:
+        assert M.to_real_matrix().tobytes() == blocks.tobytes()
+    assert M.to_complex_matrix().tobytes() == blocks.astype(np.complex128).tobytes()
+
+
 def octs(rows):
     return [Octonion(r) for r in rows]
 
@@ -398,16 +409,9 @@ class TestEvaluator:
             [ComplexOctonion(Octonion(x), Octonion(y)) for x, y in zip(*pair)]
             for pair in vecs
         ]
-        # the translation is M on the coefficient basis: to the bit, signed
-        # zeros included, the blocks of the entries' 8x8 matrices
-        blocks = np.block([[g.to_matrix() for g in row] for row in M.entries])
-        if M.complexified:
-            blocks = blocks + 1j * np.block([[g.to_matrix() for g in row] for row in M.entries_im])
-        else:
-            A = M.to_real_matrix()
-            assert A.tobytes() == blocks.tobytes()
+        assert_translation_is_the_blocks(M)
+        A = None if M.complexified else M.to_real_matrix()
         C = M.to_complex_matrix()
-        assert C.tobytes() == blocks.astype(np.complex128).tobytes()
         exact = M.is_integer_valued() and np.array_equal(vecs, np.round(vecs))
         re, im = M._evaluate(vecs[:, 0], vecs[:, 1])
         for k, phi in enumerate(phis):
@@ -439,6 +443,27 @@ class TestEvaluator:
             claim = RightEigenClaim(tuple(xi), Octonion(lam))
             want = object_verify_right(M, xi, Octonion(lam))
             assert verify_right_eigen(M, claim).residual == want
+
+    @pytest.mark.parametrize("complexified", [False, True])
+    @pytest.mark.parametrize("kind", ["dense", "signed-unit"])
+    def test_translation_at_n8(self, kind, complexified):
+        # the size eig-coupled serves: dense generalized entries, or each
+        # entry one signed unit acting from the left or through some R_m
+        rng = np.random.default_rng(8)
+
+        def entry():
+            if kind == "dense":
+                return GeneralizedOperator([Octonion(rng.standard_normal(8)) for _ in range(8)])
+            unit = np.zeros(8)
+            unit[rng.integers(8)] = rng.choice([-1.0, 1.0])
+            parts = [Octonion.zero()] * 8
+            parts[rng.integers(8)] = Octonion(unit)
+            return GeneralizedOperator(parts)
+
+        def grid():
+            return [[entry() for _ in range(8)] for _ in range(8)]
+
+        assert_translation_is_the_blocks(OperatorMatrix(grid(), grid() if complexified else None))
 
     def test_integer_worked_examples_verify_exactly(self):
         e4 = OperatorMatrix([[E(4)]])
