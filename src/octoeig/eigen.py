@@ -121,19 +121,11 @@ class RightEigenCheck:
 
 def _chunk_real(vec: np.ndarray) -> tuple:
     """8n real coefficients -> n octonions (consecutive blocks of 8)."""
-    n = len(vec) // 8
-    return tuple(Octonion(vec[8 * j : 8 * j + 8]) for j in range(n))
+    return tuple(Octonion(c) for c in vec.reshape(-1, 8))
 
 
 def _chunk_complex(vec: np.ndarray) -> tuple:
-    n = len(vec) // 8
-    return tuple(
-        ComplexOctonion(
-            Octonion(vec[8 * j : 8 * j + 8].real),
-            Octonion(vec[8 * j : 8 * j + 8].imag),
-        )
-        for j in range(n)
-    )
+    return tuple(ComplexOctonion(c.real, c.imag) for c in vec.reshape(-1, 8))
 
 
 def _coeffs(vec) -> np.ndarray:
@@ -198,6 +190,8 @@ def _coupled_vectors(M: OperatorMatrix) -> list[tuple]:
         a, b = z.real, z.imag
         xi = _chunk_real(np.real(v))
         if b == 0.0:
+            # v is complex when a real block's vector was orthogonalized
+            # against a complex pair of its cluster; Im v is dropped here
             eta = tuple(Octonion.zero() for _ in range(M.n))
         else:
             eta = _chunk_real(np.imag(v))

@@ -422,37 +422,27 @@ def complex_eigen(A):
     A = _check_square(A)
     m = A.shape[0]
     Ac = np.ascontiguousarray(A, dtype=np.complex128)
-    X = Ac.real.copy()
-    Y = Ac.imag.copy()
-    R = np.block([[X, -Y], [Y, X]])
+    R = np.block([[Ac.real, -Ac.imag], [Ac.imag, Ac.real]])
     _, records = schur_eigensystem(R)
     froA = _fro(Ac)
     gap = cluster_gap(R)
 
     pairs = []
-    clusters = cluster_values([z for (z, _, _) in records], gap)
-    for rep, idxs in clusters:
-        group = [records[i] for i in idxs]
-        k = len(group)
+    for rep, idxs in cluster_values([z for (z, _, _) in records], gap):
+        ws = [records[i][1] for i in idxs]
+        k = len(ws)
         if rep.imag > gap:
-            u_plus = [0.5 * (w[:m] + 1j * w[m:]) for (_, w, _) in group]
-            u_minus = [0.5 * (w[:m] - 1j * w[m:]) for (_, w, _) in group]
-            plus_basis = _mgs_basis(u_plus)[:k]
-            for u in plus_basis:
-                u = _fix_phase(u)
-                pairs.append(EigenPair(rep, u, _residual(Ac, u, rep, froA)))
-            minus_basis = _mgs_basis(u_minus)[: k - len(plus_basis)]
-            for u in minus_basis:
-                u, z = _fix_phase(np.conj(u)), rep.conjugate()
-                pairs.append(EigenPair(z, u, _residual(Ac, u, z, froA)))
+            plus = _mgs_basis([0.5 * (w[:m] + 1j * w[m:]) for w in ws])[:k]
+            minus = _mgs_basis([0.5 * (w[:m] - 1j * w[m:]) for w in ws])[: k - len(plus)]
+            found = [(rep, u) for u in plus] + [(rep.conjugate(), np.conj(u)) for u in minus]
         else:
             # real eigenvalue of the doubled problem: multiplicity is even
             # and the embedded vectors span the eigenspace of A twice over
-            emb = [w[:m].astype(np.complex128) + 1j * w[m:] for (_, w, _) in group]
-            basis = _mgs_basis(emb)[: max(1, k // 2)]
-            for u in basis:
-                u = _fix_phase(u)
-                pairs.append(EigenPair(rep, u, _residual(Ac, u, rep, froA)))
+            emb = [w[:m].astype(np.complex128) + 1j * w[m:] for w in ws]
+            found = [(rep, u) for u in _mgs_basis(emb)[: max(1, k // 2)]]
+        for z, u in found:
+            u = _fix_phase(u)
+            pairs.append(EigenPair(z, u, _residual(Ac, u, z, froA)))
     pairs = [p for p in pairs if p.residual <= SOLVER_TOL]
     pairs.sort(key=lambda p: (p.value.real, -p.value.imag))
     return pairs

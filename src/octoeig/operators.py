@@ -270,17 +270,13 @@ def matrix_to_generalized(A) -> GeneralizedOperator:
     coeffs = lu_solve(flat, A.reshape(64))
     if np.all(A == np.round(A)):
         coeffs = np.round(coeffs * 12.0) / 12.0
-    parts = []
-    o0 = np.zeros(8)
-    o0[0] = coeffs[0]
-    o0[1:] = coeffs[1:8]
-    parts.append(Octonion(o0))
-    for n in range(1, 8):
-        on = np.zeros(8)
-        on[0] = coeffs[8 + n - 1]
-        on[1:] = coeffs[15 + (n - 1) * 7 : 15 + n * 7]
-        parts.append(Octonion(on))
-    return GeneralizedOperator(parts)
+    # o_0 holds the coefficients of 1 and L_m, o_n[0] that of R_n and
+    # o_n[m] that of R_n L_m
+    parts = np.zeros((8, 8))
+    parts[0] = coeffs[:8]
+    parts[1:, 0] = coeffs[8:15]
+    parts[1:, 1:] = coeffs[15:].reshape(7, 7)
+    return GeneralizedOperator(Octonion(o) for o in parts)
 
 
 def basis_rank(matrices=None) -> int:
@@ -364,7 +360,7 @@ class OperatorMatrix:
                     new_row.append(e)
                 elif isinstance(e, Octonion):
                     new_row.append(GeneralizedOperator.left(e))
-                elif isinstance(e, (int, float)):
+                elif _is_number(e):
                     new_row.append(GeneralizedOperator.left(Octonion.from_scalar(e)))
                 elif isinstance(e, str):
                     new_row.append(GeneralizedOperator.left(parse_octonion(e)))

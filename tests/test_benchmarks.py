@@ -44,6 +44,20 @@ def test_perfbench_traced_lab_mix_runs():
     assert result["failed"] == 0
 
 
+def test_perfbench_untraced_lab_mix_runs():
+    # The untraced run is the graded one: it alone makes cold starts and
+    # reports the end-to-end metrics that BENCHMARK.json declares.
+    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "lab-mix",
+            "--seed", "1", "--seconds", "0.5"]
+    run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
 def test_output_digest_is_reproducible(tmp_path):
     # one lab-mix deck served twice, from inputs written to two places,
     # gives the same line for every request

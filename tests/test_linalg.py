@@ -952,11 +952,24 @@ class TestComplexEigen:
         assert pairs[0].residual <= 1e-12
 
     def test_scalar_multiple_of_identity(self):
-        pairs = complex_eigen(1j * np.eye(4))
-        assert [p.value for p in pairs] == [1j] * 4
+        # at -i the whole cluster at +i of R comes from the conjugate basis
+        for z in (1j, -1j):
+            pairs = complex_eigen(z * np.eye(4))
+            assert [p.value for p in pairs] == [z] * 4
+            assert [p.residual for p in pairs] == [0.0] * 4
+            vecs = np.array([p.vector for p in pairs])
+            gram = vecs.conj() @ vecs.T
+            assert np.abs(gram - np.eye(4)).max() <= 1e-8
+
+    def test_conjugate_branch_fills_the_cluster(self):
+        # R = [[X, -Y], [Y, X]] has one cluster at +i of size 3: one vector
+        # from the +z basis and two from the conjugate basis
+        pairs = complex_eigen(np.diag([1j, -1j, -1j, 2.0]))
+        assert [p.value for p in pairs] == [1j, -1j, -1j, 2.0]
+        assert [p.residual for p in pairs] == [0.0] * 4
         vecs = np.array([p.vector for p in pairs])
-        gram = vecs.conj() @ vecs.T
-        assert np.abs(gram - np.eye(4)).max() <= 1e-8
+        assert np.abs(vecs.conj() @ vecs.T - np.eye(4)).max() <= 1e-12
+        assert np.abs(vecs[1:3, [0, 3]]).max() == 0.0
 
     def test_hermitian_spectrum_is_real(self, rng):
         for _ in range(5):

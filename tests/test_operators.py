@@ -296,6 +296,14 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             OperatorMatrix([[E(1), E(2)]])
 
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_booleans_are_bad_entries(self, entry):
+        # bool is an int subclass, but not a JSON number
+        with pytest.raises(TypeError, match="bad operator-matrix entry bool"):
+            OperatorMatrix([[entry]])
+        with pytest.raises(TypeError, match="bad operator-matrix entry bool"):
+            OperatorMatrix([[1]], [[entry]])
+
 
 # -- the entry-by-entry octonion path, kept as the evaluator's oracle --------
 
@@ -463,7 +471,20 @@ class TestEvaluator:
         def grid():
             return [[entry() for _ in range(8)] for _ in range(8)]
 
-        assert_translation_is_the_blocks(OperatorMatrix(grid(), grid() if complexified else None))
+        M = OperatorMatrix(grid(), grid() if complexified else None)
+        assert_translation_is_the_blocks(M)
+        # and the verifiers equal the object path at this size
+        xi, eta = octs(rng.standard_normal((8, 8))), octs(rng.standard_normal((8, 8)))
+        a, b = map(float, rng.standard_normal(2))
+        phi = [ComplexOctonion(x, y) for x, y in zip(xi, eta)]
+        z = complex(a, b)
+        assert verify_complexified(M, z, phi) == object_verify_complexified(M, z, phi)
+        if complexified:
+            return
+        assert verify_coupled(M, a, b, xi, eta) == object_verify_coupled(M, a, b, xi, eta)
+        lam = Octonion(rng.standard_normal(8))
+        want = object_verify_right(M, xi, lam)
+        assert verify_right_eigen(M, RightEigenClaim(tuple(xi), lam)).residual == want
 
     def test_integer_worked_examples_verify_exactly(self):
         e4 = OperatorMatrix([[E(4)]])
