@@ -14,7 +14,10 @@ The ``verify`` column times the exact check of one coupled solution
 (``verify_coupled``) on a seeded dense generalized operator matrix
 with n = size / 8, after one warm-up call, so the verification layer
 shows apart from ``schur`` and ``eigensystem``.
-Each column is the best of ``--repeats`` runs.
+The ``enumerate`` line after the table times the right-eigen
+enumerator's unpinned scan (all 128 basis candidates Psi = (e_j, +-e_k))
+on the suite's hermitian [[1, e1], [-e1, 1]], after one warm-up call.
+Each number is the best of ``--repeats`` runs.
 
 Usage:
     python benchmarks/bench_eigensolver.py [--sizes 16,32,64,128] [--repeats 3]
@@ -26,7 +29,13 @@ import time
 
 import numpy as np
 
-from octoeig import GeneralizedOperator, Octonion, OperatorMatrix, verify_coupled
+from octoeig import (
+    GeneralizedOperator,
+    Octonion,
+    OperatorMatrix,
+    enumerate_basis_right_eigs,
+    verify_coupled,
+)
 from octoeig.linalg import _hessenberg_stage, _qr_stage, real_schur, schur_eigensystem
 
 
@@ -87,6 +96,10 @@ def main() -> int:
         worst = max(worst, float(np.abs(Q @ T @ Q.T - A).max() / max(1.0, froA)))
         print(f"{n:>5} | {hess_s:10.5f} {qr_s:10.5f} | {schur_s:10.5f} {eig_s:12.5f} "
               f"{verify_s:10.5f} | {ref_s:10.5f} {eig_s / ref_s:9.1f}x")
+    M = OperatorMatrix([[1, Octonion.basis(1)], [-Octonion.basis(1), 1]])
+    enumerate_basis_right_eigs(M)  # builds the matrix's evaluation plan
+    enum_s, _ = best_time(lambda: enumerate_basis_right_eigs(M), args.repeats)
+    print(f"enumerate: {enum_s:.5f} s")
     print(f"worst relative Schur residual: {worst:.2e}")
     return 0
 

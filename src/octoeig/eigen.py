@@ -302,13 +302,18 @@ def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None)
     """Brute-force right-eigenvalue solutions of a 2x2 integer matrix
     over basis vectors Psi = (e_j, +-e_k).
 
-    M Psi is evaluated once per candidate: lambda is derived from its
-    first row, psi_a^-1 (M Psi)_0, and the claim is kept only if both
-    rows of the same M Psi verify exactly, by verify_right_eigen's
-    residual.  Psi and -Psi give the same lambda and verify together,
-    so one claim is listed per +-Psi pair: by default the first
-    component runs over e_j for j = 0..7; passing a non-zero psi_a pins
-    it instead.
+    M Psi is evaluated once per candidate, on Psi's coefficient rows:
+    lambda is derived from its first row, psi_a^-1 (M Psi)_0, and the
+    claim is kept only if both rows of the same M Psi equal Psi lambda
+    exactly, entry for entry.  That holds exactly when
+    verify_right_eigen's residual is 0.0, since a finite residual row
+    with a non-zero entry has a positive norm; a residual that left the
+    finite range raises ValueError, as that verifier does.  Both
+    products are Octonion.__mul__'s gemv, so lambda and the residual are
+    bit for bit those of octonion arithmetic.  Psi and -Psi give the
+    same lambda and verify together, so one claim is listed per +-Psi
+    pair: by default the first component runs over e_j for j = 0..7;
+    passing a non-zero psi_a pins it instead.
     """
     if M.n != 2:
         raise ValueError("the basis enumerator handles 2x2 matrices")
@@ -323,13 +328,18 @@ def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None)
     seconds = [s * Octonion.basis(k) for k in range(8) for s in (1.0, -1.0)]
     claims = []
     for pa in firsts:
-        pa_inv = pa.inverse()
+        p_inv = product_matrices(pa.inverse().coeffs)
         for pb in seconds:
-            psi = (pa, pb)
-            m_psi = M.apply(psi)
-            lam = pa_inv * m_psi[0]
-            if _right_residual(_coeffs(m_psi), _coeffs(psi), lam) == 0.0:
-                claims.append(RightEigenClaim(psi, lam))
+            x = np.stack((pa.coeffs, pb.coeffs))
+            m_psi = M._evaluate(x)
+            # a non-finite lambda leaves r non-finite, refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                lam = m_psi[0] @ p_inv
+                r = m_psi - lam @ product_matrices(x)
+            if not np.isfinite(r).all():
+                raise ValueError("octonion coefficients must be finite")
+            if not r.any():
+                claims.append(RightEigenClaim((pa, pb), Octonion(lam)))
     return claims
 
 

@@ -595,6 +595,15 @@ class TestEnumerate:
             assert run_cli(capsys, "verify", claim_path)[0] == 0
         assert len(solutions) == count
 
+    def test_overflowing_lambda_exit_2(self, capsys, tmp_path):
+        # psi_a^-1 = 1e10 times (M Psi)_0 = 1e300 e_k overflows lambda; the
+        # scan refuses it, it does not drop the claim and report none
+        path = write_json(tmp_path, "m.json", {"n": 2, "entries": [0, 1e300, 0, 1]})
+        code, out, err = run_cli(capsys, "enumerate", path, "--psi-a", "0.0000000001")
+        assert code == 2
+        assert out == ""
+        assert err.endswith("octoeig: bad input: octonion coefficients must be finite\n")
+
     def test_empty_psi_a_exit_2(self, capsys, matrix_file):
         # an empty literal is a parse error, as " " is; it used to run
         # the unpinned scan

@@ -298,6 +298,49 @@ TEN_EXPECTED = {
 }
 
 
+def signed_scan(M, psi_a=None):
+    """Oracle for the basis enumerator: scan all 16 signed first
+    components (or the pinned one) by verify_right_eigen, and drop a
+    claim whose sign-flipped twin -Psi (same lambda) is already listed."""
+    firsts = [s * E(j) for j in range(8) for s in (1.0, -1.0)]
+    claims, seen = [], set()
+    for pa in firsts if psi_a is None else [psi_a]:
+        for k in range(8):
+            for s in (1.0, -1.0):
+                psi = (pa, s * E(k))
+                lam = pa.inverse() * M.apply(list(psi))[0]
+                if not verify_right_eigen(M, RightEigenClaim(psi, lam)).ok:
+                    continue
+                lead = next(p.coeffs[p.support()[0]] for p in psi if p.support())
+                canon = psi if lead > 0 else tuple(-p for p in psi)
+                key = tuple(p.coeffs.tobytes() for p in canon + (lam,))
+                if key not in seen:
+                    seen.add(key)
+                    claims.append(RightEigenClaim(psi, lam))
+    return claims
+
+
+def claim_bytes(claims):
+    return [tuple(p.coeffs.tobytes() for p in c.psi + (c.lam,)) for c in claims]
+
+
+def generalized_operator(left, m, part):
+    """o_0 x + (o_m x) e_m with o_0 = left and o_m = part."""
+    parts = [left] + [ZERO] * 7
+    parts[m] = part
+    return GeneralizedOperator(parts)
+
+
+def solution_matrix(psi, lam, right):
+    """The 2x2 integer matrix with second column right for which Psi =
+    (e_j, psi_b) solves M Psi = Psi lambda: its first column is
+    (Psi_i lambda - M_i2(psi_b)) e_j^dagger, exact by alternativity."""
+    left = [(psi[i] * lam - right[i].apply(psi[1])) * psi[0].conj() for i in range(2)]
+    M = OperatorMatrix([[left[0], right[0]], [left[1], right[1]]])
+    assert M.is_integer_valued()
+    return M
+
+
 class TestEnumeration:
     def test_ten_solutions_for_psi_a_e2(self):
         claims = enumerate_basis_right_eigs(m_herm_e1(), psi_a=E(2))
@@ -355,54 +398,25 @@ class TestEnumeration:
             enumerate_basis_right_eigs(m_herm_e1(), psi_a=ZERO)
 
     def test_matches_signed_scan_with_sign_dedup(self):
-        # oracle: scan all 16 signed first components and drop a claim
-        # whose sign-flipped twin -Psi (same lambda) is already listed
-        def signed_scan(M, psi_a=None):
-            firsts = [s * E(j) for j in range(8) for s in (1.0, -1.0)]
-            claims, seen = [], set()
-            for pa in firsts if psi_a is None else [psi_a]:
-                for k in range(8):
-                    for s in (1.0, -1.0):
-                        psi = (pa, s * E(k))
-                        lam = pa.inverse() * M.apply(list(psi))[0]
-                        if not verify_right_eigen(M, RightEigenClaim(psi, lam)).ok:
-                            continue
-                        lead = next(p.coeffs[p.support()[0]] for p in psi if p.support())
-                        canon = psi if lead > 0 else tuple(-p for p in psi)
-                        key = tuple(p.coeffs.tobytes() for p in canon + (lam,))
-                        if key not in seen:
-                            seen.add(key)
-                            claims.append(RightEigenClaim(psi, lam))
-            return claims
-
-        def as_bytes(claims):
-            return [tuple(p.coeffs.tobytes() for p in c.psi + (c.lam,)) for c in claims]
-
         def unit_or_zero(rng):
             if rng.random() < 0.25:
                 return ZERO
             return float(rng.choice([-1, 1])) * E(int(rng.integers(0, 8)))
 
         def generalized(rng):
-            # o_0 x + (o_m x) e_m: a unit-or-zero left part and one
-            # non-zero integer R-part
-            parts = [unit_or_zero(rng)] + [ZERO] * 7
-            parts[int(rng.integers(1, 8))] = float(rng.choice([-2, -1, 1, 2])) * E(
-                int(rng.integers(0, 8))
-            )
-            return GeneralizedOperator(parts)
+            # a unit-or-zero left part and one non-zero integer R-part
+            left = unit_or_zero(rng)
+            part = float(rng.choice([-2, -1, 1, 2])) * E(int(rng.integers(0, 8)))
+            return generalized_operator(left, int(rng.integers(1, 8)), part)
 
         rng = np.random.default_rng(20261018)
         pins = [E(2), -E(5), -ONE, ONE + E(2), 2 * E(1), 0.5 * E(4)]
         nonempty = {False: 0, True: 0}
         for t in range(16):
-            # M built so that Psi = (e_j, +-e_k) solves M Psi = Psi lambda
-            # for an integer lambda: the first column is (Psi_i lambda -
-            # M_i2(Psi_b)) e_j^dagger, exact by alternativity.  The second
-            # column holds left multiplications in the first 8 trials and
-            # operators with R-parts in the last 8.
+            # the second column holds left multiplications in the first 8
+            # trials and operators with R-parts in the last 8
             j, k, m = (int(x) for x in rng.integers(0, 8, 3))
-            psi = (E(j), float(rng.choice([-1, 1])) * E(k))
+            sign = float(rng.choice([-1, 1]))
             lam = float(rng.integers(-1, 3)) * ONE + float(rng.choice([-1, 1])) * E(m)
             gen = t >= 8
             right = [(generalized if gen else unit_or_zero)(rng) for _ in range(2)]
@@ -410,14 +424,42 @@ class TestEnumeration:
                 assert not any(g.is_left_only() for g in right)
             else:
                 right = [GeneralizedOperator.left(o) for o in right]
-            left = [(psi[i] * lam - right[i].apply(psi[1])) * psi[0].conj() for i in range(2)]
-            M = OperatorMatrix([[left[0], right[0]], [left[1], right[1]]])
-            assert M.is_integer_valued()
+            M = solution_matrix((E(j), sign * E(k)), lam, right)
             for pin in [None, E(j), -E(j)] + pins[t % 3 :: 3]:
-                got = as_bytes(enumerate_basis_right_eigs(M, psi_a=pin))
-                assert got == as_bytes(signed_scan(M, psi_a=pin))
+                got = claim_bytes(enumerate_basis_right_eigs(M, psi_a=pin))
+                assert got == claim_bytes(signed_scan(M, psi_a=pin))
                 nonempty[gen] += bool(got)
         assert nonempty[False] >= 16 and nonempty[True] >= 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(*[st.integers(0, 7)] * 3),
+        st.tuples(*[st.sampled_from([-1.0, 1.0])] * 2),
+        st.integers(-1, 2),
+        st.data(),
+    )
+    def test_matches_signed_scan_property(self, jkm, signs, lam0, data):
+        j, k, m = jkm
+        unit_or_zero = st.one_of(
+            st.just(ZERO),
+            st.builds(lambda s, u: s * E(u), st.sampled_from([-1.0, 1.0]), st.integers(0, 7)),
+        )
+        left_only = unit_or_zero.map(GeneralizedOperator.left)
+        generalized = st.builds(
+            generalized_operator,
+            unit_or_zero,
+            st.integers(1, 7),
+            st.builds(lambda c, u: c * E(u), st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
+                      st.integers(0, 7)),
+        )
+        right = data.draw(st.lists(st.one_of(left_only, generalized), min_size=2, max_size=2))
+        M = solution_matrix((E(j), signs[0] * E(k)), lam0 * ONE + signs[1] * E(m), right)
+        pin = data.draw(st.sampled_from([None, E(j), -E(j), ONE + E(2), 2 * E(1), 0.5 * E(4)]))
+        got = claim_bytes(enumerate_basis_right_eigs(M, psi_a=pin))
+        assert got == claim_bytes(signed_scan(M, psi_a=pin))
+        if pin is None or pin in (E(j), -E(j)):
+            # the construction's own solution, or its twin -Psi, is listed
+            assert got
 
 
 class TestQuaternionicLimit:

@@ -3,7 +3,7 @@ inverses, complexification and the literal grammar."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from octoeig import (
@@ -310,7 +310,19 @@ class TestGrammar:
             assert "E" not in text
             assert parse_octonion(text) == o
 
-    @pytest.mark.parametrize("bad", ["e9", "", "1 +", "x3", "e", "2e0"])
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=16, max_size=16))
+    @example([5e-324, -5e-324, 2.0**-1022, -(2.0**-1022) + 5e-324, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.1, -0.0] * 2)
+    def test_roundtrip_every_finite_float(self, coeffs):
+        # subnormals and the largest float64 included: every finite
+        # coefficient reads back bit for bit
+        o = Octonion(coeffs[:8])
+        assert parse_octonion(format_octonion(o)) == o
+        x = ComplexOctonion(o, Octonion(coeffs[8:]))
+        assert parse_complex_octonion(format_complex_octonion(x)) == x
+
+    @pytest.mark.parametrize("bad",["e9", "", "1 +", "x3", "e", "2e0"])
     def test_parse_errors(self, bad):
         with pytest.raises(OctonionParseError):
             parse_octonion(bad)
