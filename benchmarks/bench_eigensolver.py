@@ -16,7 +16,9 @@ with n = size / 8, after one warm-up call, so the verification layer
 shows apart from ``schur`` and ``eigensystem``.
 The ``enumerate`` line after the table times the right-eigen
 enumerator's unpinned scan (all 128 basis candidates Psi = (e_j, +-e_k))
-on the suite's hermitian [[1, e1], [-e1, 1]], after one warm-up call.
+on the suite's hermitian [[1, e1], [-e1, 1]], after one warm-up call;
+the ``enumerate pinned`` line times the scan pinned to psi_a = e2 (16
+candidates) on the same matrix.
 Each number is the best of ``--repeats`` runs.
 
 Usage:
@@ -100,6 +102,10 @@ def main() -> int:
     enumerate_basis_right_eigs(M)  # builds the matrix's evaluation plan
     enum_s, _ = best_time(lambda: enumerate_basis_right_eigs(M), args.repeats)
     print(f"enumerate: {enum_s:.5f} s")
+    pinned_s, _ = best_time(
+        lambda: enumerate_basis_right_eigs(M, psi_a=Octonion.basis(2)), args.repeats
+    )
+    print(f"enumerate pinned: {pinned_s:.5f} s")
     print(f"worst relative Schur residual: {worst:.2e}")
     return 0
 

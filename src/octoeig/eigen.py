@@ -302,18 +302,21 @@ def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None)
     """Brute-force right-eigenvalue solutions of a 2x2 integer matrix
     over basis vectors Psi = (e_j, +-e_k).
 
-    M Psi is evaluated once per candidate, on Psi's coefficient rows:
-    lambda is derived from its first row, psi_a^-1 (M Psi)_0, and the
-    claim is kept only if both rows of the same M Psi equal Psi lambda
-    exactly, entry for entry.  That holds exactly when
-    verify_right_eigen's residual is 0.0, since a finite residual row
-    with a non-zero entry has a positive norm; a residual that left the
-    finite range raises ValueError, as that verifier does.  Both
-    products are Octonion.__mul__'s gemv, so lambda and the residual are
-    bit for bit those of octonion arithmetic.  Psi and -Psi give the
-    same lambda and verify together, so one claim is listed per +-Psi
-    pair: by default the first component runs over e_j for j = 0..7;
-    passing a non-zero psi_a pins it instead.
+    All candidates are checked in one pass: their coefficient rows are
+    stacked into one (firsts, 16, 2, 8) array and M Psi is evaluated by
+    a single OperatorMatrix._evaluate call.  Each lambda is derived from
+    its candidate's first row, psi_a^-1 (M Psi)_0, and the claim is kept
+    only if both rows of the same M Psi equal Psi lambda exactly, entry
+    for entry.  That holds exactly when verify_right_eigen's residual is
+    0.0, since a finite residual row with a non-zero entry has a
+    positive norm; a residual that left the finite range, on any
+    candidate, raises ValueError, as that verifier does.  Both products
+    are one (1, 8) @ (8, 8) gemv per row, Octonion.__mul__'s, so lambda
+    and the residual are bit for bit those of octonion arithmetic.  Psi
+    and -Psi give the same lambda and verify together, so one claim is
+    listed per +-Psi pair: by default the first component runs over e_j
+    for j = 0..7 (128 candidates); passing a non-zero psi_a pins it
+    instead (16 candidates).  Claims come in (first, second) order.
     """
     if M.n != 2:
         raise ValueError("the basis enumerator handles 2x2 matrices")
@@ -325,22 +328,25 @@ def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None)
         raise ValueError("psi_a must be non-zero")
     else:
         firsts = [psi_a]
-    seconds = [s * Octonion.basis(k) for k in range(8) for s in (1.0, -1.0)]
-    claims = []
-    for pa in firsts:
-        p_inv = product_matrices(pa.inverse().coeffs)
-        for pb in seconds:
-            x = np.stack((pa.coeffs, pb.coeffs))
-            m_psi = M._evaluate(x)
-            # a non-finite lambda leaves r non-finite, refused below
-            with np.errstate(over="ignore", invalid="ignore"):
-                lam = m_psi[0] @ p_inv
-                r = m_psi - lam @ product_matrices(x)
-            if not np.isfinite(r).all():
-                raise ValueError("octonion coefficients must be finite")
-            if not r.any():
-                claims.append(RightEigenClaim((pa, pb), Octonion(lam)))
-    return claims
+    # e_0, -e_0, e_1, -e_1, ...: the signs give -0.0 entries, as s * e_k does
+    seconds = (np.eye(8)[:, None] * np.array([[1.0], [-1.0]])).reshape(16, 8)
+    x = np.empty((len(firsts), 16, 2, 8))
+    x[:, :, 0] = _coeffs(firsts)[:, None]
+    x[:, :, 1] = seconds
+    p_inv = product_matrices(_coeffs(pa.inverse() for pa in firsts))
+    m_psi = M._evaluate(x)
+    # a non-finite lambda leaves r non-finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (firsts, 16, 1, 1, 8): one (1, 8) @ (8, 8) gemv per candidate,
+        # then one per row of Psi lambda
+        lam = m_psi[:, :, None, :1] @ p_inv[:, None, None]
+        r = m_psi - (lam @ product_matrices(x))[..., 0, :]
+    if not np.isfinite(r).all():
+        raise ValueError("octonion coefficients must be finite")
+    return [
+        RightEigenClaim((firsts[i], Octonion(seconds[k])), Octonion(lam[i, k, 0, 0]))
+        for i, k in np.argwhere(~r.any(axis=(2, 3)))
+    ]
 
 
 def quaternionic_limit_check(M: OperatorMatrix) -> dict:

@@ -30,6 +30,8 @@ def test_bench_eigensolver_runs(monkeypatch, capsys):
     assert [line.split()[0] for line in lines[2:4]] == ["8", "16"]
     enum = re.fullmatch(r"enumerate: (\S+) s", lines[4])
     assert enum and float(enum.group(1)) > 0.0
+    pinned = re.fullmatch(r"enumerate pinned: (\S+) s", lines[5])
+    assert pinned and float(pinned.group(1)) > 0.0
     residual = re.fullmatch(r"worst relative Schur residual: (\S+)", lines[-1])
     assert residual and float(residual.group(1)) <= 1e-12
 

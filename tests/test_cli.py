@@ -604,6 +604,23 @@ class TestEnumerate:
         assert out == ""
         assert err.endswith("octoeig: bad input: octonion coefficients must be finite\n")
 
+    @pytest.mark.parametrize("pin", [[], ["--psi-a", "e3"]], ids=["unpinned", "e3"])
+    def test_later_candidate_overflow_exit_2(self, capsys, tmp_path, pin):
+        # (M Psi)_0 = 1e308 e1 psi_a + 1e308 psi_b overflows only where
+        # psi_b = e1 psi_a: with psi_a = e3 that is the 6th of the 16
+        # candidates, so only a check of every candidate refuses it
+        def left(c):
+            return [c] + [[0] * 8] * 7
+
+        e1 = [0, 1e308, 0, 0, 0, 0, 0, 0]
+        scalars = [[x, 0, 0, 0, 0, 0, 0, 0] for x in (1e308, 1, 1)]
+        path = write_json(tmp_path, "m.json",
+                          {"n": 2, "entries": [left(e1)] + [left(c) for c in scalars]})
+        code, out, err = run_cli(capsys, "enumerate", path, *pin)
+        assert code == 2
+        assert out == ""
+        assert err.endswith("octoeig: bad input: octonion coefficients must be finite\n")
+
     def test_empty_psi_a_exit_2(self, capsys, matrix_file):
         # an empty literal is a parse error, as " " is; it used to run
         # the unpinned scan

@@ -341,6 +341,14 @@ def solution_matrix(psi, lam, right):
     return M
 
 
+# pins whose inverse is not a signed unit, so lambda's gemv has rounding
+# to match: an inverse that rounds, and one that is scaled
+LAMBDA_GEMV_PINS = [
+    -0.2857142857142857 * E(4) + 0.2857142857142857 * E(5),
+    2.0**-600 * ONE,
+]
+
+
 class TestEnumeration:
     def test_ten_solutions_for_psi_a_e2(self):
         claims = enumerate_basis_right_eigs(m_herm_e1(), psi_a=E(2))
@@ -397,6 +405,21 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="psi_a must be non-zero"):
             enumerate_basis_right_eigs(m_herm_e1(), psi_a=ZERO)
 
+    @pytest.mark.parametrize("psi_a", [None, E(2)], ids=["unpinned", "e2"])
+    def test_one_evaluation_per_call(self, monkeypatch, psi_a):
+        # every candidate's M Psi comes from one _evaluate call
+        calls = []
+        evaluate = OperatorMatrix._evaluate
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(OperatorMatrix, "_evaluate", counted)
+        claims = enumerate_basis_right_eigs(m_herm_e1(), psi_a=psi_a)
+        assert claims
+        assert len(calls) == 1
+
     def test_matches_signed_scan_with_sign_dedup(self):
         def unit_or_zero(rng):
             if rng.random() < 0.25:
@@ -410,7 +433,7 @@ class TestEnumeration:
             return generalized_operator(left, int(rng.integers(1, 8)), part)
 
         rng = np.random.default_rng(20261018)
-        pins = [E(2), -E(5), -ONE, ONE + E(2), 2 * E(1), 0.5 * E(4)]
+        pins = [E(2), -E(5), -ONE, ONE + E(2), 2 * E(1), 0.5 * E(4)] + LAMBDA_GEMV_PINS
         nonempty = {False: 0, True: 0}
         for t in range(16):
             # the second column holds left multiplications in the first 8
@@ -430,6 +453,12 @@ class TestEnumeration:
                 assert got == claim_bytes(signed_scan(M, psi_a=pin))
                 nonempty[gen] += bool(got)
         assert nonempty[False] >= 16 and nonempty[True] >= 16
+        # lambda = -e7 solves Psi = (psi_a, 1) exactly, but psi_a^-1 rounds
+        # and the gemv's lambda misses it; another summation order finds it
+        M = OperatorMatrix([[E(7), 0], [0, -E(7)]])
+        for pin in LAMBDA_GEMV_PINS:
+            got = claim_bytes(enumerate_basis_right_eigs(M, psi_a=pin))
+            assert got == claim_bytes(signed_scan(M, psi_a=pin))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -454,7 +483,9 @@ class TestEnumeration:
         )
         right = data.draw(st.lists(st.one_of(left_only, generalized), min_size=2, max_size=2))
         M = solution_matrix((E(j), signs[0] * E(k)), lam0 * ONE + signs[1] * E(m), right)
-        pin = data.draw(st.sampled_from([None, E(j), -E(j), ONE + E(2), 2 * E(1), 0.5 * E(4)]))
+        pin = data.draw(st.sampled_from(
+            [None, E(j), -E(j), ONE + E(2), 2 * E(1), 0.5 * E(4)] + LAMBDA_GEMV_PINS
+        ))
         got = claim_bytes(enumerate_basis_right_eigs(M, psi_a=pin))
         assert got == claim_bytes(signed_scan(M, psi_a=pin))
         if pin is None or pin in (E(j), -E(j)):
