@@ -12,7 +12,8 @@ dispersion identity H^2 = (|p|^2 + m^2) I (units hbar = c = 1; the
 momentum operator is replaced by its plane-wave symbol p).
 
 The mechanism is linearized alternativity: {L_a, L_b} = -2 <a, b> I for
-imaginary octonions, which the report checks over all basis pairs.
+imaginary octonions, which the report checks over all basis pairs at
+once.  Every matrix here is read off the unit table ``LEFT_UNITS``.
 An 8-component complexified octonion also splits as Psi + e4 Phi with
 both halves in the complexified quaternion subalgebra span(1, e1, e2,
 e3); the two sectors are orthogonal under the complex-projected inner
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .octonion import ComplexOctonion, Octonion, left_mul_matrix
+from .octonion import LEFT_UNITS, ComplexOctonion, Octonion
 
 __all__ = [
     "DiracRep",
@@ -52,11 +53,7 @@ class DiracRep:
 
 
 def dirac_representation() -> DiracRep:
-    alphas = tuple(
-        1j * left_mul_matrix(Octonion.basis(k).coeffs) for k in (1, 2, 3)
-    )
-    beta = 1j * left_mul_matrix(Octonion.basis(4).coeffs)
-    return DiracRep(alphas, beta)
+    return DiracRep(tuple(1j * LEFT_UNITS[1:4]), 1j * LEFT_UNITS[4])
 
 
 def _anticomm(A, B):
@@ -113,16 +110,10 @@ def dispersion_check(rep: DiracRep | None = None, p=(0.0, 0.0, 0.0),
 def left_anticommutator_check() -> dict:
     """{L_a, L_b} = -2 <a, b> I over all imaginary basis pairs: the
     linearized-alternativity identity behind the Dirac algebra."""
-    eye = np.eye(8)
-    ok = True
-    for a in range(1, 8):
-        La = left_mul_matrix(Octonion.basis(a).coeffs)
-        for b in range(1, 8):
-            Lb = left_mul_matrix(Octonion.basis(b).coeffs)
-            want = -2.0 * eye if a == b else np.zeros((8, 8))
-            if not np.array_equal(_anticomm(La, Lb), want):
-                ok = False
-    return {"ok": ok}
+    # [a, b] = {L_a, L_b} and -2 delta_ab I
+    anti = _anticomm(LEFT_UNITS[1:, None], LEFT_UNITS[None, 1:])
+    want = -2.0 * np.eye(7)[:, :, None, None] * np.eye(8)
+    return {"ok": np.array_equal(anti, want)}
 
 
 def split_doublet(x: ComplexOctonion) -> tuple[ComplexOctonion, ComplexOctonion]:
@@ -177,12 +168,8 @@ def orthogonal_doublet_check() -> dict:
     e4 = ComplexOctonion(Octonion.basis(4))
     recon_ok = True
     for j in range(8):
-        for im_part in (False, True):
-            x = (
-                ComplexOctonion(Octonion.zero(), Octonion.basis(j))
-                if im_part
-                else ComplexOctonion(Octonion.basis(j))
-            )
+        e_j = Octonion.basis(j)
+        for x in (ComplexOctonion(e_j), ComplexOctonion(Octonion.zero(), e_j)):
             psi, phi = split_doublet(x)
             quat_support = all(
                 c == 0.0

@@ -46,7 +46,7 @@ from .linalg import (
     complex_eigen,
     schur_eigensystem,
 )
-from .octonion import ComplexOctonion, Octonion, format_octonion, product_matrices
+from .octonion import CONJ_SIGN, ComplexOctonion, Octonion, format_octonion, product_matrices
 from .operators import OperatorMatrix
 
 __all__ = [
@@ -192,7 +192,7 @@ def _coupled_vectors(M: OperatorMatrix) -> list[tuple]:
         if b == 0.0:
             # v is complex when a real block's vector was orthogonalized
             # against a complex pair of its cluster; Im v is dropped here
-            eta = tuple(Octonion.zero() for _ in range(M.n))
+            eta = (Octonion.zero(),) * M.n
         else:
             eta = _chunk_real(np.imag(v))
         sols.append((a, b, xi, eta))
@@ -298,25 +298,34 @@ def verify_right_eigen(M: OperatorMatrix, claim: RightEigenClaim) -> RightEigenC
     return RightEigenCheck(ok=(res == 0.0), residual=res, zero_vector=zero)
 
 
+# psi_b = e_0, -e_0, e_1, -e_1, ...: the signs give -0.0 entries, as s * e_k
+# does; psi_b^-1 = conj(psi_b) exactly, kept as its product matrix
+_SIGNED_UNITS = (np.eye(8)[:, None] * np.array([[1.0], [-1.0]])).reshape(16, 8)
+_SIGNED_UNIT_OCTONIONS = tuple(Octonion(u) for u in _SIGNED_UNITS)
+_SIGNED_UNIT_INVERSE_P = product_matrices(_SIGNED_UNITS * CONJ_SIGN)
+
+
 def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None):
     """Brute-force right-eigenvalue solutions of a 2x2 integer matrix
     over basis vectors Psi = (e_j, +-e_k).
 
     All candidates are checked in one pass: their coefficient rows are
     stacked into one (firsts, 16, 2, 8) array and M Psi is evaluated by
-    a single OperatorMatrix._evaluate call.  Each lambda is derived from
-    its candidate's first row, psi_a^-1 (M Psi)_0, and the claim is kept
-    only if both rows of the same M Psi equal Psi lambda exactly, entry
-    for entry.  That holds exactly when verify_right_eigen's residual is
-    0.0, since a finite residual row with a non-zero entry has a
-    positive norm; a residual that left the finite range, on any
-    candidate, raises ValueError, as that verifier does.  Both products
-    are one (1, 8) @ (8, 8) gemv per row, Octonion.__mul__'s, so lambda
-    and the residual are bit for bit those of octonion arithmetic.  Psi
-    and -Psi give the same lambda and verify together, so one claim is
-    listed per +-Psi pair: by default the first component runs over e_j
-    for j = 0..7 (128 candidates); passing a non-zero psi_a pins it
-    instead (16 candidates).  Claims come in (first, second) order.
+    a single OperatorMatrix._evaluate call.  Each lambda is psi_b^-1
+    (M Psi)_1: psi_b is a signed unit, so the product only permutes and
+    negates coefficients and lambda is exact, even where psi_a^-1 would
+    round.  The claim is kept only if both rows of the same M Psi equal
+    Psi lambda exactly, entry for entry.  That holds exactly when
+    verify_right_eigen's residual is 0.0, since a finite residual row
+    with a non-zero entry has a positive norm; a residual that left the
+    finite range, on any candidate, raises ValueError, as that verifier
+    does.  Both products are one (1, 8) @ (8, 8) gemv per row,
+    Octonion.__mul__'s, so lambda and the residual are bit for bit those
+    of octonion arithmetic.  Psi and -Psi give the same lambda and verify
+    together, so one claim is listed per +-Psi pair: by default the first
+    component runs over e_j for j = 0..7 (128 candidates); passing a
+    non-zero psi_a pins it instead (16 candidates).  Claims come in
+    (first, second) order.
     """
     if M.n != 2:
         raise ValueError("the basis enumerator handles 2x2 matrices")
@@ -328,23 +337,20 @@ def enumerate_basis_right_eigs(M: OperatorMatrix, psi_a: Octonion | None = None)
         raise ValueError("psi_a must be non-zero")
     else:
         firsts = [psi_a]
-    # e_0, -e_0, e_1, -e_1, ...: the signs give -0.0 entries, as s * e_k does
-    seconds = (np.eye(8)[:, None] * np.array([[1.0], [-1.0]])).reshape(16, 8)
     x = np.empty((len(firsts), 16, 2, 8))
     x[:, :, 0] = _coeffs(firsts)[:, None]
-    x[:, :, 1] = seconds
-    p_inv = product_matrices(_coeffs(pa.inverse() for pa in firsts))
+    x[:, :, 1] = _SIGNED_UNITS
     m_psi = M._evaluate(x)
-    # a non-finite lambda leaves r non-finite, refused below
+    # M Psi is finite, so lambda is; Psi lambda can overflow, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         # (firsts, 16, 1, 1, 8): one (1, 8) @ (8, 8) gemv per candidate,
         # then one per row of Psi lambda
-        lam = m_psi[:, :, None, :1] @ p_inv[:, None, None]
+        lam = m_psi[:, :, None, 1:] @ _SIGNED_UNIT_INVERSE_P[:, None]
         r = m_psi - (lam @ product_matrices(x))[..., 0, :]
     if not np.isfinite(r).all():
         raise ValueError("octonion coefficients must be finite")
     return [
-        RightEigenClaim((firsts[i], Octonion(seconds[k])), Octonion(lam[i, k, 0, 0]))
+        RightEigenClaim((firsts[i], _SIGNED_UNIT_OCTONIONS[k]), Octonion(lam[i, k, 0, 0]))
         for i, k in np.argwhere(~r.any(axis=(2, 3)))
     ]
 

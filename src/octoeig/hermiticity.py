@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import coupled_clusters
-from .octonion import MUL_INDEX, MUL_SIGN, RIGHT_UNIT_GATHER, Octonion, gather_table
+from .octonion import CONJ_SIGN, MUL_INDEX, MUL_SIGN, RIGHT_UNIT_GATHER, Octonion, gather_table
 from .operators import OperatorMatrix
 
 __all__ = [
@@ -91,11 +91,10 @@ def complex_project(o: Octonion) -> Octonion:
     return (o - e1 * (o * e1)) / 2
 
 
-_CONJ_SIGN = np.where(np.arange(8) == 0, 1.0, -1.0)
 # row a: q -> conj(e_a) q;  e_a e_c = MUL_SIGN[a, c] e_{MUL_INDEX[a, c]}
-_LEFT_GATHER = gather_table(MUL_INDEX, _CONJ_SIGN[:, None] * MUL_SIGN)
+_LEFT_GATHER = gather_table(MUL_INDEX, CONJ_SIGN[:, None] * MUL_SIGN)
 # row b: r -> conj(r) e_b;  coefficient r_c lands on MUL_INDEX[c, b]
-_RIGHT_GATHER = gather_table(MUL_INDEX.T, (_CONJ_SIGN[:, None] * MUL_SIGN).T)
+_RIGHT_GATHER = gather_table(MUL_INDEX.T, (CONJ_SIGN[:, None] * MUL_SIGN).T)
 # o -> o e1 and o -> e1 o: row 1 of the right and left multiplications
 _RMUL_E1 = tuple(t[1] for t in RIGHT_UNIT_GATHER)
 _LMUL_E1 = tuple(t[1] for t in gather_table(MUL_INDEX, MUL_SIGN))

@@ -14,6 +14,11 @@ Every structure constant is 0 or +-1, hence products, conjugates and
 sums of integer-valued octonions are computed exactly in double
 precision; only norms and inverses can introduce rounding.
 
+The algebra's fixed elements are built once, read-only: the zero and
+the units that ``Octonion.zero``/``one``/``basis`` return,
+``CONJ_SIGN``, and ``LEFT_UNITS[k]`` = L_{e_k}, ``RIGHT_UNITS[k]`` =
+R_{e_k}, the (8, 8, 8) unit tables behind the operator basis.
+
 The module also implements the text grammar for octonion literals used
 by the CLI: signed terms ``<real>``, ``e<k>`` or ``<real>e<k>`` joined
 by ``+``/``-`` (whitespace-insensitive), e.g. ``1 - 2e3 + e7``.  A
@@ -50,12 +55,9 @@ TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3,
 def _build_tables():
     idx = np.zeros((8, 8), dtype=np.int64)
     sgn = np.zeros((8, 8), dtype=np.int64)
-    for k in range(8):
-        idx[0, k] = idx[k, 0] = k
-        sgn[0, k] = sgn[k, 0] = 1
-    for m in range(1, 8):
-        idx[m, m] = 0
-        sgn[m, m] = -1
+    idx[0] = idx[:, 0] = np.arange(8)
+    sgn[0] = sgn[:, 0] = 1
+    np.fill_diagonal(sgn[1:, 1:], -1)  # e_m e_m = -1
     for (m, n, p) in TRIPLES:
         for (a, b, c) in ((m, n, p), (n, p, m), (p, m, n)):
             idx[a, b] = c
@@ -63,13 +65,20 @@ def _build_tables():
             idx[b, a] = c
             sgn[b, a] = -1
     mul = np.zeros((8, 8, 8))
-    for i in range(8):
-        for j in range(8):
-            mul[i, j, idx[i, j]] = sgn[i, j]
+    i, j = np.indices((8, 8))
+    mul[i, j, idx] = sgn
     return idx, sgn, mul
 
 
 MUL_INDEX, MUL_SIGN, MUL_TENSOR = _build_tables()
+MUL_TENSOR.setflags(write=False)
+# L_{e_k} psi = e_k psi and R_{e_k} psi = psi e_k on coefficient columns, as
+# views: LEFT_UNITS[k][l, j] = (e_k e_j)_l, RIGHT_UNITS[k][l, i] = (e_i e_k)_l
+LEFT_UNITS = MUL_TENSOR.transpose(0, 2, 1)
+RIGHT_UNITS = MUL_TENSOR.transpose(1, 2, 0)
+# conjugation keeps the real part and negates the imaginary coefficients
+CONJ_SIGN = np.where(np.arange(8) == 0, 1.0, -1.0)
+CONJ_SIGN.setflags(write=False)
 # (a*b)_k = sum_ij a_i b_j MUL_TENSOR[i,j,k]; flattened once for fast products.
 _MUL_FLAT = np.ascontiguousarray(MUL_TENSOR.reshape(8, 64))
 
@@ -142,20 +151,18 @@ class Octonion:
 
     @classmethod
     def zero(cls) -> "Octonion":
-        return cls(np.zeros(8))
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Octonion":
-        return cls.basis(0)
+        return _UNITS[0]
 
     @classmethod
     def basis(cls, k: int) -> "Octonion":
         """Basis element e_k; k = 0 is the real unit."""
         if not 0 <= k <= 7:
             raise IndexError(f"basis index out of range 0..7: {k}")
-        c = np.zeros(8)
-        c[k] = 1.0
-        return cls(c)
+        return _UNITS[k]
 
     @classmethod
     def from_scalar(cls, x: float) -> "Octonion":
@@ -208,9 +215,7 @@ class Octonion:
 
     def conj(self) -> "Octonion":
         """Conjugate: real part kept, imaginary coefficients negated."""
-        c = -self._coeffs.copy()
-        c[0] = self._coeffs[0]
-        return Octonion(c)
+        return Octonion(self._coeffs * CONJ_SIGN)
 
     def norm_sq(self) -> float:
         return float(self._coeffs @ self._coeffs)
@@ -228,10 +233,8 @@ class Octonion:
         n2 = float(c @ c)
         if n2 == 0.0:
             raise ZeroDivisionError("zero octonion has no inverse")
-        inv = -c / n2
-        inv[0] = -inv[0]  # the conjugate keeps the real part
         with np.errstate(over="ignore"):
-            return Octonion(np.ldexp(inv, -e))
+            return Octonion(np.ldexp(c * CONJ_SIGN / n2, -e))
 
     # -- structure ----------------------------------------------------------
 
@@ -262,6 +265,10 @@ class Octonion:
 
     def __str__(self):
         return format_octonion(self)
+
+
+_ZERO = Octonion(np.zeros(8))
+_UNITS = tuple(Octonion(e) for e in np.eye(8))
 
 
 class ComplexOctonion:

@@ -14,7 +14,8 @@ most general real-linear operator is
 
     L_{o_0} + sum_m R_m . L_{o_m}        (o_0 .. o_7 octonions),
 
-here ``GeneralizedOperator``.
+here ``GeneralizedOperator``.  The basis and the identity checks are
+read off the unit tables ``LEFT_UNITS``/``RIGHT_UNITS`` of the octonions.
 
 ``OperatorMatrix.apply`` evaluates M psi on stacked (n, 8) coefficient
 arrays, from a plan of per-part product matrices built once per matrix.
@@ -49,7 +50,9 @@ import numpy as np
 
 from .linalg import lu_solve, matrix_rank
 from .octonion import (
+    LEFT_UNITS,
     RIGHT_UNIT_GATHER,
+    RIGHT_UNITS,
     ComplexOctonion,
     Octonion,
     OctonionParseError,
@@ -185,11 +188,11 @@ class GeneralizedOperator:
     @classmethod
     def left(cls, o: Octonion) -> "GeneralizedOperator":
         """Plain left multiplication by o."""
-        return cls((o,) + tuple(Octonion.zero() for _ in range(7)))
+        return cls((o,) + (Octonion.zero(),) * 7)
 
     @classmethod
     def zero(cls) -> "GeneralizedOperator":
-        return cls(tuple(Octonion.zero() for _ in range(8)))
+        return cls((Octonion.zero(),) * 8)
 
     def apply(self, psi: Octonion) -> Octonion:
         out = self.parts[0] * psi
@@ -202,9 +205,7 @@ class GeneralizedOperator:
         m = left_mul_matrix(self.parts[0].coeffs)
         for k in range(1, 8):
             if not self.parts[k].is_zero():
-                m = m + right_mul_matrix(Octonion.basis(k).coeffs) @ left_mul_matrix(
-                    self.parts[k].coeffs
-                )
+                m = m + RIGHT_UNITS[k] @ left_mul_matrix(self.parts[k].coeffs)
         return m
 
     def is_left_only(self) -> bool:
@@ -226,27 +227,17 @@ class GeneralizedOperator:
         return f"GeneralizedOperator([{inner}])"
 
 
-_BASIS_CACHE: dict[str, np.ndarray] = {}
+# 1 and L_m (LEFT_UNITS[0] is the identity), R_n, then R_n L_m for n, m = 1..7
+_R_L = RIGHT_UNITS[1:, None] @ LEFT_UNITS[None, 1:]
+_OPERATOR_BASIS = np.concatenate((LEFT_UNITS, RIGHT_UNITS[1:], _R_L.reshape(49, 8, 8)))
+_OPERATOR_BASIS.setflags(write=False)
 
 
 def operator_basis() -> np.ndarray:
-    """The 64 basis matrices {1, L_m, R_n, R_n L_m}, as a (64, 8, 8)
-    array in the coefficient order used by matrix_to_generalized."""
-    if "mats" not in _BASIS_CACHE:
-        mats = [np.eye(8)]
-        for m in range(1, 8):
-            mats.append(left_mul_matrix(Octonion.basis(m).coeffs))
-        for n in range(1, 8):
-            mats.append(right_mul_matrix(Octonion.basis(n).coeffs))
-        for n in range(1, 8):
-            for m in range(1, 8):
-                mats.append(
-                    right_mul_matrix(Octonion.basis(n).coeffs)
-                    @ left_mul_matrix(Octonion.basis(m).coeffs)
-                )
-        _BASIS_CACHE["mats"] = np.array(mats)
-        _BASIS_CACHE["flat"] = _BASIS_CACHE["mats"].reshape(64, 64).T.copy()
-    return _BASIS_CACHE["mats"]
+    """The 64 basis matrices {1, L_m, R_n, R_n L_m}, as a read-only
+    (64, 8, 8) array in the coefficient order used by
+    matrix_to_generalized."""
+    return _OPERATOR_BASIS
 
 
 def matrix_to_generalized(A) -> GeneralizedOperator:
@@ -265,9 +256,8 @@ def matrix_to_generalized(A) -> GeneralizedOperator:
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {A.shape}")
-    operator_basis()
-    flat = _BASIS_CACHE["flat"]
-    coeffs = lu_solve(flat, A.reshape(64))
+    # column k of the system is basis matrix k flattened
+    coeffs = lu_solve(_OPERATOR_BASIS.reshape(64, 64).T, A.reshape(64))
     if np.all(A == np.round(A)):
         coeffs = np.round(coeffs * 12.0) / 12.0
     # o_0 holds the coefficients of 1 and L_m, o_n[0] that of R_n and
@@ -294,10 +284,8 @@ def basis_rank(matrices=None) -> int:
 def operator_identity_check() -> dict:
     """Matrix-level identities distinguishing operator composition from
     octonion multiplication.  Returns pass/fail per identity."""
-    l1 = left_mul_matrix(Octonion.basis(1).coeffs)
-    l2 = left_mul_matrix(Octonion.basis(2).coeffs)
-    l3 = left_mul_matrix(Octonion.basis(3).coeffs)
-    r2 = right_mul_matrix(Octonion.basis(2).coeffs)
+    l1, l2, l3 = LEFT_UNITS[1:4]
+    r2 = RIGHT_UNITS[2]
     prod = l1 @ l2
     report = {
         # composition is not octonion multiplication: L1 L2 != L3
@@ -307,16 +295,12 @@ def operator_identity_check() -> dict:
             prod, l3 + r2 @ l1 - l1 @ r2
         ),
     }
-    ok = True
-    for m in range(1, 8):
-        lm = left_mul_matrix(Octonion.basis(m).coeffs)
-        rm = right_mul_matrix(Octonion.basis(m).coeffs)
-        for n in range(1, 8):
-            ln = left_mul_matrix(Octonion.basis(n).coeffs)
-            rn = right_mul_matrix(Octonion.basis(n).coeffs)
-            if not np.array_equal(lm @ rn + ln @ rm, rn @ lm + rm @ ln):
-                ok = False
-    report["LmRn_plus_LnRm_symmetric"] = ok
+    # [m, n] = L_m R_n and R_n L_m over the imaginary units
+    lr = LEFT_UNITS[1:, None] @ RIGHT_UNITS[None, 1:]
+    rl = RIGHT_UNITS[None, 1:] @ LEFT_UNITS[1:, None]
+    report["LmRn_plus_LnRm_symmetric"] = np.array_equal(
+        lr + lr.swapaxes(0, 1), rl + rl.swapaxes(0, 1)
+    )
     report["all_passed"] = all(report.values())
     return report
 

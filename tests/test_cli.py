@@ -595,11 +595,29 @@ class TestEnumerate:
             assert run_cli(capsys, "verify", claim_path)[0] == 0
         assert len(solutions) == count
 
+    def test_rounding_pin_claims_verify(self, capsys, tmp_path):
+        # psi_a^-1 rounds, yet lambda = -e7 solves four candidates exactly
+        matrix = {"n": 2, "entries": ["e7", "0", "0", "-e7"]}
+        path = write_json(tmp_path, "m.json", matrix)
+        pin = "-0.2857142857142857e4 + 0.2857142857142857e5"
+        code, out, _ = run_cli(capsys, "enumerate", path, f"--psi-a={pin}", "--format", "json")
+        assert code == 0
+        solutions = json.loads(out)["solutions"]
+        assert [(s["psi"][1], s["lambda"]) for s in solutions] == [
+            ("1", "-e7"), ("-1", "-e7"), ("e7", "-e7"), ("-e7", "-e7")
+        ]
+        for claim in solutions:
+            claim_path = write_json(tmp_path, "c.json", {"matrix": matrix, "right": claim})
+            code, out, _ = run_cli(capsys, "verify", claim_path)
+            assert code == 0
+            assert out.endswith("-> OK\n")
+
     def test_overflowing_lambda_exit_2(self, capsys, tmp_path):
-        # psi_a^-1 = 1e10 times (M Psi)_0 = 1e300 e_k overflows lambda; the
-        # scan refuses it, it does not drop the claim and report none
-        path = write_json(tmp_path, "m.json", {"n": 2, "entries": [0, 1e300, 0, 1]})
-        code, out, err = run_cli(capsys, "enumerate", path, "--psi-a", "0.0000000001")
+        # lambda = psi_b^-1 (M Psi)_1 = 1e10, and psi_a lambda = 1e310
+        # overflows; the scan refuses it, it does not drop the claim and
+        # report none
+        path = write_json(tmp_path, "m.json", {"n": 2, "entries": [0, 0, 0, 1e10]})
+        code, out, err = run_cli(capsys, "enumerate", path, "--psi-a", "1" + "0" * 300)
         assert code == 2
         assert out == ""
         assert err.endswith("octoeig: bad input: octonion coefficients must be finite\n")

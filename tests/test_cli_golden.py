@@ -59,6 +59,10 @@ CASES = {
         _eig("dense_complexified_2x2.json", "--method", "coupled", "--format", "json"), 2),
     "enumerate_herm_2x2": (_enumerate("--format", "json"), 0),
     "enumerate_herm_2x2_psi_a_neg_e5": (_enumerate("--psi-a=-e5"), 0),
+    # psi_a^-1 rounds; lambda = -e7 is exact on four candidates
+    "enumerate_e7_diag_2x2_rounding_pin": (
+        _data("enumerate", "e7_diag_2x2.json",
+              "--psi-a=-0.2857142857142857e4 + 0.2857142857142857e5", "--format", "json"), 0),
     "hermiticity_survey_full": (_hermiticity("full", "--format", "json"), 0),
     "hermiticity_survey_projected": (_hermiticity("projected", "--format", "json"), 0),
     "paper_suite": (["paper-suite", "--format", "json"], 0),

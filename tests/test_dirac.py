@@ -10,7 +10,9 @@ from octoeig import (
     dispersion_check,
     orthogonal_doublet_check,
 )
+from octoeig import dirac
 from octoeig.dirac import left_anticommutator_check, split_doublet
+from octoeig.octonion import LEFT_UNITS, RIGHT_UNITS, left_mul_matrix
 
 E = Octonion.basis
 
@@ -38,7 +40,21 @@ class TestAlgebra:
         assert np.array_equal(rep.beta @ rep.beta, np.eye(8) + 0j)
 
     def test_left_anticommutator_mechanism(self):
-        assert left_anticommutator_check()["ok"]
+        assert left_anticommutator_check()["ok"] is True
+
+    def test_left_anticommutator_fails_on_a_wrong_table(self, monkeypatch):
+        # negative control: R3 in place of L3 breaks the identity
+        table = LEFT_UNITS.copy()
+        table[3] = RIGHT_UNITS[3]
+        monkeypatch.setattr(dirac, "LEFT_UNITS", table)
+        assert left_anticommutator_check()["ok"] is False
+
+    def test_representation_is_i_times_the_unit_matrices(self):
+        # oracle: i L_{e_k} built from a fresh coefficient array
+        rep = dirac_representation()
+        for k, got in zip((1, 2, 3, 4), rep.alphas + (rep.beta,)):
+            want = 1j * left_mul_matrix(np.eye(8)[k].copy())
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDispersion:

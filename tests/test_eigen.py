@@ -300,15 +300,16 @@ TEN_EXPECTED = {
 
 def signed_scan(M, psi_a=None):
     """Oracle for the basis enumerator: scan all 16 signed first
-    components (or the pinned one) by verify_right_eigen, and drop a
-    claim whose sign-flipped twin -Psi (same lambda) is already listed."""
+    components (or the pinned one) by verify_right_eigen, with lambda =
+    psi_b^-1 (M Psi)_1 and psi_b^-1 = conj(psi_b), and drop a claim
+    whose sign-flipped twin -Psi (same lambda) is already listed."""
     firsts = [s * E(j) for j in range(8) for s in (1.0, -1.0)]
     claims, seen = [], set()
     for pa in firsts if psi_a is None else [psi_a]:
         for k in range(8):
             for s in (1.0, -1.0):
                 psi = (pa, s * E(k))
-                lam = pa.inverse() * M.apply(list(psi))[0]
+                lam = psi[1].conj() * M.apply(list(psi))[1]
                 if not verify_right_eigen(M, RightEigenClaim(psi, lam)).ok:
                     continue
                 lead = next(p.coeffs[p.support()[0]] for p in psi if p.support())
@@ -341,8 +342,8 @@ def solution_matrix(psi, lam, right):
     return M
 
 
-# pins whose inverse is not a signed unit, so lambda's gemv has rounding
-# to match: an inverse that rounds, and one that is scaled
+# pins whose inverse is not a signed unit: one whose inverse rounds, and
+# one whose inverse is scaled
 LAMBDA_GEMV_PINS = [
     -0.2857142857142857 * E(4) + 0.2857142857142857 * E(5),
     2.0**-600 * ONE,
@@ -453,11 +454,16 @@ class TestEnumeration:
                 assert got == claim_bytes(signed_scan(M, psi_a=pin))
                 nonempty[gen] += bool(got)
         assert nonempty[False] >= 16 and nonempty[True] >= 16
-        # lambda = -e7 solves Psi = (psi_a, 1) exactly, but psi_a^-1 rounds
-        # and the gemv's lambda misses it; another summation order finds it
+        # lambda = -e7 solves Psi = (psi_a, +-1) and (psi_a, +-e7) exactly
+        # although psi_a^-1 rounds: lambda is read off the signed unit psi_b
         M = OperatorMatrix([[E(7), 0], [0, -E(7)]])
+        claims = enumerate_basis_right_eigs(M, psi_a=LAMBDA_GEMV_PINS[0])
+        assert [(c.psi[1], c.lam) for c in claims] == [
+            (ONE, -E(7)), (-ONE, -E(7)), (E(7), -E(7)), (-E(7), -E(7))
+        ]
         for pin in LAMBDA_GEMV_PINS:
             got = claim_bytes(enumerate_basis_right_eigs(M, psi_a=pin))
+            assert got
             assert got == claim_bytes(signed_scan(M, psi_a=pin))
 
     @settings(max_examples=200, deadline=None)

@@ -17,6 +17,15 @@ from octoeig import (
     structure_constant,
 )
 
+from octoeig.octonion import (
+    CONJ_SIGN,
+    LEFT_UNITS,
+    RIGHT_UNITS,
+    left_mul_matrix,
+    right_mul_matrix,
+)
+from octoeig.operators import operator_basis
+
 from conftest import rand_octonion
 
 E = Octonion.basis
@@ -124,6 +133,44 @@ class TestMultiplication:
             lhs = o1.conj() * (o1 * o2)
             assert lhs.allclose((o1.conj() * o1) * o2, 1e-10)
             assert lhs.allclose((o2 * o1.conj()) * o1, 1e-10)
+
+
+class TestSharedElements:
+    def test_unit_tables_are_the_unit_matrices(self):
+        # oracle: each unit's matrix built from a fresh coefficient array
+        for k in range(8):
+            e = np.zeros(8)
+            e[k] = 1.0
+            assert LEFT_UNITS[k].tobytes() == left_mul_matrix(e).tobytes()
+            assert RIGHT_UNITS[k].tobytes() == right_mul_matrix(e).tobytes()
+
+    def test_zero_and_units_are_shared(self):
+        assert Octonion.zero() is Octonion.zero()
+        assert Octonion.zero().coeffs.tobytes() == np.zeros(8).tobytes()
+        assert Octonion.one() is E(0)
+        for k in range(8):
+            assert E(k) is E(k)
+            assert E(k).coeffs.tobytes() == np.eye(8)[k].tobytes()
+        with pytest.raises(IndexError):
+            E(8)
+
+    def test_shared_elements_cannot_be_written(self):
+        shared = [LEFT_UNITS, RIGHT_UNITS, CONJ_SIGN, operator_basis(), Octonion.zero().coeffs]
+        for arr in shared + [E(k).coeffs for k in range(8)]:
+            with pytest.raises(ValueError):
+                arr[...] = 1.0
+        assert Octonion.zero().is_zero()
+        assert np.array_equal(LEFT_UNITS[0], np.eye(8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e-300, -1e300]),
+                    min_size=8, max_size=8))
+    def test_conj_bytes(self, coeffs):
+        # oracle: negate a copy and put the real part back, signed zeros kept
+        o = Octonion(coeffs)
+        want = -o.coeffs.copy()
+        want[0] = o.coeffs[0]
+        assert o.conj().coeffs.tobytes() == want.tobytes()
 
 
 class TestConjNormInverse:

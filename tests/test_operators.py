@@ -31,7 +31,9 @@ from octoeig.eigen import (
     verify_coupled,
     verify_right_eigen,
 )
-from octoeig.octonion import left_mul_matrix, right_mul_matrix
+from octoeig import operators
+from octoeig.octonion import LEFT_UNITS, RIGHT_UNITS, left_mul_matrix, right_mul_matrix
+from octoeig.operators import operator_basis
 
 from conftest import rand_int_octonion, rand_octonion
 
@@ -221,6 +223,24 @@ class TestBasisRank:
         assert basis_rank([l1 @ r2 + l2 @ r1, r2 @ l1 + r1 @ l2]) == 1
 
 
+class TestOperatorBasis:
+    def test_equals_the_unit_matrix_loop(self):
+        # oracle: the 64 matrices built one unit at a time
+        def unit(k):
+            return np.eye(8)[k].copy()
+
+        mats = [np.eye(8)]
+        mats += [left_mul_matrix(unit(m)) for m in range(1, 8)]
+        mats += [right_mul_matrix(unit(n)) for n in range(1, 8)]
+        mats += [
+            right_mul_matrix(unit(n)) @ left_mul_matrix(unit(m))
+            for n in range(1, 8)
+            for m in range(1, 8)
+        ]
+        assert operator_basis().tobytes() == np.array(mats).tobytes()
+        assert operator_basis() is operator_basis()
+
+
 class TestOperatorIdentities:
     def test_report(self):
         rep = operator_identity_check()
@@ -228,6 +248,15 @@ class TestOperatorIdentities:
         assert rep["L1L2_equals_L3_plus_R2L1_minus_L1R2"]
         assert rep["LmRn_plus_LnRm_symmetric"]
         assert rep["all_passed"]
+
+    def test_symmetry_fails_on_a_wrong_table(self, monkeypatch):
+        # negative control: L5 in place of R5 breaks the identity
+        table = RIGHT_UNITS.copy()
+        table[5] = LEFT_UNITS[5]
+        monkeypatch.setattr(operators, "RIGHT_UNITS", table)
+        rep = operator_identity_check()
+        assert rep["LmRn_plus_LnRm_symmetric"] is False
+        assert not rep["all_passed"]
 
     def test_lm_rm_commute(self):
         for m in range(1, 8):
