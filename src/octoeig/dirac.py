@@ -86,12 +86,14 @@ def dirac_algebra_check() -> dict:
 
 def dispersion_check(rep: DiracRep | None = None, p=(0.0, 0.0, 0.0),
                      m: float = 0.0) -> dict:
-    """H(p)^2 = (|p|^2 + m^2) I within DISPERSION_TOL."""
+    """H(p)^2 = (|p|^2 + m^2) I within DISPERSION_TOL, for finite p and m >= 0."""
     if rep is None:
         rep = dirac_representation()
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (3,):
         raise ValueError("p must be a real 3-vector")
+    if not (np.isfinite(p).all() and np.isfinite(m)):
+        raise ValueError("p and the mass must be finite")
     if m < 0:
         raise ValueError("mass must be nonnegative")
     H = m * rep.beta

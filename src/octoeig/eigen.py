@@ -25,12 +25,12 @@ force enumerator of basis-vector solutions for 2x2 matrices, and the
 quaternionic limit in which the coupled pair collapses onto the
 quaternionic right eigenvalue problem with lambda = a + e1 b.
 
-Every verifier evaluates M Psi through ``OperatorMatrix.apply`` /
-``apply_complex``, which work on stacked (n, 8) coefficient arrays with
-the same products and summation order as octonion arithmetic, and forms
-the residual rows and their norms sqrt(r @ r) on arrays the same way.
-The residuals are therefore bit-for-bit those of the octonion-by-octonion
-computation, and exactly 0.0 on integer data.
+Each eig request translates M once, for its eigenvectors and its
+clustering gap.  Each verifier evaluates M on the (n, 8) coefficient rows
+of its vectors (xi and eta together) with one ``OperatorMatrix._evaluate``
+call, with the products and summation order of octonion arithmetic, so
+its residuals are bit-for-bit the octonion-by-octonion ones, and exactly
+0.0 on integer data.
 """
 
 from __future__ import annotations
@@ -124,10 +124,6 @@ def _chunk_real(vec: np.ndarray) -> tuple:
     return tuple(Octonion(c) for c in vec.reshape(-1, 8))
 
 
-def _chunk_complex(vec: np.ndarray) -> tuple:
-    return tuple(ComplexOctonion(c.real, c.imag) for c in vec.reshape(-1, 8))
-
-
 def _coeffs(vec) -> np.ndarray:
     """n octonions -> their (n, 8) coefficient rows."""
     return np.array([o.coeffs for o in vec])
@@ -153,6 +149,26 @@ def _max_norm(re, im=None) -> float:
     return float(np.ldexp(np.sqrt(sq), e).max())
 
 
+def _require_i_free(M: OperatorMatrix) -> None:
+    """Refuse a complexified M, as OperatorMatrix.apply does."""
+    if M.complexified:
+        raise ValueError("complexified operator matrix acts on complexified vectors")
+
+
+def _residual_rows(M: OperatorMatrix, z: complex, x: np.ndarray, y: np.ndarray):
+    """The (re, im) rows of M(xi + i eta) - (xi + i eta) z from the (n, 8)
+    coefficient rows x of xi and y of eta, with M(xi + i eta) from one
+    OperatorMatrix._evaluate call.  (xi + i eta) z = (x zr - y zi) +
+    i (x zi + y zr): an octonion times a real scalar octonion is the
+    exact scaling of its coefficients, and IEEE products and sums
+    commute, so for z = a + ib these are a x - b y and a y + b x bit for
+    bit."""
+    m_re, m_im = M._evaluate(x, y)
+    zr, zi = float(z.real), float(z.imag)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
+        return m_re - (x * zr - y * zi), m_im - (x * zi + y * zr)
+
+
 def verify_coupled(M: OperatorMatrix, a: float, b: float, xi, eta) -> float:
     """Max entrywise octonion-norm residual of the coupled pair.
 
@@ -164,15 +180,12 @@ def verify_coupled(M: OperatorMatrix, a: float, b: float, xi, eta) -> float:
     eta = list(eta)
     if len(xi) != M.n or len(eta) != M.n:
         raise ValueError(f"vector length != matrix size {M.n}")
-    m_xi = _coeffs(M.apply(xi))
-    m_eta = _coeffs(M.apply(eta))
-    x, y = _coeffs(xi), _coeffs(eta)
-    a, b = float(a), float(b)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
-        return _max_norm(np.stack((m_xi - (a * x - b * y), m_eta - (a * y + b * x))))
+    _require_i_free(M)
+    rows = _residual_rows(M, complex(float(a), float(b)), _coeffs(xi), _coeffs(eta))
+    return _max_norm(np.stack(rows))
 
 
-def _clusters(sols, gap: float) -> list[CoupledCluster]:
+def _clusters(gap: float, sols) -> list[CoupledCluster]:
     """Solutions grouped by (a, b) within the clustering gap."""
     zs = [complex(s.a, s.b) for s in sols]
     return [
@@ -181,23 +194,36 @@ def _clusters(sols, gap: float) -> list[CoupledCluster]:
     ]
 
 
-def _coupled_vectors(M: OperatorMatrix) -> list[tuple]:
-    """(a, b, xi, eta) for every eigenvector that schur_eigensystem keeps
-    on the real translation, sorted by (a, b); see solve_coupled."""
-    _, records = schur_eigensystem(M.to_real_matrix())
+def _solutions(M: OperatorMatrix, method: str):
+    """The clustering gap of M's translation (real for an i-free M,
+    complex otherwise) and one CoupledSolution per eigenvector, stably
+    sorted by (Re z, Im z), with xi = Re v and eta = Im v.  The residual
+    is verify_coupled's for method "coupled" (i-free M only), else
+    verify_complexified's."""
+    if method == "coupled" and M.complexified:
+        raise ValueError("solve_coupled needs a real-coefficient operator matrix")
+    if M.complexified:
+        A = M.to_complex_matrix()
+        pairs = [(p.value, p.vector) for p in complex_eigen(A)]
+    else:
+        A = M.to_real_matrix()
+        pairs = [(z, v) for z, v, _ in schur_eigensystem(A)[1]]
+    pairs.sort(key=lambda p: (p[0].real, p[0].imag))
     sols = []
-    for (z, v, _) in records:
-        a, b = z.real, z.imag
+    for z, v in pairs:
         xi = _chunk_real(np.real(v))
-        if b == 0.0:
+        if z.imag == 0.0 and not M.complexified:
             # v is complex when a real block's vector was orthogonalized
             # against a complex pair of its cluster; Im v is dropped here
             eta = (Octonion.zero(),) * M.n
         else:
             eta = _chunk_real(np.imag(v))
-        sols.append((a, b, xi, eta))
-    sols.sort(key=lambda s: s[:2])
-    return sols
+        if method == "coupled":
+            res = verify_coupled(M, z.real, z.imag, xi, eta)
+        else:
+            res = verify_complexified(M, z, tuple(map(ComplexOctonion, xi, eta)))
+        sols.append(CoupledSolution(z.real, z.imag, xi, eta, res))
+    return cluster_gap(A), sols
 
 
 def solve_coupled(M: OperatorMatrix) -> list[CoupledSolution]:
@@ -212,17 +238,12 @@ def solve_coupled(M: OperatorMatrix) -> list[CoupledSolution]:
     yields 8 solutions at a = 1 where the algebraic multiplicity is 16.
     Eigenvectors whose relative residual exceeds SOLVER_TOL are dropped.
     """
-    if M.complexified:
-        raise ValueError("solve_coupled needs a real-coefficient operator matrix")
-    return [
-        CoupledSolution(a, b, xi, eta, verify_coupled(M, a, b, xi, eta))
-        for a, b, xi, eta in _coupled_vectors(M)
-    ]
+    return _solutions(M, "coupled")[1]
 
 
 def coupled_clusters(M: OperatorMatrix) -> list[CoupledCluster]:
     """Coupled solutions grouped by (a, b) within the clustering gap."""
-    return _clusters(solve_coupled(M), cluster_gap(M.to_real_matrix()))
+    return _clusters(*_solutions(M, "coupled"))
 
 
 def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
@@ -230,16 +251,7 @@ def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
     phi = [p if isinstance(p, ComplexOctonion) else ComplexOctonion(p) for p in phi]
     if len(phi) != M.n:
         raise ValueError(f"vector length != matrix size {M.n}")
-    lhs = M.apply_complex(phi)
-    x = _coeffs(p.re for p in phi)
-    y = _coeffs(p.im for p in phi)
-    zr, zi = float(z.real), float(z.imag)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
-        # Phi z = (x zr - y zi) + i (x zi + y zr); an octonion times a real
-        # scalar octonion is the exact scaling of its coefficients
-        re = _coeffs(p.re for p in lhs) - (x * zr - y * zi)
-        im = _coeffs(p.im for p in lhs) - (x * zi + y * zr)
-        return _max_norm(re, im)
+    return _max_norm(*_residual_rows(M, z, _coeffs(p.re for p in phi), _coeffs(p.im for p in phi)))
 
 
 def solve_complexified(M: OperatorMatrix) -> list[ComplexifiedSolution]:
@@ -253,19 +265,11 @@ def solve_complexified(M: OperatorMatrix) -> list[ComplexifiedSolution]:
     translation (complex_eigen) yields one solution.  Either way the
     residual is that of verify_complexified.
     """
-    if M.complexified:
-        pairs = [
-            (p.value, _chunk_complex(np.asarray(p.vector, dtype=np.complex128)))
-            for p in complex_eigen(M.to_complex_matrix())
-        ]
-    else:
-        pairs = [
-            (complex(a, b), tuple(ComplexOctonion(x, y) for x, y in zip(xi, eta)))
-            for a, b, xi, eta in _coupled_vectors(M)
-        ]
-    sols = [ComplexifiedSolution(z, phi, verify_complexified(M, z, phi)) for z, phi in pairs]
-    sols.sort(key=lambda s: (s.z.real, s.z.imag))
-    return sols
+    return [
+        ComplexifiedSolution(complex(s.a, s.b), tuple(map(ComplexOctonion, s.xi, s.eta)),
+                             s.residual)
+        for s in _solutions(M, "complexified")[1]
+    ]
 
 
 def coupled_from_complexified(sol: ComplexifiedSolution) -> CoupledSolution:
@@ -274,14 +278,6 @@ def coupled_from_complexified(sol: ComplexifiedSolution) -> CoupledSolution:
     xi = tuple(p.re for p in sol.phi)
     eta = tuple(p.im for p in sol.phi)
     return CoupledSolution(sol.z.real, sol.z.imag, xi, eta, sol.residual)
-
-
-def _right_residual(m_psi: np.ndarray, x: np.ndarray, lam: Octonion) -> float:
-    """Max entrywise norm of M Psi - Psi lambda from the (n, 8) rows of
-    M Psi and of Psi."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
-        # psi_i lambda = lambda @ P(psi_i): per row the gemv of Octonion.__mul__
-        return _max_norm(m_psi - lam.coeffs @ product_matrices(x))
 
 
 def verify_right_eigen(M: OperatorMatrix, claim: RightEigenClaim) -> RightEigenCheck:
@@ -293,9 +289,12 @@ def verify_right_eigen(M: OperatorMatrix, claim: RightEigenClaim) -> RightEigenC
     if len(psi) != M.n:
         raise ValueError(f"vector length != matrix size {M.n}")
     x = _coeffs(psi)
-    res = _right_residual(_coeffs(M.apply(psi)), x, claim.lam)
-    zero = not x.any()
-    return RightEigenCheck(ok=(res == 0.0), residual=res, zero_vector=zero)
+    _require_i_free(M)
+    m_psi = M._evaluate(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
+        # psi_i lambda = lambda @ P(psi_i): per row the gemv of Octonion.__mul__
+        res = _max_norm(m_psi - claim.lam.coeffs @ product_matrices(x))
+    return RightEigenCheck(ok=(res == 0.0), residual=res, zero_vector=not x.any())
 
 
 # psi_b = e_0, -e_0, e_1, -e_1, ...: the signs give -0.0 entries, as s * e_k
@@ -371,17 +370,15 @@ def quaternionic_limit_check(M: OperatorMatrix) -> dict:
     """
     report = {"quaternionic": True, "clusters": [], "eigenvalues": []}
     if M.complexified:
-        report["quaternionic"] = False
-        report["reason"] = "not quaternionic: complexified entries"
-        report["ok"] = False
+        reason = "complexified entries"
+    elif any(not g.is_left_only() or g.parts[0].coeffs[4:].any()
+             for row in M.entries for g in row):
+        reason = "entry outside span(1, e1, e2, e3)"
+    else:
+        reason = None
+    if reason:
+        report.update(quaternionic=False, reason=f"not quaternionic: {reason}", ok=False)
         return report
-    for row in M.entries:
-        for g in row:
-            if not g.is_left_only() or np.any(g.parts[0].coeffs[4:]):
-                report["quaternionic"] = False
-                report["reason"] = "not quaternionic: entry outside span(1, e1, e2, e3)"
-                report["ok"] = False
-                return report
     max_res = 0.0
     all_ok = True
     for c in coupled_clusters(M):
@@ -399,8 +396,7 @@ def quaternionic_limit_check(M: OperatorMatrix) -> dict:
             continue
         proj = np.zeros((2 * M.n, 8))
         proj[:, :4] = parts[best] / norms[best]
-        xi = tuple(Octonion(r) for r in proj[: M.n])
-        eta = tuple(Octonion(r) for r in proj[M.n :])
+        xi, eta = _chunk_real(proj[: M.n]), _chunk_real(proj[M.n :])
         entry["coupled_residual"] = verify_coupled(M, a, b, xi, eta)
         if b == 0.0:
             # real eigenvalue: xi is directly a right eigenvector with
@@ -434,14 +430,9 @@ def eig_report(M: OperatorMatrix, method: str) -> dict:
     clusters, a, b, xi and eta bit for bit; only the residual differs,
     that of verify_complexified against that of verify_coupled.
     """
-    if method == "coupled":
-        clusters = coupled_clusters(M)
-    elif method == "complexified":
-        sols = [coupled_from_complexified(s) for s in solve_complexified(M)]
-        A = M.to_complex_matrix() if M.complexified else M.to_real_matrix()
-        clusters = _clusters(sols, cluster_gap(A))
-    else:
+    if method not in ("coupled", "complexified"):
         raise ValueError(f"unknown method {method!r}")
+    clusters = _clusters(*_solutions(M, method))
     return {
         "matrix": M.to_json(),
         "clusters": [

@@ -12,7 +12,7 @@ Householder reflector), _reflect3 (Francis QR's 3-row reflector) and
 _rotate (a plane rotation).  A column update is the row update on the
 transposed view ``x.T``, with the same products and sums in the same
 order.  _reflect3 and _rotate stay loops until perfbench stops keeping
-every output: its ``peak_rss_mb`` grows with throughput (ROADMAP 1, 2).
+every output: its ``peak_rss_mb`` grows with throughput (ROADMAP items 2, 3).
 ``benchmarks/bench_eigensolver.py`` times the kernels against
 ``numpy.linalg.eig``.
 

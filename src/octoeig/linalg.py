@@ -344,11 +344,14 @@ def eigenvector(A, z):
     """Unit eigenvector of a real matrix A for the eigenvalue nearest z,
     from its Schur factors.
 
-    Raises ConvergenceError when the relative residual against z is
-    above SOLVER_TOL, as for a z off the spectrum.
+    Raises ValueError for a non-finite z, and ConvergenceError when the
+    relative residual against z is not at most SOLVER_TOL, as for a z
+    off the spectrum.
     """
     A = _check_square(A)
     z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     Q, T, scale, blocks = _schur(A, balance=True)
     b, w = min(
         ((b, w) for b, (_, _, vs) in enumerate(blocks) for w in vs),
@@ -356,7 +359,7 @@ def eigenvector(A, z):
     )
     v = _schur_vector(T, Q, scale, blocks, b, w)
     res = _residual(A, v, z, _fro(A))
-    if res > SOLVER_TOL:
+    if not res <= SOLVER_TOL:
         raise ConvergenceError(f"no eigenvector for z={z}: residual {res:.3e}")
     return _fix_phase(v)
 

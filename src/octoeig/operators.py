@@ -157,14 +157,15 @@ _WORD_TOKEN = re.compile(r"([LR])([0-9]+)$")
 def parse_word(text: str) -> OperatorWord:
     """Parse whitespace-separated factors like 'L4 R5 R1 L6'."""
     factors = []
-    for tok in text.split():
+    for found in re.finditer(r"\S+", text):
+        tok = found.group()
         m = _WORD_TOKEN.match(tok)
         if m is None:
-            raise OctonionParseError(f"bad operator factor {tok!r}", text.find(tok))
+            raise OctonionParseError(f"bad operator factor {tok!r}", found.start())
         k = int(m.group(2))
         if not 1 <= k <= 7:
             raise OctonionParseError(
-                f"factor index {tok!r} out of range 1..7", text.find(tok)
+                f"factor index {tok!r} out of range 1..7", found.start()
             )
         factors.append(Factor(m.group(1), Octonion.basis(k)))
     return OperatorWord(factors)
@@ -459,10 +460,9 @@ class OperatorMatrix:
         its own column's basis vectors."""
         mats = self._plan()[0]
         n, grids = self.n, 2 if self.complexified else 1
-        out = np.empty((grids, n, 8, n, 8))  # (grid, i, row c, j, column b)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            for b in range(8):
-                out[..., b] = self._entry_values(mats[None, :, b])[0].transpose(0, 1, 3, 2)
+            # (b, grid, i, j, row c) -> (grid, i, row c, j, column b), in C order
+            out = self._entry_values(mats.swapaxes(0, 1)).transpose(1, 2, 4, 3, 0).copy()
         if not np.isfinite(out).all():
             raise ValueError("octonion coefficients must be finite")
         return list(out.reshape(grids, 8 * n, 8 * n))

@@ -346,6 +346,12 @@ class TestTranslate:
         code, _, err = run_cli(capsys, "translate", "L9")
         assert code == 2
 
+    def test_bad_word_position(self, capsys):
+        # the position is that of the bad token, not of the "L" in "L1"
+        code, out, err = run_cli(capsys, "translate", "L1 L")
+        assert (code, out) == (2, "")
+        assert err == "octoeig: parse error: bad operator factor 'L' (at position 3)\n"
+
     def test_word_and_matrix_exit_2(self, capsys, matrix_file):
         # the word used to be dropped without a message
         code, out, err = run_cli(capsys, "translate", "L2", "--matrix", matrix_file)
@@ -490,6 +496,19 @@ class TestVerify:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/nonexistent/x.json")
         assert code == 2
+
+    @pytest.mark.parametrize("claim", [
+        {"coupled": {"a": 0, "b": 1, "xi": ["e7"], "eta": ["e3"]}},
+        {"right": {"psi": ["e5"], "lambda": "1"}},
+    ], ids=["coupled", "right"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_complexified_matrix_exit_2(self, capsys, tmp_path, claim, fmt):
+        matrix = {"n": 1, "entries": ["0"], "complexified": True, "entries_im": ["e4"]}
+        path = write_json(tmp_path, "claim.json", {"matrix": matrix, **claim})
+        code, out, err = run_cli(capsys, "verify", path, "--format", fmt)
+        assert (code, out) == (2, "")
+        message = "complexified operator matrix acts on complexified vectors"
+        assert err == f"octoeig: bad input: {message}\n"
 
 
     @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 """Dirac representation: algebra identities, dispersion, doublet split."""
 
+import math
+import warnings
+
 import numpy as np
+import pytest
 
 from octoeig import (
     ComplexOctonion,
@@ -70,6 +74,27 @@ class TestDispersion:
         assert np.array_equal(H @ H, 18.0 * np.eye(8) + 0j)
         r = dispersion_check(p=(1, 2, 2), m=3.0)
         assert r["ok"] and r["max_error"] == 0.0
+
+    @pytest.mark.parametrize("p, m, message", [
+        ((math.nan, 0.0, 0.0), 1.0, "p and the mass must be finite"),
+        ((0.0, math.inf, 0.0), 1.0, "p and the mass must be finite"),
+        ((0.0, 0.0, -math.inf), 0.0, "p and the mass must be finite"),
+        ((1.0, 0.0, 0.0), math.nan, "p and the mass must be finite"),
+        ((1.0, 0.0, 0.0), math.inf, "p and the mass must be finite"),
+        ((1.0, 0.0, 0.0), -math.inf, "p and the mass must be finite"),
+        ((1.0, 0.0, 0.0), np.float64(math.nan), "p and the mass must be finite"),
+    ])
+    def test_non_finite_refused(self, p, m, message):
+        # these gave max_error nan and ok False (m = inf with warnings),
+        # and the sign check let a NaN mass through
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                dispersion_check(p=p, m=m)
+
+    def test_negative_mass_still_refused(self):
+        with pytest.raises(ValueError, match="mass must be nonnegative"):
+            dispersion_check(p=(0.0, 0.0, 0.0), m=-1.0)
 
     def test_100_random(self, rng):
         for _ in range(100):

@@ -21,8 +21,10 @@ from octoeig import (
     verify_coupled,
     verify_right_eigen,
 )
+from octoeig import eigen
 from octoeig.eigen import eig_report
-from octoeig.linalg import ConvergenceError, cluster_gap, complex_eigen
+from octoeig.octonion import format_octonion
+from octoeig.linalg import ConvergenceError, EigenPair, cluster_gap, complex_eigen
 
 from conftest import rand_int_octonion
 
@@ -545,3 +547,125 @@ class TestQuaternionicLimit:
         assert not rep["quaternionic"]
         assert "not quaternionic" in rep["reason"]
         assert not rep["ok"]
+
+
+def seeded_matrix(kind, n, seed):
+    """A seeded n x n operator matrix: integer left multiplications
+    ("left"), generalized integer operators ("generalized"), signed
+    units or zeros ("signed"), or a genuinely complexified matrix of
+    integer left multiplications ("complexified")."""
+    rng = np.random.default_rng(seed)
+
+    def left():
+        return Octonion(rng.integers(-2, 3, 8) * (rng.random(8) < 0.4))
+
+    def entry():
+        if kind == "signed":
+            if rng.random() < 0.3:
+                return ZERO
+            return float(rng.choice([-1, 1])) * E(int(rng.integers(8)))
+        if kind == "generalized":
+            parts = [left()] + [ZERO] * 7
+            parts[int(rng.integers(1, 8))] = float(rng.choice([-1, 1])) * E(int(rng.integers(8)))
+            return GeneralizedOperator(parts)
+        return left()
+
+    def grid():
+        return [[entry() for _ in range(n)] for _ in range(n)]
+
+    return OperatorMatrix(grid(), grid() if kind == "complexified" else None)
+
+
+SOURCE_CASES = [(kind, n) for kind in ("left", "generalized", "signed") for n in (1, 2, 3)] + [
+    ("complexified", 1), ("complexified", 2), ("complexified", 3)]
+
+
+def source_methods(kind):
+    return ("complexified",) if kind == "complexified" else ("coupled", "complexified")
+
+
+class TestOneSolutionSource:
+    """Both eig methods build their solutions from one translation, with
+    one M(xi + i eta) evaluation per solution."""
+
+    @pytest.mark.parametrize("kind, n", SOURCE_CASES, ids=[f"{k}-{n}" for k, n in SOURCE_CASES])
+    def test_residuals_are_the_verifiers(self, kind, n):
+        # each reported residual is the public verifier's value on that
+        # solution's own (xi, eta), bit for bit
+        M = seeded_matrix(kind, n, 100 * n + len(kind))
+        for method in source_methods(kind):
+            if method == "coupled":
+                sols = [(s.xi, s.eta, s.residual, verify_coupled(M, s.a, s.b, s.xi, s.eta))
+                        for s in solve_coupled(M)]
+            else:
+                sols = [(tuple(p.re for p in s.phi), tuple(p.im for p in s.phi), s.residual,
+                         verify_complexified(M, s.z, s.phi)) for s in solve_complexified(M)]
+            assert sols
+            assert all(got == want for _, _, got, want in sols)
+            rows = sorted((tuple(map(format_octonion, xi)), tuple(map(format_octonion, eta)), res)
+                          for xi, eta, _, res in sols)
+            rep = eig_report(M, method)
+            reported = sorted((tuple(s["xi"]), tuple(s["eta"]), s["residual"])
+                              for c in rep["clusters"] for s in c["solutions"])
+            assert reported == rows
+
+    @pytest.mark.parametrize("kind, n", SOURCE_CASES, ids=[f"{k}-{n}" for k, n in SOURCE_CASES])
+    def test_one_translation_one_evaluation_per_solution(self, monkeypatch, kind, n):
+        calls = {"_translation": 0, "_evaluate": 0, "apply": 0, "apply_complex": 0}
+        for name in calls:
+            original = getattr(OperatorMatrix, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(OperatorMatrix, name, counted)
+        for method in source_methods(kind):
+            M = seeded_matrix(kind, n, 100 * n + len(kind))
+            calls.update(dict.fromkeys(calls, 0))
+            rep = eig_report(M, method)
+            solutions = sum(len(c["solutions"]) for c in rep["clusters"])
+            assert solutions
+            assert calls == {"_translation": 1, "_evaluate": solutions, "apply": 0,
+                             "apply_complex": 0}
+
+    @pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
+    def test_sorted_stably_by_re_then_im(self, monkeypatch, complexified):
+        # solver order in, (Re z, Im z) order out; equal z keep solver order
+        zs = [complex(1, 1), complex(1, 0), complex(0, 2), complex(1, 0)]
+        vs = [np.eye(8)[k] + 0j for k in range(4)]
+        if complexified:
+            M = OperatorMatrix([[ONE]], entries_im=[[ZERO]])
+            pairs = [EigenPair(z, v, 0.0) for z, v in zip(zs, vs)]
+            monkeypatch.setattr(eigen, "complex_eigen", lambda A: pairs)
+            sols = [(s.z.real, s.z.imag, s.phi[0].re) for s in solve_complexified(M)]
+        else:
+            M = OperatorMatrix([[ONE]])
+            records = [(z, v, 0.0) for z, v in zip(zs, vs)]
+            monkeypatch.setattr(eigen, "schur_eigensystem", lambda A: (None, records))
+            sols = [(s.a, s.b, s.xi[0]) for s in solve_coupled(M)]
+        assert sols == [(0.0, 2.0, E(2)), (1.0, 0.0, E(1)), (1.0, 0.0, E(3)), (1.0, 1.0, E(0))]
+
+    def test_coupled_refuses_complexified_before_translating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(OperatorMatrix, "_translation", lambda self: calls.append(self))
+        M = seeded_matrix("complexified", 1, 7)
+        for solve in (solve_coupled, coupled_clusters, lambda M: eig_report(M, "coupled")):
+            with pytest.raises(ValueError, match="solve_coupled needs a real-coefficient"):
+                solve(M)
+        assert calls == []
+
+    def test_verifiers_refuse_complexified(self):
+        M = OperatorMatrix([[ZERO]], entries_im=[[E(4)]])
+        message = "complexified operator matrix acts on complexified vectors"
+        with pytest.raises(ValueError, match=message):
+            verify_coupled(M, 0.0, 1.0, (E(7),), (E(3),))
+        with pytest.raises(ValueError, match=message):
+            verify_right_eigen(M, RightEigenClaim((E(5),), ONE))
+        # a length mismatch is still reported first
+        with pytest.raises(ValueError, match="vector length"):
+            verify_coupled(M, 0.0, 1.0, (E(7),), (E(3), E(3)))
+        with pytest.raises(ValueError, match="vector length"):
+            verify_right_eigen(M, RightEigenClaim((E(5), E(5)), ONE))
+        # complexified M acts on complexified vectors
+        assert verify_complexified(M, 1.0, (ONE + E(4),)) > 0.0

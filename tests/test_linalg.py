@@ -290,6 +290,17 @@ class TestEigenvector:
         with pytest.raises(ConvergenceError):
             eigenvector(np.diag([1.0, 2.0]), 100.0)
 
+    @pytest.mark.parametrize(
+        "z", [math.nan, complex(math.inf, 0.0), complex(1.0, math.nan), complex(2.0, -math.inf)],
+        ids=["nan", "inf", "nan-imag", "inf-imag"])
+    def test_non_finite_z_refused(self, z):
+        # a NaN residual compared False against the tolerance, so nan
+        # returned [1, 0] and inf did too, after a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="z must be finite"):
+                eigenvector(np.diag([1.0, 2.0]), z)
+
     def test_tiny_norm_vectors(self):
         # the residual is relative to max(1, ||A||_F), so at this norm any
         # unit vector passes the check; the vectors must still be right

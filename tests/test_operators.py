@@ -120,6 +120,19 @@ class TestActions:
         with pytest.raises(OctonionParseError):
             parse_word("L8")
 
+    @pytest.mark.parametrize("text, position", [
+        ("L1 L", 3), ("L1 1", 3), ("L4 X2", 3), ("  L8", 2), ("R2\tL1  R9", 7),
+        ("L1 L1 L", 6),
+    ])
+    def test_parse_word_error_position(self, text, position):
+        # positions index the failing token itself, not an earlier factor
+        # whose text contains it ("L" lies inside "L1")
+        from octoeig import OctonionParseError
+
+        with pytest.raises(OctonionParseError) as info:
+            parse_word(text)
+        assert info.value.position == position
+
 
 class TestGeneralizedOperator:
     def test_left_e2_matches_displayed_matrix(self):
@@ -273,6 +286,15 @@ class TestOperatorMatrix:
     def test_identity_block(self):
         M = OperatorMatrix([[1]])
         assert np.array_equal(M.to_real_matrix(), np.eye(8))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_translation_is_c_ordered(self, n):
+        # the solvers' products depend on the memory order of A; at n = 1
+        # the transposed stage output reshapes to an F-ordered view
+        rows = [[E(1 + (i + j) % 7) for j in range(n)] for i in range(n)]
+        for M in (OperatorMatrix(rows), OperatorMatrix(rows, entries_im=rows)):
+            for A in M._translation():
+                assert A.flags.c_contiguous and A.shape == (8 * n, 8 * n)
 
     def test_2x2_spectrum(self):
         M = OperatorMatrix([[1, E(4)], [0, E(5)]])
