@@ -4,12 +4,14 @@
 Times octoeig's real Schur factorization and its eigensystem (Schur
 plus eigenvectors back-substituted on the Schur factor) on seeded
 random matrices, beside ``numpy.linalg.eig`` as the speed-of-light
-reference.  The ``hessenberg`` and ``qr`` columns time the solver's
-own two stages, the calls ``schur_eigensystem`` makes:
-``linalg._hessenberg_stage`` (balancing plus Hessenberg reduction) and
-``linalg._qr_stage`` (Francis QR plus the 2x2 split, which raises
-``ConvergenceError`` as the solver does) on that Hessenberg form, so a
-change to those kernels shows apart from the whole solve.
+reference.  The ``balance``, ``hessenberg`` and ``qr`` columns time
+the solver's own stages, the calls ``schur_eigensystem`` makes:
+``kernels.balance_in_place`` on a copy of the matrix,
+``linalg._hessenberg_stage`` without balancing on that balanced copy
+(the Hessenberg reduction alone), and ``linalg._qr_stage`` (Francis QR
+plus the 2x2 split, which raises ``ConvergenceError`` as the solver
+does) on that Hessenberg form, so a change to those kernels shows apart
+from the whole solve.
 The ``verify`` column times the exact check of one coupled solution
 (``verify_coupled``) on a seeded dense generalized operator matrix
 with n = size / 8, after one warm-up call, so the verification layer
@@ -18,7 +20,8 @@ The ``enumerate`` line after the table times the right-eigen
 enumerator's unpinned scan (all 128 basis candidates Psi = (e_j, +-e_k))
 on the suite's hermitian [[1, e1], [-e1, 1]], after one warm-up call;
 the ``enumerate pinned`` line times the scan pinned to psi_a = e2 (16
-candidates) on the same matrix.
+candidates) on the same matrix.  The ``dirac`` line times
+``dirac.dirac_checks``, every check the ``dirac`` command runs.
 Each number is the best of ``--repeats`` runs.
 
 Usage:
@@ -38,6 +41,8 @@ from octoeig import (
     enumerate_basis_right_eigs,
     verify_coupled,
 )
+from octoeig.dirac import dirac_checks
+from octoeig.kernels import balance_in_place
 from octoeig.linalg import _hessenberg_stage, _qr_stage, real_schur, schur_eigensystem
 
 
@@ -48,6 +53,13 @@ def best_time(fn, repeats):
         result = fn()
         times.append(time.perf_counter() - t0)
     return min(times), result
+
+
+def balanced(A):
+    """A copy of A balanced in place, as the solver's first stage does."""
+    B = A.copy()
+    balance_in_place(B, np.ones(len(B)))
+    return B
 
 
 def qr_stage(H, Q, scale, fro):
@@ -80,13 +92,14 @@ def main() -> int:
 
     rng = np.random.default_rng(1729)
     op_rng = np.random.default_rng(1731)
-    print(f"{'n':>5} | {'hessenberg':>10} {'qr':>10} | {'schur':>10} "
+    print(f"{'n':>5} | {'balance':>10} {'hessenberg':>10} {'qr':>10} | {'schur':>10} "
           f"{'eigensystem':>12} {'verify':>10} | {'numpy eig':>10} {'eig/numpy':>10}")
-    print("-" * 93)
+    print("-" * 104)
     worst = 0.0
     for n in sizes:
         A = rng.uniform(-1.0, 1.0, (n, n))
-        hess_s, hess = best_time(lambda: _hessenberg_stage(A, balance=True), args.repeats)
+        bal_s, B = best_time(lambda: balanced(A), args.repeats)
+        hess_s, hess = best_time(lambda: _hessenberg_stage(B, balance=False), args.repeats)
         qr_s, _ = best_time(lambda: qr_stage(*hess), args.repeats)
         schur_s, (Q, T) = best_time(lambda: real_schur(A), args.repeats)
         eig_s, _ = best_time(lambda: schur_eigensystem(A), args.repeats)
@@ -96,7 +109,7 @@ def main() -> int:
         ref_s, _ = best_time(lambda: np.linalg.eig(A), args.repeats)
         froA = float(np.sqrt((A * A).sum()))
         worst = max(worst, float(np.abs(Q @ T @ Q.T - A).max() / max(1.0, froA)))
-        print(f"{n:>5} | {hess_s:10.5f} {qr_s:10.5f} | {schur_s:10.5f} {eig_s:12.5f} "
+        print(f"{n:>5} | {bal_s:10.5f} {hess_s:10.5f} {qr_s:10.5f} | {schur_s:10.5f} {eig_s:12.5f} "
               f"{verify_s:10.5f} | {ref_s:10.5f} {eig_s / ref_s:9.1f}x")
     M = OperatorMatrix([[1, Octonion.basis(1)], [-Octonion.basis(1), 1]])
     enumerate_basis_right_eigs(M)  # builds the matrix's evaluation plan
@@ -106,6 +119,8 @@ def main() -> int:
         lambda: enumerate_basis_right_eigs(M, psi_a=Octonion.basis(2)), args.repeats
     )
     print(f"enumerate pinned: {pinned_s:.5f} s")
+    dirac_s, _ = best_time(lambda: dirac_checks(0), args.repeats)
+    print(f"dirac: {dirac_s:.5f} s")
     print(f"worst relative Schur residual: {worst:.2e}")
     return 0
 

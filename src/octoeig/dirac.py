@@ -17,7 +17,10 @@ once.  Every matrix here is read off the unit table ``LEFT_UNITS``.
 An 8-component complexified octonion also splits as Psi + e4 Phi with
 both halves in the complexified quaternion subalgebra span(1, e1, e2,
 e3); the two sectors are orthogonal under the complex-projected inner
-product, giving two independent 4-component spinors.
+product, giving two independent 4-component spinors.  The doublet check
+works on stacked (re, im) coefficient arrays, with the products of
+``ComplexOctonion`` formed through ``product_matrices`` in the same
+order, so its inner products are those of the objects bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .octonion import LEFT_UNITS, ComplexOctonion, Octonion
+from .octonion import CONJ_SIGN, LEFT_UNITS, ComplexOctonion, product_matrices
 
 __all__ = [
     "DiracRep",
@@ -86,7 +89,8 @@ def dirac_algebra_check() -> dict:
 
 def dispersion_check(rep: DiracRep | None = None, p=(0.0, 0.0, 0.0),
                      m: float = 0.0) -> dict:
-    """H(p)^2 = (|p|^2 + m^2) I within DISPERSION_TOL, for finite p and m >= 0."""
+    """H(p)^2 = (|p|^2 + m^2) I within DISPERSION_TOL, for finite p and
+    m >= 0 whose squares stay in the float64 range (ValueError otherwise)."""
     if rep is None:
         rep = dirac_representation()
     p = np.asarray(p, dtype=np.float64)
@@ -99,8 +103,13 @@ def dispersion_check(rep: DiracRep | None = None, p=(0.0, 0.0, 0.0),
     H = m * rep.beta
     for k in range(3):
         H = H + p[k] * rep.alphas[k]
-    target = (float(p @ p) + m * m) * np.eye(8)
-    err = float(np.abs(H @ H - target).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        target = (float(p @ p) + m * m) * np.eye(8)
+        err = float(np.abs(H @ H - target).max())
+    # each entry of H is one of +-i p_k, +-i m or 0, so H^2 and the
+    # target overflow where the squares or their sum do
+    if not np.isfinite(err):
+        raise ValueError("|p|^2 + m^2 exceeds the float64 range")
     return {
         "p": tuple(float(x) for x in p),
         "m": float(m),
@@ -118,32 +127,38 @@ def left_anticommutator_check() -> dict:
     return {"ok": np.array_equal(anti, want)}
 
 
+def _split_coeffs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """split_doublet on coefficient rows (..., 8): (psi, phi) with c =
+    psi + e4 phi, both supported on indices 0..3."""
+    psi = np.zeros(c.shape)
+    psi[..., :4] = c[..., :4]
+    # e4 * (f0 + f1 e1 + f2 e2 + f3 e3) = f0 e4 - f1 e5 - f2 e6 - f3 e7
+    phi = np.zeros(c.shape)
+    phi[..., 0] = c[..., 4]
+    phi[..., 1:4] = -c[..., 5:]
+    return psi, phi
+
+
 def split_doublet(x: ComplexOctonion) -> tuple[ComplexOctonion, ComplexOctonion]:
     """Decompose x = Psi + e4 Phi with Psi, Phi supported on the
     complexified quaternion subalgebra span(1, e1, e2, e3)."""
-
-    def split_oct(o: Octonion) -> tuple[Octonion, Octonion]:
-        c = o.coeffs
-        psi = np.zeros(8)
-        psi[:4] = c[:4]
-        # e4 * (f0 + f1 e1 + f2 e2 + f3 e3) = f0 e4 - f1 e5 - f2 e6 - f3 e7
-        phi = np.zeros(8)
-        phi[0] = c[4]
-        phi[1] = -c[5]
-        phi[2] = -c[6]
-        phi[3] = -c[7]
-        return Octonion(psi), Octonion(phi)
-
-    psi_re, phi_re = split_oct(x.re)
-    psi_im, phi_im = split_oct(x.im)
-    return ComplexOctonion(psi_re, psi_im), ComplexOctonion(phi_re, phi_im)
+    psi, phi = _split_coeffs(np.stack((x.re.coeffs, x.im.coeffs)))
+    return ComplexOctonion(*psi), ComplexOctonion(*phi)
 
 
-def _projected_inner(x: ComplexOctonion, y: ComplexOctonion) -> complex:
-    """Complex inner product: full conjugate of x (octonionic dagger and
-    i -> -i) times y, projected on the C(1, i) component."""
-    prod = x.conj_full() * y
-    return complex(prod.re.coeffs[0], prod.im.coeffs[0])
+def _projected_inners(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Complex inner products on stacked (re, im) coefficient rows x, y of
+    shape (k, 2, 8): the full conjugate of x (octonionic dagger and
+    i -> -i) times y, projected on the C(1, i) component, as a (k, 2)
+    array of (re, im).  Each octonion product a b is one (1, 8) @ (8, 8)
+    product b @ P(a), Octonion.__mul__'s, and the complex product is
+    ComplexOctonion.__mul__'s (ac - bd) + i(ad + bc)."""
+    a = product_matrices(x[:, 0] * CONJ_SIGN)
+    b = product_matrices(-(x[:, 1] * CONJ_SIGN))
+    c, d = y[:, 0, None], y[:, 1, None]
+    re = c @ a - d @ b
+    im = d @ a + c @ b
+    return np.stack((re[:, 0, 0], im[:, 0, 0]), axis=1)
 
 
 def orthogonal_doublet_check() -> dict:
@@ -151,38 +166,29 @@ def orthogonal_doublet_check() -> dict:
     span(e4..e7) are orthogonal under the complex-projected inner
     product; checked over all basis pairs, plus reconstruction of the
     split on every basis unit."""
-    report = {}
-    cross_ok = True
-    within_ok = True
-    for j in range(8):
-        for k in range(8):
-            val = _projected_inner(
-                ComplexOctonion(Octonion.basis(j)),
-                ComplexOctonion(Octonion.basis(k)),
-            )
-            same_sector = (j < 4) == (k < 4)
-            if not same_sector and val != 0:
-                cross_ok = False
-            if j == k and val != 1:
-                within_ok = False
-    report["cross_sector_orthogonal"] = cross_ok
-    report["unit_normalized"] = within_ok
-    e4 = ComplexOctonion(Octonion.basis(4))
-    recon_ok = True
-    for j in range(8):
-        e_j = Octonion.basis(j)
-        for x in (ComplexOctonion(e_j), ComplexOctonion(Octonion.zero(), e_j)):
-            psi, phi = split_doublet(x)
-            quat_support = all(
-                c == 0.0
-                for o in (psi.re, psi.im, phi.re, phi.im)
-                for c in o.coeffs[4:]
-            )
-            if not quat_support or not (psi + e4 * phi) == x:
-                recon_ok = False
-    report["split_reconstructs"] = recon_ok
-    report["all_passed"] = cross_ok and within_ok and recon_ok
-    return report
+    # x = e_j + i 0 for j = 0..7, then x = 0 + i e_j, as (re, im) rows
+    eye = np.eye(8)[:, None]
+    units = np.concatenate((eye * [[1.0], [0.0]], eye * [[0.0], [1.0]]))
+    # pair (e_j, e_k) at row 8 j + k
+    real = units[:8]
+    vals = _projected_inners(np.repeat(real, 8, axis=0), np.tile(real, (8, 1, 1)))
+    vals = vals.reshape(8, 8, 2)
+    sector = np.arange(8) < 4
+    cross = sector[:, None] != sector[None, :]
+    cross_ok = not vals[cross].any()
+    diag = vals[np.arange(8), np.arange(8)]
+    within_ok = bool(np.all(diag == [1.0, 0.0]))
+    psi, phi = _split_coeffs(units)
+    quat_support = not (psi[..., 4:].any() or phi[..., 4:].any())
+    # e4 Phi: e4 is real, so each half of Phi is multiplied by e4
+    recon = psi + phi @ product_matrices(np.eye(8)[4])
+    recon_ok = quat_support and bool(np.array_equal(recon, units))
+    return {
+        "cross_sector_orthogonal": cross_ok,
+        "unit_normalized": within_ok,
+        "split_reconstructs": recon_ok,
+        "all_passed": cross_ok and within_ok and recon_ok,
+    }
 
 
 def dirac_checks(seed: int) -> tuple[list[tuple[str, bool]], float]:

@@ -81,17 +81,24 @@ def balance_in_place(a, scale):
 
     Rescales a <- D^-1 a D to equalize row/column 1-norms and records
     the diagonal of D in `scale`.  Powers of two keep the similarity
-    exact in floating point.  Each off-diagonal 1-norm is a cumsum, a
-    strictly sequential sum, so it matches the elementwise loop.
+    exact in floating point.  Each off-diagonal 1-norm is summed from
+    zero over the column's and the row's Python floats, in the order of
+    the elementwise loop, so it matches that loop.
     """
     n = a.shape[0]
     scale[:] = 1.0
-    changed = n > 1  # a 1x1 matrix has no off-diagonal entries to sum
+    changed = True
     while changed:
         changed = False
         for i in range(n):
-            c = np.abs(np.delete(a[:, i], i)).cumsum()[-1]
-            r = np.abs(np.delete(a[i], i)).cumsum()[-1]
+            col = a[:, i].tolist()
+            row = a[i].tolist()
+            c = 0.0
+            r = 0.0
+            for j in range(n):
+                if j != i:
+                    c += abs(col[j])
+                    r += abs(row[j])
             if c == 0.0 or r == 0.0:
                 continue
             f = 1.0

@@ -245,9 +245,6 @@ class Octonion:
     def is_zero(self) -> bool:
         return bool(np.all(self._coeffs == 0.0))
 
-    def is_integer_valued(self) -> bool:
-        return bool(np.all(self._coeffs == np.round(self._coeffs)))
-
     def support(self) -> tuple[int, ...]:
         """Indices of nonzero coefficients."""
         return tuple(int(k) for k in np.nonzero(self._coeffs)[0])
@@ -391,8 +388,13 @@ class OctonionParseError(ValueError):
 def _format_number(x: float) -> str:
     if x == int(x):
         return str(int(x))
+    # repr() gives the shortest round-tripping digits, as
+    # format_float_positional(unique=True) does, and is much faster; but
     # positional notation only: the grammar reserves 'e' for basis units,
-    # so repr()'s scientific form would not parse back
+    # so repr()'s scientific form (below 1e-4) would not parse back
+    text = repr(float(x))
+    if "e" not in text:
+        return text
     return np.format_float_positional(x, unique=True, trim="-")
 
 

@@ -366,6 +366,14 @@ class OperatorMatrix:
 
     # -- actions ------------------------------------------------------------
 
+    def _part_coeffs(self) -> np.ndarray:
+        """Every part's coefficients as one (grids * n * n * 8, 8) array,
+        in (grid, i, j, m) order, the real grid first."""
+        grids = (self.entries,) + ((self.entries_im,) if self.complexified else ())
+        return np.array(
+            [p.coeffs for grid in grids for row in grid for g in row for p in g.parts]
+        )
+
     def _plan(self):
         """The evaluation plan of M Psi, built on first use and kept on
         this matrix.  It has one term per non-zero part m of entry (i, j)
@@ -375,10 +383,7 @@ class OperatorMatrix:
         term in a (grid, i, j, m, 8) array."""
         if self._terms is None:
             n = self.n
-            grids = (self.entries,) + ((self.entries_im,) if self.complexified else ())
-            coeffs = np.array(
-                [p.coeffs for grid in grids for row in grid for g in row for p in g.parts]
-            ).reshape(-1, 8)
+            coeffs = self._part_coeffs()
             nz = np.flatnonzero(coeffs.any(axis=1))  # ((grid * n + i) * n + j) * 8 + m
             index, sign = RIGHT_UNIT_GATHER
             m = nz % 8
@@ -399,9 +404,14 @@ class OperatorMatrix:
         b, n = len(prod), self.n
         parts = np.zeros((b, (2 if self.complexified else 1) * n * n * 64))
         parts[:, put] = prod.reshape(b, -1)[:, take] * sign
-        # cumsum adds strictly left to right (add.accumulate has no
-        # pairwise path), and a missing part adds an exact 0
-        return parts.reshape(b, -1, n, n, 8, 8).cumsum(axis=4)[..., -1, :]
+        # parts added one at a time in m order, from part 0 itself rather
+        # than from 0.0 (which would turn -0.0 into 0.0); a missing part
+        # adds an exact 0
+        parts = parts.reshape(b, -1, n, n, 8, 8)
+        acc = parts[..., 0, :].copy()
+        for m in range(1, 8):
+            acc += parts[..., m, :]
+        return acc
 
     def _evaluate(self, re, im=None):
         """M Psi on coefficient arrays of shape (..., n, 8), bit for bit
@@ -422,9 +432,14 @@ class OperatorMatrix:
                 # i M_im(x + iy) = -M_im(y) + i M_im(x), exactly
                 halves = ent.reshape(2, -1, 2, n, n, 8)
                 ent = np.stack((halves[:, :, 0], halves[::-1, :, 1] * _I_TIMES), axis=2)
-            # per row: M_i0 (then i M_im_i0), M_i1, ... in order
-            seq = ent.reshape(b, grids, n, n, 8).transpose(0, 2, 3, 1, 4)
-            out = seq.reshape(b, n, n * grids, 8).cumsum(axis=2)[:, :, -1]
+            # per row: M_i0 (then i M_im_i0), M_i1, ... added in order,
+            # from the first term itself
+            ent = ent.reshape(b, grids, n, n, 8)
+            out = ent[:, 0, :, 0].copy()
+            for j in range(n):
+                for g in range(grids):
+                    if j or g:
+                        out += ent[:, g, :, j]
         if not np.isfinite(out).all():
             raise ValueError("octonion coefficients must be finite")
         out = out.reshape(vecs.shape)
@@ -595,14 +610,9 @@ class OperatorMatrix:
         return obj
 
     def is_integer_valued(self) -> bool:
-        grids = [self.entries] + ([self.entries_im] if self.entries_im else [])
-        return all(
-            p.is_integer_valued()
-            for grid in grids
-            for row in grid
-            for g in row
-            for p in g.parts
-        )
+        """Every coefficient of every part, i-parts included, is an integer."""
+        c = self._part_coeffs()
+        return bool(np.all(c == np.round(c)))
 
     def __repr__(self):
         kind = "complexified " if self.complexified else ""

@@ -25,13 +25,18 @@ def test_bench_eigensolver_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--sizes", "8,16", "--repeats", "1"])
     assert bench.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["n", "|", "hessenberg", "qr", "|", "schur",
+    assert lines[0].split() == ["n", "|", "balance", "hessenberg", "qr", "|", "schur",
                                 "eigensystem", "verify", "|", "numpy", "eig", "eig/numpy"]
-    assert [line.split()[0] for line in lines[2:4]] == ["8", "16"]
+    rows = [line.split() for line in lines[2:4]]
+    assert [row[0] for row in rows] == ["8", "16"]
+    assert all(len(row) == len(lines[0].split()) - 1 for row in rows)
+    assert all(float(row[2]) > 0.0 for row in rows)  # the balance column
     enum = re.fullmatch(r"enumerate: (\S+) s", lines[4])
     assert enum and float(enum.group(1)) > 0.0
     pinned = re.fullmatch(r"enumerate pinned: (\S+) s", lines[5])
     assert pinned and float(pinned.group(1)) > 0.0
+    dirac = re.fullmatch(r"dirac: (\S+) s", lines[6])
+    assert dirac and float(dirac.group(1)) > 0.0
     residual = re.fullmatch(r"worst relative Schur residual: (\S+)", lines[-1])
     assert residual and float(residual.group(1)) <= 1e-12
 

@@ -92,6 +92,31 @@ class TestDispersion:
             with pytest.raises(ValueError, match=message):
                 dispersion_check(p=p, m=m)
 
+    @pytest.mark.parametrize("p, m", [
+        ((0.0, 0.0, 0.0), 1e200),
+        ((1e160, 0.0, 0.0), 0.0),
+        ((0.0, -1e155, 0.0), 1.0),
+        ((1e154, 1e154, 0.0), 0.0),  # each square finite, their sum not
+        ((1e154, 0.0, 0.0), 1e154),
+    ])
+    def test_overflowing_squares_refused(self, p, m):
+        # these gave max_error nan and ok False, with overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds the float64 range"):
+                dispersion_check(p=p, m=m)
+
+    @pytest.mark.parametrize("p, m", [
+        ((1e150, 0.0, 0.0), 0.0),
+        ((0.0, 0.0, 0.0), 1e154),
+        ((1e-200, 0.0, 0.0), 1e-200),  # the squares underflow to 0
+    ])
+    def test_large_and_tiny_squares_in_range(self, p, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = dispersion_check(p=p, m=m)
+        assert r["max_error"] == 0.0 and r["ok"]
+
     def test_negative_mass_still_refused(self):
         with pytest.raises(ValueError, match="mass must be nonnegative"):
             dispersion_check(p=(0.0, 0.0, 0.0), m=-1.0)
@@ -121,3 +146,85 @@ class TestDoublet:
         assert psi + e4 * phi == x
         for part in (psi.re, psi.im, phi.re, phi.im):
             assert np.abs(part.coeffs[4:]).max() == 0.0
+
+
+# -- the ComplexOctonion doublet check, kept as the array check's oracle -----
+
+
+def object_projected_inner(x, y):
+    prod = x.conj_full() * y
+    return complex(prod.re.coeffs[0], prod.im.coeffs[0])
+
+
+def object_doublet_check():
+    report = {}
+    cross_ok = True
+    within_ok = True
+    for j in range(8):
+        for k in range(8):
+            val = object_projected_inner(ComplexOctonion(E(j)), ComplexOctonion(E(k)))
+            if (j < 4) != (k < 4) and val != 0:
+                cross_ok = False
+            if j == k and val != 1:
+                within_ok = False
+    report["cross_sector_orthogonal"] = cross_ok
+    report["unit_normalized"] = within_ok
+    e4 = ComplexOctonion(E(4))
+    recon_ok = True
+    for j in range(8):
+        for x in (ComplexOctonion(E(j)), ComplexOctonion(Octonion.zero(), E(j))):
+            psi, phi = split_doublet(x)
+            quat_support = all(
+                c == 0.0 for o in (psi.re, psi.im, phi.re, phi.im) for c in o.coeffs[4:]
+            )
+            if not quat_support or not (psi + e4 * phi) == x:
+                recon_ok = False
+    report["split_reconstructs"] = recon_ok
+    report["all_passed"] = cross_ok and within_ok and recon_ok
+    return report
+
+
+def inner_bytes(values):
+    return np.array([[v.real, v.imag] for v in values]).tobytes()
+
+
+class TestArrayDoublet:
+    """orthogonal_doublet_check's arrays against the ComplexOctonion loop."""
+
+    def test_report_is_the_loop_report(self):
+        got = orthogonal_doublet_check()
+        assert got == object_doublet_check()
+        assert all(type(v) is bool for v in got.values())
+
+    def test_basis_inner_products_bit_for_bit(self):
+        # all 64 pairs of x = e_j, y = e_k, then the same with i-parts,
+        # signed zeros included
+        units = np.eye(8)
+        for xs, ys in [((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 0), (0, 1)), ((1, 1), (1, -1))]:
+            x = np.stack([units * xs[0], units * xs[1]], axis=1)
+            y = np.stack([units * ys[0], units * ys[1]], axis=1)
+            x, y = np.repeat(x, 8, axis=0), np.tile(y, (8, 1, 1))
+            got = dirac._projected_inners(x, y)
+            want = [
+                object_projected_inner(ComplexOctonion(*a), ComplexOctonion(*b))
+                for a, b in zip(x, y)
+            ]
+            assert got.tobytes() == inner_bytes(want)
+
+    @pytest.mark.parametrize("kind", ["integer", "float"])
+    def test_random_inner_products_bit_for_bit(self, rng, kind):
+        if kind == "integer":
+            x, y = (rng.integers(-3, 4, (50, 2, 8)).astype(float) for _ in range(2))
+        else:
+            x, y = rng.standard_normal((2, 50, 2, 8))
+        got = dirac._projected_inners(x, y)
+        want = [
+            object_projected_inner(ComplexOctonion(*a), ComplexOctonion(*b))
+            for a, b in zip(x, y)
+        ]
+        assert got.tobytes() == inner_bytes(want)
+
+    def test_check_fails_on_a_wrong_conjugation(self, monkeypatch):
+        # negative control: without the octonionic dagger e_k e_k = -1
+        monkeypatch.setattr(dirac, "CONJ_SIGN", np.ones(8))
+        assert orthogonal_doublet_check()["unit_normalized"] is False

@@ -626,6 +626,20 @@ class TestReductionKernelsAgainstLoops:
         assert got_h.tobytes() == want_h.tobytes()
         assert got_q.tobytes() == want_q.tobytes()
 
+    def test_balance_norms_summed_in_the_loops_order(self):
+        # column 0's off-diagonal 1-norm is 8 - 2**-50 summed in row
+        # order, giving scale 0.5, and 8 summed in reverse, giving 0.25
+        A = np.eye(4)
+        A[0, 1] = 1.0
+        A[1:, 0] = (8.0 - 2.0**-50, 2.0**-52, 2.0**-52)
+        got, want = A.copy(), A.copy()
+        got_scale, want_scale = np.zeros(4), np.zeros(4)
+        balance_in_place(got, got_scale)
+        loop_balance_in_place(want, want_scale)
+        assert want_scale[0] == 0.5
+        assert got.tobytes() == want.tobytes()
+        assert got_scale.tobytes() == want_scale.tobytes()
+
     @pytest.mark.parametrize("x", [1e-160, 1.75e-306, 5e-324, 1e300])
     def test_tiny_or_huge_column_scaled_as_the_loop(self, x):
         # column 0 below the diagonal lies outside [2**-500, 2**500]

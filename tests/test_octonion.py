@@ -21,6 +21,7 @@ from octoeig.octonion import (
     CONJ_SIGN,
     LEFT_UNITS,
     RIGHT_UNITS,
+    _format_number,
     left_mul_matrix,
     right_mul_matrix,
 )
@@ -368,6 +369,22 @@ class TestGrammar:
         assert parse_octonion(format_octonion(o)) == o
         x = ComplexOctonion(o, Octonion(coeffs[8:]))
         assert parse_complex_octonion(format_complex_octonion(x)) == x
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.1)
+    @example(1e-4)  # repr's last positional value
+    @example(9.999999999999999e-05)  # and its first scientific one
+    @example(5e-324)
+    @example(-2.2250738848414e-308)
+    @example(4503599627370495.5)  # the largest non-integer float64
+    def test_format_number_is_shortest_positional(self, x):
+        # the repr() fast path prints what dragon4's positional shortest
+        # form prints, for Python floats and numpy scalars alike
+        assume(x != int(x))
+        want = np.format_float_positional(x, unique=True, trim="-")
+        assert _format_number(x) == want
+        assert _format_number(np.float64(x)) == want
 
     @pytest.mark.parametrize("bad",["e9", "", "1 +", "x3", "e", "2e0"])
     def test_parse_errors(self, bad):

@@ -355,6 +355,29 @@ class TestOperatorMatrix:
         with pytest.raises(TypeError, match="bad operator-matrix entry bool"):
             OperatorMatrix([[1]], [[entry]])
 
+    @pytest.mark.parametrize("grid, where, value, want", [
+        ("entries_im", (0, 1, 0, 2), 0.5, False),  # a fraction only in an i-part
+        ("entries", (1, 0, 7, 3), 0.25, False),  # only in part 7 of one entry
+        ("entries", (1, 0, 7, 3), 1e300, True),
+        ("entries", (1, 0, 7, 3), -0.0, True),
+        ("entries_im", (1, 1, 7, 7), -0.0, True),
+    ])
+    def test_is_integer_valued(self, grid, where, value, want):
+        # a generalized 2x2 matrix, integer but for the one coefficient
+        coeffs = {
+            "entries": np.arange(256.0).reshape(2, 2, 8, 8) - 100.0,
+            "entries_im": np.ones((2, 2, 8, 8)),
+        }
+        coeffs[grid][where] = value
+        M = OperatorMatrix(*(
+            [[GeneralizedOperator([Octonion(p) for p in c[i, j]]) for j in range(2)]
+             for i in range(2)]
+            for c in coeffs.values()
+        ))
+        assert M.is_integer_valued() is want
+        # and the i-free matrix ignores what the i-parts hold
+        assert OperatorMatrix(M.entries).is_integer_valued() is (want or grid == "entries_im")
+
 
 # -- the entry-by-entry octonion path, kept as the evaluator's oracle --------
 
@@ -410,7 +433,9 @@ def object_verify_right(M, psi, lam):
 def evaluator_cases(draw):
     """A seeded operator matrix (n = 1..4; integer or 3-decimal entries;
     left-only or with R-parts, some parts and entries zero; optionally
-    complexified) and a batch of vector pairs with matching values."""
+    complexified) and a batch of vector pairs with matching values.
+    About half of the zero coefficients, in parts and in vectors, are
+    -0.0."""
     n = draw(st.integers(1, 4))
     decimals = draw(st.booleans())
     generalized = draw(st.booleans())
@@ -419,16 +444,19 @@ def evaluator_cases(draw):
     batch = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
+    def signed(v):
+        return np.where((v == 0.0) & (rng.random(v.shape) < 0.5), -0.0, v)
+
     def values(shape):
         if decimals:
-            return np.round(rng.uniform(-5.0, 5.0, shape), 3)
-        return rng.integers(-4, 5, shape).astype(float)
+            return signed(np.round(rng.uniform(-5.0, 5.0, shape), 3))
+        return signed(rng.integers(-4, 5, shape).astype(float))
 
     def grid():
         mask = rng.random((n, n, 8)) < keep
         if not generalized:
             mask[:, :, 1:] = False
-        parts = np.where(mask[..., None], values((n, n, 8, 8)), 0.0)
+        parts = signed(np.where(mask[..., None], values((n, n, 8, 8)), 0.0))
         return [
             [GeneralizedOperator([Octonion(p) for p in parts[i, j]]) for j in range(n)]
             for i in range(n)
@@ -475,8 +503,8 @@ class TestEvaluator:
         re, im = M._evaluate(vecs[:, 0], vecs[:, 1])
         for k, phi in enumerate(phis):
             want = object_apply_complex(M, phi)
-            assert np.array_equal(re[k], coeffs(w.re for w in want))
-            assert np.array_equal(im[k], coeffs(w.im for w in want))
+            assert re[k].tobytes() == coeffs(w.re for w in want).tobytes()
+            assert im[k].tobytes() == coeffs(w.im for w in want).tobytes()
             if exact:
                 # and it acts on vec(Psi) as M does on Psi, exactly
                 z = C @ (vecs[k, 0] + 1j * vecs[k, 1]).ravel()
@@ -492,11 +520,11 @@ class TestEvaluator:
         out = M._evaluate(vecs)
         for k, (x, y) in enumerate(vecs):
             xi, eta = octs(x), octs(y)
-            assert np.array_equal(out[k, 0], coeffs(object_apply(M, xi)))
+            assert out[k, 0].tobytes() == coeffs(object_apply(M, xi)).tobytes()
             if exact:
                 assert np.array_equal(A @ x.ravel(), coeffs(object_apply(M, xi)).ravel())
                 assert np.array_equal(A @ y.ravel(), coeffs(object_apply(M, eta)).ravel())
-            assert np.array_equal(out[k, 1], coeffs(object_apply(M, eta)))
+            assert out[k, 1].tobytes() == coeffs(object_apply(M, eta)).tobytes()
             assert np.array_equal(coeffs(M.apply(xi)), out[k, 0])
             assert verify_coupled(M, a, b, xi, eta) == object_verify_coupled(M, a, b, xi, eta)
             claim = RightEigenClaim(tuple(xi), Octonion(lam))
