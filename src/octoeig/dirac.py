@@ -89,8 +89,10 @@ def dirac_algebra_check() -> dict:
 
 def dispersion_check(rep: DiracRep | None = None, p=(0.0, 0.0, 0.0),
                      m: float = 0.0) -> dict:
-    """H(p)^2 = (|p|^2 + m^2) I within DISPERSION_TOL, for finite p and
-    m >= 0 whose squares stay in the float64 range (ValueError otherwise)."""
+    """H(p)^2 = (|p|^2 + m^2) I within DISPERSION_TOL * max(1, |p|^2 + m^2),
+    a bound relative to the energy squared once it exceeds 1, for finite
+    p and m >= 0 whose squares stay in the float64 range (ValueError
+    otherwise)."""
     if rep is None:
         rep = dirac_representation()
     p = np.asarray(p, dtype=np.float64)
@@ -104,8 +106,8 @@ def dispersion_check(rep: DiracRep | None = None, p=(0.0, 0.0, 0.0),
     for k in range(3):
         H = H + p[k] * rep.alphas[k]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        target = (float(p @ p) + m * m) * np.eye(8)
-        err = float(np.abs(H @ H - target).max())
+        energy_sq = float(p @ p) + m * m
+        err = float(np.abs(H @ H - energy_sq * np.eye(8)).max())
     # each entry of H is one of +-i p_k, +-i m or 0, so H^2 and the
     # target overflow where the squares or their sum do
     if not np.isfinite(err):
@@ -114,7 +116,7 @@ def dispersion_check(rep: DiracRep | None = None, p=(0.0, 0.0, 0.0),
         "p": tuple(float(x) for x in p),
         "m": float(m),
         "max_error": err,
-        "ok": err <= DISPERSION_TOL,
+        "ok": err <= DISPERSION_TOL * max(1.0, energy_sq),
     }
 
 

@@ -30,7 +30,9 @@ clustering gap.  Each verifier evaluates M on the (n, 8) coefficient rows
 of its vectors (xi and eta together) with one ``OperatorMatrix._evaluate``
 call, with the products and summation order of octonion arithmetic, so
 its residuals are bit-for-bit the octonion-by-octonion ones, and exactly
-0.0 on integer data.
+0.0 on integer data.  The solvers compute each residual straight from
+the rows Re v and Im v of an eigenvector; octonions are built only for
+the xi and eta they return.
 """
 
 from __future__ import annotations
@@ -119,9 +121,9 @@ class RightEigenCheck:
     zero_vector: bool
 
 
-def _chunk_real(vec: np.ndarray) -> tuple:
-    """8n real coefficients -> n octonions (consecutive blocks of 8)."""
-    return tuple(Octonion(c) for c in vec.reshape(-1, 8))
+def _chunk_real(rows: np.ndarray) -> tuple:
+    """(n, 8) coefficient rows -> n octonions."""
+    return tuple(Octonion(c) for c in rows)
 
 
 def _coeffs(vec) -> np.ndarray:
@@ -155,10 +157,14 @@ def _require_i_free(M: OperatorMatrix) -> None:
         raise ValueError("complexified operator matrix acts on complexified vectors")
 
 
-def _residual_rows(M: OperatorMatrix, z: complex, x: np.ndarray, y: np.ndarray):
-    """The (re, im) rows of M(xi + i eta) - (xi + i eta) z from the (n, 8)
+def _residual(M: OperatorMatrix, z: complex, x: np.ndarray, y: np.ndarray,
+              method: str) -> float:
+    """Max entrywise norm of M(xi + i eta) - (xi + i eta) z from the (n, 8)
     coefficient rows x of xi and y of eta, with M(xi + i eta) from one
-    OperatorMatrix._evaluate call.  (xi + i eta) z = (x zr - y zi) +
+    OperatorMatrix._evaluate call.  For method "coupled" each re and im
+    row is one octonion of the coupled pair (verify_coupled's norm), else
+    each (re, im) pair of rows is one complexified octonion
+    (verify_complexified's).  (xi + i eta) z = (x zr - y zi) +
     i (x zi + y zr): an octonion times a real scalar octonion is the
     exact scaling of its coefficients, and IEEE products and sums
     commute, so for z = a + ib these are a x - b y and a y + b x bit for
@@ -166,7 +172,8 @@ def _residual_rows(M: OperatorMatrix, z: complex, x: np.ndarray, y: np.ndarray):
     m_re, m_im = M._evaluate(x, y)
     zr, zi = float(z.real), float(z.imag)
     with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
-        return m_re - (x * zr - y * zi), m_im - (x * zi + y * zr)
+        rows = m_re - (x * zr - y * zi), m_im - (x * zi + y * zr)
+    return _max_norm(np.stack(rows)) if method == "coupled" else _max_norm(*rows)
 
 
 def verify_coupled(M: OperatorMatrix, a: float, b: float, xi, eta) -> float:
@@ -181,8 +188,7 @@ def verify_coupled(M: OperatorMatrix, a: float, b: float, xi, eta) -> float:
     if len(xi) != M.n or len(eta) != M.n:
         raise ValueError(f"vector length != matrix size {M.n}")
     _require_i_free(M)
-    rows = _residual_rows(M, complex(float(a), float(b)), _coeffs(xi), _coeffs(eta))
-    return _max_norm(np.stack(rows))
+    return _residual(M, complex(float(a), float(b)), _coeffs(xi), _coeffs(eta), "coupled")
 
 
 def _clusters(gap: float, sols) -> list[CoupledCluster]:
@@ -199,7 +205,8 @@ def _solutions(M: OperatorMatrix, method: str):
     complex otherwise) and one CoupledSolution per eigenvector, stably
     sorted by (Re z, Im z), with xi = Re v and eta = Im v.  The residual
     is verify_coupled's for method "coupled" (i-free M only), else
-    verify_complexified's."""
+    verify_complexified's, computed straight from the rows of Re v and
+    Im v."""
     if method == "coupled" and M.complexified:
         raise ValueError("solve_coupled needs a real-coefficient operator matrix")
     if M.complexified:
@@ -211,18 +218,13 @@ def _solutions(M: OperatorMatrix, method: str):
     pairs.sort(key=lambda p: (p[0].real, p[0].imag))
     sols = []
     for z, v in pairs:
-        xi = _chunk_real(np.real(v))
+        x, y = np.real(v).reshape(-1, 8), np.imag(v).reshape(-1, 8)
         if z.imag == 0.0 and not M.complexified:
             # v is complex when a real block's vector was orthogonalized
             # against a complex pair of its cluster; Im v is dropped here
-            eta = (Octonion.zero(),) * M.n
-        else:
-            eta = _chunk_real(np.imag(v))
-        if method == "coupled":
-            res = verify_coupled(M, z.real, z.imag, xi, eta)
-        else:
-            res = verify_complexified(M, z, tuple(map(ComplexOctonion, xi, eta)))
-        sols.append(CoupledSolution(z.real, z.imag, xi, eta, res))
+            y = np.zeros_like(x)
+        res = _residual(M, z, x, y, method)
+        sols.append(CoupledSolution(z.real, z.imag, _chunk_real(x), _chunk_real(y), res))
     return cluster_gap(A), sols
 
 
@@ -251,7 +253,7 @@ def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
     phi = [p if isinstance(p, ComplexOctonion) else ComplexOctonion(p) for p in phi]
     if len(phi) != M.n:
         raise ValueError(f"vector length != matrix size {M.n}")
-    return _max_norm(*_residual_rows(M, z, _coeffs(p.re for p in phi), _coeffs(p.im for p in phi)))
+    return _residual(M, z, _coeffs(p.re for p in phi), _coeffs(p.im for p in phi), "complexified")
 
 
 def solve_complexified(M: OperatorMatrix) -> list[ComplexifiedSolution]:
@@ -371,8 +373,7 @@ def quaternionic_limit_check(M: OperatorMatrix) -> dict:
     report = {"quaternionic": True, "clusters": [], "eigenvalues": []}
     if M.complexified:
         reason = "complexified entries"
-    elif any(not g.is_left_only() or g.parts[0].coeffs[4:].any()
-             for row in M.entries for g in row):
+    elif M._parts[..., 1:, :].any() or M._parts[..., 0, 4:].any():
         reason = "entry outside span(1, e1, e2, e3)"
     else:
         reason = None

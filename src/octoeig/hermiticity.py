@@ -26,8 +26,12 @@ Multiplying by a basis unit (after conjugation) only permutes
 coefficients and flips signs, so both sides of all (8n)^2 pairs are
 signed gathers from A, and the projection subtracts a third such
 gather.  No product or sum rounds beyond what the translation and the
-projection's (o - w) / 2 already do, so the values are bit-for-bit the
-ones ``product_values`` computes, and exact for integer entries.
+projection's (o - w) / 2 already do, so the values are the ones
+``product_values`` computes, and exact for integer entries.  They
+differ only in the sign of zero: a gather keeps a -0.0 that the object
+sums turn into +0.0.  The witness of a 'neither' report is read off
+the arrays with its zeros made +0.0, so it equals ``product_values``
+bit for bit without building any octonion product.
 """
 
 from __future__ import annotations
@@ -158,7 +162,9 @@ def classify(op: OperatorMatrix, kind: str = FULL) -> HermiticityReport:
 
     The zero operator counts as hermitian.  A 'neither' report carries
     the first pair, in (psi, phi) scan order, at which the two sides
-    differ, with the values ``product_values`` gives for it.  Raises
+    differ, with the values ``product_values`` gives for it: they are
+    read off the pair arrays, with each -0.0 coefficient made +0.0 as
+    the object sums make it, so they match bit for bit.  Raises
     ValueError when a product overflows.
     """
     _check_kind(kind)
@@ -173,7 +179,8 @@ def classify(op: OperatorMatrix, kind: str = FULL) -> HermiticityReport:
     p, q = np.unravel_index(int(np.argmax(differs)), differs.shape)
     psi = _basis_vector(op.n, int(p))
     phi = _basis_vector(op.n, int(q))
-    witness = (psi, phi) + product_values(op, psi, phi, kind)
+    # the gathers keep -0.0 where product_values' sums give +0.0
+    witness = (psi, phi, Octonion(left[p, q] + 0.0), Octonion(right[p, q] + 0.0))
     return HermiticityReport(kind, "neither", witness)
 
 

@@ -333,6 +333,13 @@ class OperatorMatrix:
         self.entries_im = self._normalize(entries_im) if entries_im is not None else None
         if self.entries_im is not None and len(self.entries_im) != self.n:
             raise ValueError("real and imaginary entry grids differ in size")
+        grids = (self.entries,) + ((self.entries_im,) if self.complexified else ())
+        # every part's coefficients as one (grids, n, n, 8 parts, 8) array,
+        # the real grid first: the plan, the JSON echo and the support
+        # tests read this, not the parts
+        self._parts = np.array(
+            [p.coeffs for grid in grids for row in grid for g in row for p in g.parts]
+        ).reshape(len(grids), self.n, self.n, 8, 8)
         self._terms = None
 
     @staticmethod
@@ -347,8 +354,6 @@ class OperatorMatrix:
                     new_row.append(GeneralizedOperator.left(e))
                 elif _is_number(e):
                     new_row.append(GeneralizedOperator.left(Octonion.from_scalar(e)))
-                elif isinstance(e, str):
-                    new_row.append(GeneralizedOperator.left(parse_octonion(e)))
                 else:
                     raise TypeError(f"bad operator-matrix entry {type(e).__name__}")
             out.append(tuple(new_row))
@@ -366,14 +371,6 @@ class OperatorMatrix:
 
     # -- actions ------------------------------------------------------------
 
-    def _part_coeffs(self) -> np.ndarray:
-        """Every part's coefficients as one (grids * n * n * 8, 8) array,
-        in (grid, i, j, m) order, the real grid first."""
-        grids = (self.entries,) + ((self.entries_im,) if self.complexified else ())
-        return np.array(
-            [p.coeffs for grid in grids for row in grid for g in row for p in g.parts]
-        )
-
     def _plan(self):
         """The evaluation plan of M Psi, built on first use and kept on
         this matrix.  It has one term per non-zero part m of entry (i, j)
@@ -383,7 +380,7 @@ class OperatorMatrix:
         term in a (grid, i, j, m, 8) array."""
         if self._terms is None:
             n = self.n
-            coeffs = self._part_coeffs()
+            coeffs = self._parts.reshape(-1, 8)
             nz = np.flatnonzero(coeffs.any(axis=1))  # ((grid * n + i) * n + j) * 8 + m
             index, sign = RIGHT_UNIT_GATHER
             m = nz % 8
@@ -585,34 +582,22 @@ class OperatorMatrix:
             )
         return cls(entries, entries_im)
 
-    @staticmethod
-    def _entry_to_json(g: GeneralizedOperator):
-        if g.is_left_only():
-            return format_octonion(g.parts[0])
-        return [format_octonion(p) for p in g.parts]
-
     def to_json(self) -> dict:
-        obj = {
-            "n": self.n,
-            "entries": [
-                self._entry_to_json(self.entries[i][j])
-                for i in range(self.n)
-                for j in range(self.n)
-            ],
-        }
+        # an entry whose parts 1..7 are all zero echoes as its part 0 literal
+        left_only = ~self._parts[..., 1:, :].any(axis=(-2, -1))
+        echo = [
+            [format_octonion(g.parts[0]) if lone else [format_octonion(p) for p in g.parts]
+             for g, lone in zip((g for row in grid for g in row), flags.ravel())]
+            for grid, flags in zip((self.entries, self.entries_im), left_only)
+        ]
+        obj = {"n": self.n, "entries": echo[0]}
         if self.complexified:
-            obj["complexified"] = True
-            obj["entries_im"] = [
-                self._entry_to_json(self.entries_im[i][j])
-                for i in range(self.n)
-                for j in range(self.n)
-            ]
+            obj.update(complexified=True, entries_im=echo[1])
         return obj
 
     def is_integer_valued(self) -> bool:
         """Every coefficient of every part, i-parts included, is an integer."""
-        c = self._part_coeffs()
-        return bool(np.all(c == np.round(c)))
+        return bool(np.all(self._parts == np.round(self._parts)))
 
     def __repr__(self):
         kind = "complexified " if self.complexified else ""

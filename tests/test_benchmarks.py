@@ -81,3 +81,13 @@ def test_output_digest_is_reproducible(tmp_path):
         workload, i, kind, rc, sha = line.split()
         assert (workload, int(i), rc, len(sha)) == ("lab-mix", index, "0", 64)
     assert {line.split()[2] for line in runs[0]} >= {"dirac", "enumerate", "translate"}
+
+
+def test_lab_mix_seed1_digest_is_unchanged(tmp_path):
+    # tests/data/lab_mix_seed1.digest holds the output of
+    # `benchmarks/output_digest.py --workload lab-mix --seed 1`; a change
+    # to the exit code or stdout of any lab-mix request fails here
+    digest = _load(ROOT / "benchmarks" / "output_digest.py")
+    lines = digest.digest_lines("lab-mix", digest.requests("lab-mix", 1, str(tmp_path)))
+    want = (ROOT / "tests" / "data" / "lab_mix_seed1.digest").read_text().splitlines()
+    assert lines == want

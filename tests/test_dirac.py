@@ -121,6 +121,29 @@ class TestDispersion:
         with pytest.raises(ValueError, match="mass must be nonnegative"):
             dispersion_check(p=(0.0, 0.0, 0.0), m=-1.0)
 
+    def test_large_momentum_within_the_relative_bound(self):
+        # an error of a few ulps of |p|^2 ~ 1.5e6, which an absolute
+        # 1e-12 bound reported as a failure
+        r = dispersion_check(p=(1234.567, 0.1, 0.3), m=0.7)
+        assert r["max_error"] > dirac.DISPERSION_TOL
+        assert r["ok"]
+
+    @pytest.mark.parametrize("scale", [100.0, 1000.0])
+    def test_200_seeded_at_scale(self, scale):
+        rng = np.random.default_rng(int(scale))
+        for _ in range(200):
+            p = rng.uniform(-scale, scale, 3)
+            m = float(rng.uniform(0, scale))
+            assert dispersion_check(p=p, m=m)["ok"]
+
+    @pytest.mark.parametrize("scale", [1.0, 1000.0])
+    def test_wrong_representation_fails_at_scale(self, scale):
+        # beta = alpha_1 breaks {alpha_1, beta} = 0: the cross term
+        # 2 p_1 m is far outside the relative bound
+        alphas = dirac_representation().alphas
+        bad = dirac.DiracRep(alphas, alphas[0])
+        assert not dispersion_check(bad, p=(scale, 0.0, 0.0), m=scale)["ok"]
+
     def test_100_random(self, rng):
         for _ in range(100):
             p = rng.uniform(-3, 3, 3)

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octoeig import (
+    COMPLEX_PROJECTED,
+    FULL,
     ComplexOctonion,
     GeneralizedOperator,
     Octonion,
     OperatorMatrix,
     RightEigenClaim,
+    classify,
     coupled_clusters,
     enumerate_basis_right_eigs,
     quaternionic_limit_check,
@@ -24,7 +27,13 @@ from octoeig import (
 from octoeig import eigen
 from octoeig.eigen import eig_report
 from octoeig.octonion import format_octonion
-from octoeig.linalg import ConvergenceError, EigenPair, cluster_gap, complex_eigen
+from octoeig.linalg import (
+    ConvergenceError,
+    EigenPair,
+    cluster_gap,
+    complex_eigen,
+    schur_eigensystem,
+)
 
 from conftest import rand_int_octonion
 
@@ -67,6 +76,14 @@ class TestVerifyCoupled:
     def test_trivial_real(self):
         M = OperatorMatrix([[1]])
         assert verify_coupled(M, 1.0, 0.0, (E(2),), (ZERO,)) == 0.0
+
+    def test_norm_per_octonion_not_per_pair(self):
+        # on the zero operator with z = 1 the residual rows are -xi and
+        # -eta: verify_coupled takes the larger octonion norm (4), while
+        # verify_complexified takes the norm of the pair xi + i eta (5)
+        M = OperatorMatrix([[0]])
+        assert verify_coupled(M, 1.0, 0.0, (3 * ONE,), (4 * E(1),)) == 4.0
+        assert verify_complexified(M, 1.0, (ComplexOctonion(3 * ONE, 4 * E(1)),)) == 5.0
 
     def test_perturbation_gives_nonzero_residual(self):
         xi = (E(7) + Octonion([0.001] + [0.0] * 7),)
@@ -261,6 +278,22 @@ class TestComplexifiedByTheCoupledRoute:
         tol = 1e-8 * max(1.0, float(np.linalg.norm(M.to_real_matrix())))
         for c in complexified["clusters"]:
             assert all(s["residual"] <= tol for s in c["solutions"])
+
+    def test_real_eigenvalue_keeps_eta_zero(self):
+        # draw 27 of the family above: its real records include vectors
+        # with an imaginary part up to 0.22 (orthogonalized against a
+        # spurious complex pair of their cluster), which both methods drop
+        M = OperatorMatrix.from_json({"n": 3, "entries": [
+            "0", "-2 - 2e2 - 2e4 - e5", "-2 + 2e1 - e3 - 2e4 + e5 - e7",
+            "-2 + 2e2 + 2e4 + e5", "0", "-2 - 2e1 - e2 + 2e3 - 2e4 + 2e6",
+            "-2 - 2e1 + e3 + 2e4 - e5 + e7", "-2 + 2e1 + e2 - 2e3 + 2e4 - 2e6", "-1",
+        ]})
+        records = schur_eigensystem(M.to_real_matrix())[1]
+        assert any(z.imag == 0.0 and np.imag(v).any() for z, v, _ in records)
+        etas = [s.eta for s in solve_coupled(M) if s.b == 0.0]
+        etas += [tuple(p.im for p in s.phi) for s in solve_complexified(M) if s.z.imag == 0.0]
+        assert len(etas) == 2 * sum(z.imag == 0.0 for z, _, _ in records)
+        assert all(not o.coeffs.any() for eta in etas for o in eta)
 
 
 class TestRightEigen:
@@ -542,6 +575,13 @@ class TestQuaternionicLimit:
                 got_ok.append(rep["ok"])
         assert got_ok == want_ok
 
+    def test_generalized_entry_not_quaternionic(self):
+        # part 0 is quaternionic, but an R-part leaves the subalgebra
+        entry = GeneralizedOperator([E(1), ZERO, E(2)] + [ZERO] * 5)
+        rep = quaternionic_limit_check(OperatorMatrix([[entry]]))
+        assert rep["reason"] == "not quaternionic: entry outside span(1, e1, e2, e3)"
+        assert not rep["ok"]
+
     def test_non_quaternionic_reported(self):
         rep = quaternionic_limit_check(m_e4())
         assert not rep["quaternionic"]
@@ -669,3 +709,32 @@ class TestOneSolutionSource:
             verify_right_eigen(M, RightEigenClaim((E(5), E(5)), ONE))
         # complexified M acts on complexified vectors
         assert verify_complexified(M, 1.0, (ONE + E(4),)) > 0.0
+
+
+class TestArraysInside:
+    """The report paths work on coefficient arrays: octonion objects are
+    built only to be returned or formatted, never multiplied, added or
+    conjugated on the way."""
+
+    def test_report_paths_do_no_object_arithmetic(self, monkeypatch):
+        i_free = seeded_matrix("generalized", 2, 7)
+        complexified = seeded_matrix("complexified", 2, 7)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("octonion object arithmetic in a report path")
+
+        for cls, name in [(Octonion, "__mul__"), (Octonion, "__add__"), (Octonion, "__sub__"),
+                          (Octonion, "conj"), (ComplexOctonion, "__init__"),
+                          (GeneralizedOperator, "is_left_only")]:
+            monkeypatch.setattr(cls, name, forbidden)
+        for M, methods in [(i_free, ("coupled", "complexified")),
+                           (complexified, ("complexified",))]:
+            for method in methods:
+                rep = eig_report(M, method)
+                assert rep["clusters"] and rep["matrix"] == M.to_json()
+        for kind in (FULL, COMPLEX_PROJECTED):
+            rep = classify(m_herm_e4(), kind)
+            assert rep.classification == "neither"
+            left, right = rep.witness[2:]
+            assert left != right
+        assert complexified.to_json()["complexified"] is True

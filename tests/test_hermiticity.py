@@ -284,8 +284,22 @@ class TestClassifyAgainstLoop:
         assert rep.classification == label
         assert formatted(rep.witness) == formatted(witness)
         if witness is not None:
+            # to the byte, so a -0.0 read off the pair arrays fails here
             for got, want in zip(rep.witness[2:], witness[2:]):
-                assert np.array_equal(got.coeffs, want.coeffs)
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("entries, kind", [
+        ([[1, E(4)], [-E(4), 1]], FULL),  # a -0.0 on the left side
+        ([[E(1)]], FULL),  # on the right side
+        ([[E(6)]], COMPLEX_PROJECTED),  # on the right side, projected
+    ], ids=["herm-e4-full", "e1-full", "e6-projected"])
+    def test_witness_is_product_values_to_the_byte(self, entries, kind):
+        # the pair arrays hold -0.0 where product_values' sums give +0.0
+        op = OperatorMatrix(entries)
+        psi, phi, left, right = classify(op, kind).witness
+        want_left, want_right = product_values(op, psi, phi, kind)
+        assert left.coeffs.tobytes() == want_left.coeffs.tobytes()
+        assert right.coeffs.tobytes() == want_right.coeffs.tobytes()
 
     def test_zero_operator_is_hermitian(self):
         op = OperatorMatrix([[0, 0], [0, 0]])

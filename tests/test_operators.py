@@ -347,12 +347,14 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             OperatorMatrix([[E(1), E(2)]])
 
-    @pytest.mark.parametrize("entry", [True, False])
+    @pytest.mark.parametrize("entry", [True, False, "e4"])
     def test_booleans_are_bad_entries(self, entry):
-        # bool is an int subclass, but not a JSON number
-        with pytest.raises(TypeError, match="bad operator-matrix entry bool"):
+        # bool is an int subclass, but not a JSON number; a literal is
+        # parsed by from_json, not by the constructor
+        message = f"bad operator-matrix entry {type(entry).__name__}"
+        with pytest.raises(TypeError, match=message):
             OperatorMatrix([[entry]])
-        with pytest.raises(TypeError, match="bad operator-matrix entry bool"):
+        with pytest.raises(TypeError, match=message):
             OperatorMatrix([[1]], [[entry]])
 
     @pytest.mark.parametrize("grid, where, value, want", [
@@ -607,6 +609,25 @@ class TestJsonFormat:
         again = OperatorMatrix.from_json(M.to_json())
         assert M.to_json() == again.to_json()
         assert json.dumps(M.to_json()) == json.dumps(again.to_json())
+
+    @pytest.mark.parametrize("obj, echo", [
+        # a -0.0 part is zero, so the entry is left-only
+        ({"n": 1, "entries": [["e2", [0, 0, 0, -0.0, 0, 0, 0, 0]] + ["0"] * 6]},
+         {"n": 1, "entries": ["e2"]}),
+        # the only non-zero part is part 7
+        ({"n": 1, "entries": [["0"] * 7 + ["-2e3"]]},
+         {"n": 1, "entries": [["0"] * 7 + ["-2e3"]]}),
+        # a generalized real grid with a left-only i-part grid
+        ({"n": 2, "entries": [["e1", "0", "e5"] + ["0"] * 5, "1", "0", "-e4"],
+          "entries_im": ["e6", "0", "2 - e7", "0"]},
+         {"n": 2, "entries": [["e1", "0", "e5"] + ["0"] * 5, "1", "0", "-e4"],
+          "complexified": True, "entries_im": ["e6", "0", "2 - e7", "0"]}),
+    ], ids=["negative-zero-part", "part-7-only", "left-only-i-part"])
+    def test_roundtrip_echo(self, obj, echo):
+        # an entry echoes as one literal exactly when its parts 1..7 are zero
+        M = OperatorMatrix.from_json(obj)
+        assert M.to_json() == echo
+        assert OperatorMatrix.from_json(echo).to_json() == echo
 
     def test_complexified_roundtrip(self):
         obj = {
