@@ -21,7 +21,11 @@ enumerator's unpinned scan (all 128 basis candidates Psi = (e_j, +-e_k))
 on the suite's hermitian [[1, e1], [-e1, 1]], after one warm-up call;
 the ``enumerate pinned`` line times the scan pinned to psi_a = e2 (16
 candidates) on the same matrix.  The ``dirac`` line times
-``dirac.dirac_checks``, every check the ``dirac`` command runs.
+``dirac.dirac_checks``, every check the ``dirac`` command runs.  The
+``classify full`` and ``classify projected`` lines time
+``hermiticity.classify`` under each product on the real symmetric
+integer 8 x 8 operator matrix M_ij = ij - i - j, after one warm-up
+call; it is hermitian under both, so every basis pair is compared.
 Each number is the best of ``--repeats`` runs.
 
 Usage:
@@ -35,9 +39,12 @@ import time
 import numpy as np
 
 from octoeig import (
+    COMPLEX_PROJECTED,
+    FULL,
     GeneralizedOperator,
     Octonion,
     OperatorMatrix,
+    classify,
     enumerate_basis_right_eigs,
     verify_coupled,
 )
@@ -121,6 +128,11 @@ def main() -> int:
     print(f"enumerate pinned: {pinned_s:.5f} s")
     dirac_s, _ = best_time(lambda: dirac_checks(0), args.repeats)
     print(f"dirac: {dirac_s:.5f} s")
+    H = OperatorMatrix([[i * j - i - j for j in range(8)] for i in range(8)])
+    for label, kind in (("full", FULL), ("projected", COMPLEX_PROJECTED)):
+        classify(H, kind)  # builds the matrix's translation
+        classify_s, _ = best_time(lambda: classify(H, kind), args.repeats)
+        print(f"classify {label}: {classify_s:.5f} s")
     print(f"worst relative Schur residual: {worst:.2e}")
     return 0
 

@@ -11,6 +11,8 @@ Projecting the product onto the complex plane spanned by (1, e1),
     [o]_C = (o - e1 (o e1)) / 2,
 
 repairs this for e1: under the projected product e1 is anti-hermitian.
+As e1 (e_k e1) is -e_k for k = 0, 1 and e_k otherwise, [o]_C is o
+with coefficients 2..7 zeroed, and is computed that way.
 
 ``classify`` decides hermitian / anti-hermitian / neither for an
 operator matrix over all pairs of single-entry basis vectors
@@ -24,14 +26,23 @@ the coefficients of M_st(e_b):
 
 Multiplying by a basis unit (after conjugation) only permutes
 coefficients and flips signs, so both sides of all (8n)^2 pairs are
-signed gathers from A, and the projection subtracts a third such
-gather.  No product or sum rounds beyond what the translation and the
-projection's (o - w) / 2 already do, so the values are the ones
-``product_values`` computes, and exact for integer entries.  They
-differ only in the sign of zero: a gather keeps a -0.0 that the object
-sums turn into +0.0.  The witness of a 'neither' report is read off
-the arrays with its zeros made +0.0, so it equals ``product_values``
-bit for bit without building any octonion product.
+signed gathers from A, exact and finite; the projected product gathers
+coefficients 0 and 1 only.  A gather keeps a -0.0 that the object sums
+of ``product_values`` turn into +0.0, so the witness of a 'neither'
+report is read off the arrays with its zeros made +0.0 (a projected
+side padded with +0.0): it equals ``product_values`` bit for bit.
+
+The projected classes follow from <x, y> = Re(conj(x) y) and
+Re(x (y z)) = Re((x y) z).  With J = I_n (x) R_e1, coefficients 0 and
+1 of the two sides of pair (8s + a, 8t + b) are
+
+    <e_a, M_st(e_b)> = A,        <e_a e1, M_st(e_b)> = J^T A,
+    <M_ts(e_a), e_b> = A^T,      <M_ts(e_a) e1, e_b> = A^T J^T
+
+at that place.  So, as J^T = -J, the projected product is hermitian
+iff A is symmetric and commutes with J, and anti-hermitian iff A is
+antisymmetric and commutes with J.  The symmetric matrices that
+commute with J form the 4n x 4n complex hermitian matrices.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import coupled_clusters
-from .octonion import CONJ_SIGN, MUL_INDEX, MUL_SIGN, RIGHT_UNIT_GATHER, Octonion, gather_table
+from .octonion import CONJ_SIGN, LEFT_UNITS, RIGHT_UNITS, Octonion, _gather
 from .operators import OperatorMatrix
 
 __all__ = [
@@ -89,27 +100,14 @@ def inner(psi, phi) -> Octonion:
 
 
 def complex_project(o: Octonion) -> Octonion:
-    """Projection onto the complex plane (1, e1): (o - e1 (o e1)) / 2,
-    inner product first."""
-    e1 = Octonion.basis(1)
-    return (o - e1 * (o * e1)) / 2
+    """Projection onto the complex plane (1, e1), (o - e1 (o e1)) / 2:
+    coefficients 0 and 1 of o, the rest +0.0."""
+    return Octonion(np.concatenate((o.coeffs[:2], np.zeros(6))))
 
 
-# row a: q -> conj(e_a) q;  e_a e_c = MUL_SIGN[a, c] e_{MUL_INDEX[a, c]}
-_LEFT_GATHER = gather_table(MUL_INDEX, CONJ_SIGN[:, None] * MUL_SIGN)
-# row b: r -> conj(r) e_b;  coefficient r_c lands on MUL_INDEX[c, b]
-_RIGHT_GATHER = gather_table(MUL_INDEX.T, (CONJ_SIGN[:, None] * MUL_SIGN).T)
-# o -> o e1 and o -> e1 o: row 1 of the right and left multiplications
-_RMUL_E1 = tuple(t[1] for t in RIGHT_UNIT_GATHER)
-_LMUL_E1 = tuple(t[1] for t in gather_table(MUL_INDEX, MUL_SIGN))
-
-
-def _project_array(o: np.ndarray) -> np.ndarray:
-    """complex_project on the last axis of an array of coefficients."""
-    ri, rs = _RMUL_E1
-    li, ls = _LMUL_E1
-    oe = rs * o[..., ri]
-    return (o - ls * oe[..., li]) / 2
+# row a: q -> conj(e_a) q and row b: r -> conj(r) e_b, as gathers
+_LEFT_GATHER = _gather(CONJ_SIGN[:, None, None] * LEFT_UNITS)
+_RIGHT_GATHER = _gather(RIGHT_UNITS * CONJ_SIGN)
 
 
 def _basis_vector(n: int, index: int) -> tuple:
@@ -135,24 +133,17 @@ def product_values(op: OperatorMatrix, psi, phi,
 def _basis_pair_values(op: OperatorMatrix, kind: str):
     """Both sides of the hermiticity definitions for every basis pair, as
     arrays [p, q, k]: psi = e_{p % 8} at slot p // 8, phi likewise for q,
-    k the coefficient of the (projected) product."""
+    k the coefficient of the product (0 and 1 only when projected)."""
     n = op.n
     A = op.to_real_matrix().reshape(n, 8, n, 8)  # A[s, c, t, b] = M_st(e_b)_c
-    li, ls = _LEFT_GATHER
-    ri, rs = _RIGHT_GATHER
+    k = 2 if kind == COMPLEX_PROJECTED else 8  # the projection keeps 0 and 1
+    li, ls = (t[:, :k] for t in _LEFT_GATHER)
+    ri, rs = (t[:, :k] for t in _RIGHT_GATHER)
     # conj(e_a) M_st(e_b): gathered as [s, a, k, t, b]
     left = (A[:, li] * ls[:, :, None, None]).transpose(0, 1, 3, 4, 2)
     # conj(M_ts(e_a)) e_b, from A.transpose = M_ts(e_a)_c as [s, a, t, c]
     right = A.transpose(2, 3, 0, 1)[..., ri] * rs
-    left = left.reshape(8 * n, 8 * n, 8)
-    right = right.reshape(8 * n, 8 * n, 8)
-    if kind == COMPLEX_PROJECTED:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            left = _project_array(left)
-            right = _project_array(right)
-    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
-        raise ValueError("octonion coefficients must be finite")
-    return left, right
+    return left.reshape(8 * n, 8 * n, k), right.reshape(8 * n, 8 * n, k)
 
 
 def classify(op: OperatorMatrix, kind: str = FULL) -> HermiticityReport:
@@ -164,8 +155,10 @@ def classify(op: OperatorMatrix, kind: str = FULL) -> HermiticityReport:
     the first pair, in (psi, phi) scan order, at which the two sides
     differ, with the values ``product_values`` gives for it: they are
     read off the pair arrays, with each -0.0 coefficient made +0.0 as
-    the object sums make it, so they match bit for bit.  Raises
-    ValueError when a product overflows.
+    the object sums make it, so they match bit for bit.  Under the
+    projected product only coefficients 0 and 1 are compared.  Every
+    finite matrix gets a verdict: the sides are signed gathers of its
+    translation, so no product overflows.
     """
     _check_kind(kind)
     if op.complexified:
@@ -179,8 +172,10 @@ def classify(op: OperatorMatrix, kind: str = FULL) -> HermiticityReport:
     p, q = np.unravel_index(int(np.argmax(differs)), differs.shape)
     psi = _basis_vector(op.n, int(p))
     phi = _basis_vector(op.n, int(q))
-    # the gathers keep -0.0 where product_values' sums give +0.0
-    witness = (psi, phi, Octonion(left[p, q] + 0.0), Octonion(right[p, q] + 0.0))
+    sides = np.zeros((2, 8))  # a projected side is padded with +0.0
+    sides[:, :left.shape[-1]] = left[p, q], right[p, q]
+    sides += 0.0  # the gathers keep -0.0 where product_values' sums give +0.0
+    witness = (psi, phi, Octonion(sides[0]), Octonion(sides[1]))
     return HermiticityReport(kind, "neither", witness)
 
 
@@ -206,9 +201,11 @@ def hermitian_spectrum_theorem_check(op: OperatorMatrix) -> dict:
 
 def survey_imaginary_units(kind: str = COMPLEX_PROJECTED) -> dict:
     """Classification of each left-multiplication operator [e_m] under
-    the chosen product.  Recorded as data: under the (1, e1)-projected
-    product only e1 comes out anti-hermitian; the remaining units hit
-    associator terms with a surviving e1 component."""
+    the chosen product.  Under the (1, e1)-projected product only e1
+    comes out anti-hermitian, as the module docstring's criterion
+    gives: L_{e_m} is antisymmetric, and it commutes with R_e1 iff
+    (e_m x) e1 = e_m (x e1) for every x, which flexibility gives for
+    m = 1 and an associator rules out for every other m."""
     return {
         m: classify(OperatorMatrix([[Octonion.basis(m)]]), kind).classification
         for m in range(1, 8)

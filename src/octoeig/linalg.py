@@ -472,11 +472,9 @@ def matrix_rank(M) -> int:
         j += c0
         B[[r0, i], :] = B[[i, r0], :]
         B[:, [c0, j]] = B[:, [j, c0]]
-        piv = B[r0, c0]
-        for r in range(r0 + 1, rows):
-            f = B[r, c0] / piv
-            if f != 0.0:
-                B[r, c0:] -= f * B[r0, c0:]
+        f = B[r0 + 1:, c0] / B[r0, c0]
+        nz = f != 0.0
+        B[r0 + 1:, c0:][nz] -= np.multiply.outer(f[nz], B[r0, c0:])
         rank += 1
         r0 += 1
         c0 += 1

@@ -17,7 +17,10 @@ precision; only norms and inverses can introduce rounding.
 The algebra's fixed elements are built once, read-only: the zero and
 the units that ``Octonion.zero``/``one``/``basis`` return,
 ``CONJ_SIGN``, and ``LEFT_UNITS[k]`` = L_{e_k}, ``RIGHT_UNITS[k]`` =
-R_{e_k}, the (8, 8, 8) unit tables behind the operator basis.
+R_{e_k}, the (8, 8, 8) unit tables behind the operator basis: views
+of ``MUL_TENSOR``, which is built from ``TRIPLES``.  ``MUL_INDEX``/
+``MUL_SIGN`` and ``RIGHT_UNIT_GATHER`` read its signed permutations
+as (index, sign) gathers.
 
 The module also implements the text grammar for octonion literals used
 by the CLI: signed terms ``<real>``, ``e<k>`` or ``<real>e<k>`` joined
@@ -52,30 +55,36 @@ __all__ = [
 TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5))
 
 
-def _build_tables():
-    idx = np.zeros((8, 8), dtype=np.int64)
-    sgn = np.zeros((8, 8), dtype=np.int64)
-    idx[0] = idx[:, 0] = np.arange(8)
-    sgn[0] = sgn[:, 0] = 1
-    np.fill_diagonal(sgn[1:, 1:], -1)  # e_m e_m = -1
+def _build_tensor():
+    """MUL_TENSOR[i, j, k] = (e_i e_j)_k, read off TRIPLES."""
+    mul = np.zeros((8, 8, 8))
+    k = np.arange(8)
+    mul[0, k, k] = mul[k, 0, k] = 1.0
+    mul[k[1:], k[1:], 0] = -1.0  # e_m e_m = -1
     for (m, n, p) in TRIPLES:
         for (a, b, c) in ((m, n, p), (n, p, m), (p, m, n)):
-            idx[a, b] = c
-            sgn[a, b] = 1
-            idx[b, a] = c
-            sgn[b, a] = -1
-    mul = np.zeros((8, 8, 8))
-    i, j = np.indices((8, 8))
-    mul[i, j, idx] = sgn
-    return idx, sgn, mul
+            mul[a, b, c] = 1.0
+            mul[b, a, c] = -1.0
+    mul.setflags(write=False)
+    return mul
 
 
-MUL_INDEX, MUL_SIGN, MUL_TENSOR = _build_tables()
-MUL_TENSOR.setflags(write=False)
+def _gather(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with p @ x == sign * x[..., index], for a stack of
+    signed permutation matrices p."""
+    index = np.abs(p).argmax(axis=-1)
+    return index, np.take_along_axis(p, index[..., None], axis=-1)[..., 0]
+
+
+MUL_TENSOR = _build_tensor()
+# e_a e_b = MUL_SIGN[a, b] e_{MUL_INDEX[a, b]}
+MUL_INDEX, MUL_SIGN = _gather(MUL_TENSOR)
 # L_{e_k} psi = e_k psi and R_{e_k} psi = psi e_k on coefficient columns, as
 # views: LEFT_UNITS[k][l, j] = (e_k e_j)_l, RIGHT_UNITS[k][l, i] = (e_i e_k)_l
 LEFT_UNITS = MUL_TENSOR.transpose(0, 2, 1)
 RIGHT_UNITS = MUL_TENSOR.transpose(1, 2, 0)
+# row m: o -> o e_m as the gather o e_m = sign[m] * o[index[m]]
+RIGHT_UNIT_GATHER = _gather(RIGHT_UNITS)
 # conjugation keeps the real part and negates the imaginary coefficients
 CONJ_SIGN = np.where(np.arange(8) == 0, 1.0, -1.0)
 CONJ_SIGN.setflags(write=False)
@@ -102,22 +111,6 @@ def product_matrices(a: np.ndarray) -> np.ndarray:
 
 def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b @ product_matrices(a)
-
-
-def gather_table(index, sign):
-    """Turn a scatter rule (coefficient c of row r lands on index[r, c]
-    with sign[r, c]) into a gather: out_r[k] = g_sign[r, k] *
-    in[g_index[r, k]]."""
-    g_index = np.empty((8, 8), dtype=np.int64)
-    g_sign = np.empty((8, 8))
-    rows = np.arange(8)[:, None]
-    g_index[rows, index] = np.arange(8)
-    g_sign[rows, index] = sign
-    return g_index, g_sign
-
-
-# row m: o -> o e_m, since e_c e_m = MUL_SIGN[c, m] e_{MUL_INDEX[c, m]}
-RIGHT_UNIT_GATHER = gather_table(MUL_INDEX.T, MUL_SIGN.T)
 
 
 def left_mul_matrix(a: np.ndarray) -> np.ndarray:

@@ -37,6 +37,9 @@ def test_bench_eigensolver_runs(monkeypatch, capsys):
     assert pinned and float(pinned.group(1)) > 0.0
     dirac = re.fullmatch(r"dirac: (\S+) s", lines[6])
     assert dirac and float(dirac.group(1)) > 0.0
+    for line, kind in zip(lines[7:9], ("full", "projected")):
+        timed = re.fullmatch(rf"classify {kind}: (\S+) s", line)
+        assert timed and float(timed.group(1)) > 0.0
     residual = re.fullmatch(r"worst relative Schur residual: (\S+)", lines[-1])
     assert residual and float(residual.group(1)) <= 1e-12
 

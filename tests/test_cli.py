@@ -700,6 +700,21 @@ class TestHermiticity:
         assert "witness" in rep
         assert rep["unit_survey"]["e1"] == "neither"  # full product
 
+    @pytest.mark.parametrize("entry, projected, full", [
+        (1.7e308, "hermitian", "hermitian"),
+        ([[0, 1.7e308, 0, 0, 0, 0, 0, 0]] + [[0] * 8] * 7, "anti-hermitian", "neither"),
+    ], ids=["scalar", "left-e1"])
+    def test_projected_beyond_twice_the_entry(self, capsys, tmp_path, entry, projected, full):
+        # the projection keeps coefficients 0 and 1 as they are; computing
+        # it as (o - e1 (o e1)) / 2 overflowed at 2 * 1.7e308
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 1, "entries": [entry]}))
+        for kind, want in (("projected", projected), ("full", full)):
+            code, out, _ = run_cli(capsys, "hermiticity", str(path), "--kind", kind,
+                                   "--format", "json")
+            assert code == 0
+            assert json.loads(out)["classification"] == want
+
 
 class TestDiracAndSuite:
     def test_dirac(self, capsys):

@@ -1,6 +1,8 @@
 """Inner products, the complex-projected product and hermiticity
 classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,12 @@ from octoeig import (
     inner,
     survey_imaginary_units,
 )
+from octoeig import hermiticity
 from octoeig.hermiticity import product_values
+from octoeig.octonion import LEFT_UNITS, RIGHT_UNITS
+from octoeig.operators import matrix_to_generalized
 
-from conftest import rand_octonion
+from conftest import loop_gather, loop_unit_products, rand_octonion
 
 E = Octonion.basis
 ONE = Octonion.one()
@@ -79,6 +84,60 @@ class TestComplexProject:
         for k in range(8):
             want = E(k) if k in (0, 1) else ZERO
             assert complex_project(E(k)) == want
+
+
+def paper_projection(o):
+    """The paper's formula [o]_C = (o - e1 (o e1)) / 2 by octonion arithmetic."""
+    return (o - E(1) * (o * E(1))) / 2
+
+
+def assert_is_the_paper_projection(o):
+    got = complex_project(o).coeffs
+    want = paper_projection(o).coeffs
+    assert got[:2].tobytes() == want[:2].tobytes()
+    # o_k - (+0.0) keeps a -0.0 input outside (1, e1) as -0.0 in the
+    # formula; the value is zero either way, and the restriction gives +0.0
+    assert got[2:].tobytes() == (want[2:] + 0.0).tobytes() == bytes(48)
+
+
+class TestProjectionIsTheRestriction:
+    def test_units(self):
+        for k in range(8):
+            assert_is_the_paper_projection(E(k))
+            assert_is_the_paper_projection(-E(k))
+
+    def test_signed_zeros(self):
+        for signs in range(256):
+            coeffs = [-0.0 if signs >> k & 1 else 0.0 for k in range(8)]
+            assert_is_the_paper_projection(Octonion(coeffs))
+            coeffs[signs % 8] = -3.5
+            assert_is_the_paper_projection(Octonion(coeffs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-2.0 ** 1022, 2.0 ** 1022), min_size=8, max_size=8))
+    def test_in_range(self, coeffs):
+        assert_is_the_paper_projection(Octonion(coeffs))
+
+    def test_beyond_the_formula_range(self):
+        # 2 * o_0 overflows in the formula; the restriction has no sum
+        o = Octonion([1.7e308, -1.7e308, 1.7e308, 0, 0, 0, 0, 0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            paper_projection(o)
+        assert complex_project(o).coeffs.tobytes() == np.array(
+            [1.7e308, -1.7e308, 0, 0, 0, 0, 0, 0]).tobytes()
+
+    def test_pair_gathers_match_the_loop_tables(self):
+        # row a: q -> conj(e_a) q, and row b: r -> conj(r) e_b, where
+        # conj(e_c) = s_c e_c; oracle built by loops from TRIPLES
+        index, sign = loop_unit_products()
+        s = [1 if c == 0 else -1 for c in range(8)]
+        left = loop_gather(lambda a, c: (index[a][c], s[a] * sign[a][c]))
+        right = loop_gather(lambda b, c: (index[c][b], s[c] * sign[c][b]))
+        for got, want in ((hermiticity._LEFT_GATHER, left),
+                          (hermiticity._RIGHT_GATHER, right)):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
 
 
 SECTOR_PREFIX = [ONE, E(2), E(4), E(6)]
@@ -181,12 +240,11 @@ class TestClassify:
 
     def test_extreme_scalar(self):
         # the two sides are compared, not subtracted: L + R overflowing
-        # must not stop a hermitian verdict; a projection that overflows
-        # has no finite value to compare and is refused
+        # must not stop a hermitian verdict; the projection of 1e308 is
+        # 1e308, not the overflowing 2 * 1e308 / 2
         op = OperatorMatrix([[1e308]])
         assert classify(op, FULL).classification == "hermitian"
-        with pytest.raises(ValueError, match="finite"):
-            classify(op, COMPLEX_PROJECTED)
+        assert classify(op, COMPLEX_PROJECTED).classification == "hermitian"
 
     def test_unknown_kind(self):
         # the CLI spells the projected product "projected"; the library
@@ -313,6 +371,113 @@ class TestClassifyAgainstLoop:
             rep = classify(op, kind)
             assert rep.classification == "hermitian"
             assert rep.witness is None
+
+
+def twisted(n, unit_table):
+    """J = I_n (x) U_{e1}: the unit's multiplication in every slot."""
+    return np.kron(np.eye(n), unit_table[1])
+
+
+def claimed(A, J):
+    """The projected classification the module docstring derives."""
+    if np.array_equal(A @ J, J @ A):
+        if np.array_equal(A, A.T):
+            return "hermitian"
+        if np.array_equal(A, -A.T):
+            return "anti-hermitian"
+    return "neither"
+
+
+def from_translation(A):
+    """The operator matrix whose translation is A, block by block; exact
+    when every decomposition coefficient is an integer."""
+    n = A.shape[0] // 8
+    op = OperatorMatrix([[matrix_to_generalized(A[8 * s:8 * s + 8, 8 * t:8 * t + 8])
+                          for t in range(n)] for s in range(n)])
+    assert np.array_equal(op.to_real_matrix(), A)
+    return op
+
+
+class TestProjectedHermiticityClaim:
+    """Projected-hermitian iff the translation is symmetric and commutes
+    with J = I_n (x) R_{e1}; anti-hermitian iff antisymmetric and
+    commuting.  24 (E + J E J^T) keeps every part an integer."""
+
+    @pytest.mark.parametrize("sign, label", [(1, "hermitian"), (-1, "anti-hermitian")])
+    def test_spanning_set_at_n1(self, sign, label):
+        J = twisted(1, RIGHT_UNITS)
+        images = []
+        for i in range(8):
+            for j in range(i, 8):
+                E_ij = np.zeros((8, 8))
+                E_ij[i, j] = 1.0
+                A = 24 * (E_ij + sign * E_ij.T)
+                A = A + J @ A @ J.T
+                if not A.any():  # E_ij +- E_ji anticommutes with J
+                    continue
+                images.append(A.ravel())
+                assert claimed(A, J) == label
+                assert classify(from_translation(A), COMPLEX_PROJECTED).classification == label
+        # the images span the 16-dimensional space of 4x4 complex
+        # (anti-)hermitian matrices
+        assert np.linalg.matrix_rank(np.array(images)) == 16
+
+    @pytest.mark.parametrize("family", ["R+", "R-", "L+", "L-", "S"])
+    def test_seeded_draws_at_n2(self, family):
+        rng = np.random.default_rng(sum(map(ord, family)))
+        J = twisted(2, RIGHT_UNITS)
+        U = twisted(2, LEFT_UNITS if family[0] == "L" else RIGHT_UNITS)
+        for _ in range(8):
+            T = rng.integers(-3, 4, (16, 16)).astype(float)
+            S = T + rng.choice([1, -1]) * T.T  # symmetric or antisymmetric
+            if family == "S":
+                A = 24 * S
+            else:
+                A = 24 * (S + (1 if family[1] == "+" else -1) * U @ S @ U.T)
+            label = classify(from_translation(A), COMPLEX_PROJECTED).classification
+            assert label == claimed(A, J)
+            if family == "R+":
+                assert label != "neither"
+
+
+# the extreme-input family: 1-3 non-zero coefficients an entry, n = 1-2
+FUZZ_VALUES = (0.0, 1.0, -1.0, 2.0, 3.0, 0.5, 1e-300, -1e-300, 1e-160, 1e-100,
+               1e100, 1e154, 1e170, 1e300, 5e-324, 1.7e308)
+
+
+def fuzz_matrices(seed, draws):
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        n = int(rng.integers(1, 3))
+        rows = []
+        for _ in range(n):
+            row = []
+            for _ in range(n):
+                c = np.zeros(8)
+                k = int(rng.integers(1, 4))
+                c[rng.choice(8, k, replace=False)] = (
+                    rng.choice(FUZZ_VALUES, k) * rng.choice([-1.0, 1.0], k))
+                row.append(Octonion(c))
+            rows.append(row)
+        yield OperatorMatrix(rows)
+
+
+class TestFuzzGate:
+    def test_projected_refuses_only_where_full_refuses(self):
+        refused = {FULL: [], COMPLEX_PROJECTED: []}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, op in enumerate(fuzz_matrices(seed=1, draws=150)):
+                for kind, where in refused.items():
+                    try:
+                        label = classify(op, kind).classification
+                    except ValueError:
+                        where.append(d)
+                        continue
+                    if kind == COMPLEX_PROJECTED:
+                        A = op.to_real_matrix()
+                        assert label == claimed(A, twisted(op.n, RIGHT_UNITS)), d
+        assert refused[COMPLEX_PROJECTED] == refused[FULL]
 
 
 class TestSpectrumTheorem:

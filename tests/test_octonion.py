@@ -20,6 +20,9 @@ from octoeig import (
 from octoeig.octonion import (
     CONJ_SIGN,
     LEFT_UNITS,
+    MUL_INDEX,
+    MUL_SIGN,
+    RIGHT_UNIT_GATHER,
     RIGHT_UNITS,
     _format_number,
     left_mul_matrix,
@@ -27,7 +30,7 @@ from octoeig.octonion import (
 )
 from octoeig.operators import operator_basis
 
-from conftest import rand_octonion
+from conftest import loop_gather, loop_unit_products, rand_octonion
 
 E = Octonion.basis
 
@@ -78,6 +81,24 @@ class TestStructureTable:
             structure_constant(0, 3)
         with pytest.raises(IndexError):
             structure_constant(2, 8)
+
+    def test_gathers_match_the_loop_tables(self):
+        # oracle: the (index, sign) tables built by loops from TRIPLES
+        index, sign = loop_unit_products()
+        assert np.array_equal(MUL_INDEX, index)
+        assert np.array_equal(MUL_SIGN, sign)
+        # row m: o -> o e_m, where o_c e_m lands on e_{index[c][m]}
+        want = loop_gather(lambda m, c: (index[c][m], sign[c][m]))
+        for got, table in zip(RIGHT_UNIT_GATHER, want):
+            assert got.dtype == table.dtype
+            assert got.tobytes() == table.tobytes()
+
+    def test_right_unit_gather_is_the_product(self, rng):
+        index, sign = RIGHT_UNIT_GATHER
+        for _ in range(5):
+            o = rand_octonion(rng)
+            for m in range(8):
+                assert (sign[m] * o.coeffs[index[m]]).tobytes() == (o * E(m)).coeffs.tobytes()
 
 
 class TestMultiplication:
