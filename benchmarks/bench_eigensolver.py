@@ -29,7 +29,7 @@ call; it is hermitian under both, so every basis pair is compared.
 Each number is the best of ``--repeats`` runs.
 
 Usage:
-    python benchmarks/bench_eigensolver.py [--sizes 16,32,64,128] [--repeats 3]
+    python benchmarks/bench_eigensolver.py [--sizes 8,16,32,64,128] [--repeats 3]
 """
 
 import argparse
@@ -92,7 +92,7 @@ def coupled_check(rng, n):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="16,32,64,128")
+    parser.add_argument("--sizes", default="8,16,32,64,128")
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]

@@ -36,6 +36,7 @@ from .eigen import (
 from .linalg import SOLVER_TOL, LinalgError
 from .octonion import (
     OctonionParseError,
+    format_coeffs,
     format_complex_octonion,
     format_octonion,
     parse_complex_octonion,
@@ -235,12 +236,11 @@ def _cmd_enumerate(args):
     M = OperatorMatrix.from_json(_load_json(args.input))
     psi_a = parse_octonion(args.psi_a) if args.psi_a is not None else None
     claims = enumerate_basis_right_eigs(M, psi_a=psi_a)
+    # each claim's rows psi_1, psi_2, lambda, formatted in one call
+    rows = np.array([[p.coeffs for p in c.psi] + [c.lam.coeffs] for c in claims])
     items = [
-        {
-            "psi": [format_octonion(p) for p in c.psi],
-            "lambda": format_octonion(c.lam),
-        }
-        for c in claims
+        {"psi": texts[:-1], "lambda": texts[-1]}
+        for texts in format_coeffs(rows.reshape(len(claims), M.n + 1, 8))
     ]
     lines = ["{ " + ", ".join(it["psi"]) + " ; " + it["lambda"] + " }" for it in items]
     lines.append(f"total: {len(items)}")

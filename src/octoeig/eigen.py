@@ -32,7 +32,8 @@ call, with the products and summation order of octonion arithmetic, so
 its residuals are bit-for-bit the octonion-by-octonion ones, and exactly
 0.0 on integer data.  The solvers compute each residual straight from
 the rows Re v and Im v of an eigenvector; octonions are built only for
-the xi and eta they return.
+the xi and eta they return, and eig_report prints the rows themselves
+(format_coeffs).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .linalg import (
     complex_eigen,
     schur_eigensystem,
 )
-from .octonion import CONJ_SIGN, ComplexOctonion, Octonion, format_octonion, product_matrices
+from .octonion import CONJ_SIGN, ComplexOctonion, Octonion, format_coeffs, product_matrices
 from .operators import OperatorMatrix
 
 __all__ = [
@@ -191,22 +192,13 @@ def verify_coupled(M: OperatorMatrix, a: float, b: float, xi, eta) -> float:
     return _residual(M, complex(float(a), float(b)), _coeffs(xi), _coeffs(eta), "coupled")
 
 
-def _clusters(gap: float, sols) -> list[CoupledCluster]:
-    """Solutions grouped by (a, b) within the clustering gap."""
-    zs = [complex(s.a, s.b) for s in sols]
-    return [
-        CoupledCluster(rep.real, rep.imag, len(idxs), [sols[i] for i in idxs])
-        for rep, idxs in cluster_values(zs, gap)
-    ]
-
-
 def _solutions(M: OperatorMatrix, method: str):
     """The clustering gap of M's translation (real for an i-free M,
-    complex otherwise) and one CoupledSolution per eigenvector, stably
-    sorted by (Re z, Im z), with xi = Re v and eta = Im v.  The residual
-    is verify_coupled's for method "coupled" (i-free M only), else
-    verify_complexified's, computed straight from the rows of Re v and
-    Im v."""
+    complex otherwise) and one (z, x, y, residual) per eigenvector v,
+    stably sorted by (Re z, Im z), with x and y the (n, 8) coefficient
+    rows of xi = Re v and eta = Im v.  The residual is verify_coupled's
+    for method "coupled" (i-free M only), else verify_complexified's,
+    computed straight from those rows."""
     if method == "coupled" and M.complexified:
         raise ValueError("solve_coupled needs a real-coefficient operator matrix")
     if M.complexified:
@@ -223,9 +215,14 @@ def _solutions(M: OperatorMatrix, method: str):
             # v is complex when a real block's vector was orthogonalized
             # against a complex pair of its cluster; Im v is dropped here
             y = np.zeros_like(x)
-        res = _residual(M, z, x, y, method)
-        sols.append(CoupledSolution(z.real, z.imag, _chunk_real(x), _chunk_real(y), res))
+        sols.append((z, x, y, _residual(M, z, x, y, method)))
     return cluster_gap(A), sols
+
+
+def _coupled_solution(z: complex, x: np.ndarray, y: np.ndarray, res: float) -> CoupledSolution:
+    """One of _solutions' (z, x, y, residual) with xi and eta built as
+    octonions."""
+    return CoupledSolution(z.real, z.imag, _chunk_real(x), _chunk_real(y), res)
 
 
 def solve_coupled(M: OperatorMatrix) -> list[CoupledSolution]:
@@ -240,12 +237,16 @@ def solve_coupled(M: OperatorMatrix) -> list[CoupledSolution]:
     yields 8 solutions at a = 1 where the algebraic multiplicity is 16.
     Eigenvectors whose relative residual exceeds SOLVER_TOL are dropped.
     """
-    return _solutions(M, "coupled")[1]
+    return [_coupled_solution(*s) for s in _solutions(M, "coupled")[1]]
 
 
 def coupled_clusters(M: OperatorMatrix) -> list[CoupledCluster]:
     """Coupled solutions grouped by (a, b) within the clustering gap."""
-    return _clusters(*_solutions(M, "coupled"))
+    gap, sols = _solutions(M, "coupled")
+    return [
+        CoupledCluster(rep.real, rep.imag, len(idxs), [_coupled_solution(*sols[i]) for i in idxs])
+        for rep, idxs in cluster_values([s[0] for s in sols], gap)
+    ]
 
 
 def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
@@ -268,9 +269,8 @@ def solve_complexified(M: OperatorMatrix) -> list[ComplexifiedSolution]:
     residual is that of verify_complexified.
     """
     return [
-        ComplexifiedSolution(complex(s.a, s.b), tuple(map(ComplexOctonion, s.xi, s.eta)),
-                             s.residual)
-        for s in _solutions(M, "complexified")[1]
+        ComplexifiedSolution(z, tuple(map(ComplexOctonion, _chunk_real(x), _chunk_real(y))), res)
+        for z, x, y, res in _solutions(M, "complexified")[1]
     ]
 
 
@@ -433,23 +433,19 @@ def eig_report(M: OperatorMatrix, method: str) -> dict:
     """
     if method not in ("coupled", "complexified"):
         raise ValueError(f"unknown method {method!r}")
-    clusters = _clusters(*_solutions(M, method))
+    gap, sols = _solutions(M, method)
     return {
         "matrix": M.to_json(),
         "clusters": [
             {
-                "a": c.a,
-                "b": c.b,
-                "multiplicity": c.multiplicity,
+                "a": rep.real,
+                "b": rep.imag,
+                "multiplicity": len(idxs),
                 "solutions": [
-                    {
-                        "xi": [format_octonion(o) for o in s.xi],
-                        "eta": [format_octonion(o) for o in s.eta],
-                        "residual": s.residual,
-                    }
-                    for s in c.solutions
+                    {"xi": format_coeffs(x), "eta": format_coeffs(y), "residual": res}
+                    for _, x, y, res in (sols[i] for i in idxs)
                 ],
             }
-            for c in clusters
+            for rep, idxs in cluster_values([s[0] for s in sols], gap)
         ],
     }

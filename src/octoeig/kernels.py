@@ -10,11 +10,27 @@ sum still accumulates from zero in the loops' order: never ``@``,
 The Schur stage has one helper per transform: _reflect_right (a
 Householder reflector), _reflect3 (Francis QR's 3-row reflector) and
 _rotate (a plane rotation).  A column update is the row update on the
-transposed view ``x.T``, with the same products and sums in the same
-order.  _reflect3 and _rotate stay loops until perfbench stops keeping
-every output: its ``peak_rss_mb`` grows with throughput (ROADMAP items 2, 3).
-``benchmarks/bench_eigensolver.py`` times the kernels against
-``numpy.linalg.eig``.
+transposed view ``x.T`` (francis_qr binds ``h.T`` and ``q.T`` once),
+with the same products and sums in the same order.
+
+_reflect3 and _rotate stay element loops, in the elementwise loop's
+order, but bind their row views once per call and index them 1-D.
+Once per sweep francis_qr reads the diagonal and the subdiagonal as
+Python floats; its deflation scan and its searches for the active
+block read those lists, and each deflated zero goes to both h and the
+list.  The scalar reflector and rotation norms are ``math.sqrt``, the
+same correctly rounded square root as ``np.sqrt``.  Every product and
+sum is the loop's, so T and Q are bit for bit the loop's
+(``tests/test_linalg.py::loop_francis_qr`` is the oracle).
+
+Slicing the two loops across columns would make francis_qr about 5x
+faster at 64x64, but ``perfbench/run.py`` keeps every request's output
+until its loop ends, about 0.12 MB of peak RSS per eig-coupled request
+served, so its ``peak_rss_mb`` grows with throughput: above about 1.8x
+eig-coupled throughput it passes its 5% bound (a sliced copy read
++13%).  Slicing waits for a benchmark that keeps only digests (ROADMAP
+items 2, 3).  ``benchmarks/bench_eigensolver.py`` times the kernels
+against ``numpy.linalg.eig``.
 
 split_real_2x2_blocks returns the eigenvalues from the same scaled
 reading of each 2x2 block that sorts it, as LAPACK dlanv2 does.
@@ -180,21 +196,27 @@ def hessenberg_in_place(h, q):
 
 
 def _reflect3(x, k, lo, hi, v0, v1, v2, beta):
-    """x[k:k+3, lo:hi] <- (I - beta v v^T) x[k:k+3, lo:hi], v = (v0, v1, v2)."""
+    """x[k:k+3, lo:hi] <- (I - beta v v^T) x[k:k+3, lo:hi], v = (v0, v1, v2).
+
+    Element by element on the three row views, bound once."""
+    x0, x1, x2 = x[k], x[k + 1], x[k + 2]
     for j in range(lo, hi):
-        s = beta * (v0 * x[k, j] + v1 * x[k + 1, j] + v2 * x[k + 2, j])
-        x[k, j] -= s * v0
-        x[k + 1, j] -= s * v1
-        x[k + 2, j] -= s * v2
+        s = beta * (v0 * x0[j] + v1 * x1[j] + v2 * x2[j])
+        x0[j] -= s * v0
+        x1[j] -= s * v1
+        x2[j] -= s * v2
 
 
 def _rotate(x, k, lo, hi, c, s):
-    """x[k:k+2, lo:hi] <- [[c, s], [-s, c]] x[k:k+2, lo:hi], in place."""
+    """x[k:k+2, lo:hi] <- [[c, s], [-s, c]] x[k:k+2, lo:hi], in place.
+
+    Element by element on the two row views, bound once."""
+    x0, x1 = x[k], x[k + 1]
     for j in range(lo, hi):
-        t1 = x[k, j]
-        t2 = x[k + 1, j]
-        x[k, j] = c * t1 + s * t2
-        x[k + 1, j] = -s * t1 + c * t2
+        t1 = x0[j]
+        t2 = x1[j]
+        x0[j] = c * t1 + s * t2
+        x1[j] = -s * t1 + c * t2
 
 
 def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
@@ -210,29 +232,33 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
     n = h.shape[0]
     if n <= 2:
         return (0, 0, 0)
+    ht, qt = h.T, q.T
     ihi = n - 1
     total = 0
     stall = 0
     limit = max_sweeps_per_n * n
     while ihi > 0:
+        # diag[k] = h[k, k] and sub[k - 1] = h[k, k - 1], as Python floats
+        diag = np.diagonal(h).tolist()
+        sub = np.diagonal(h, -1).tolist()
         for k in range(1, ihi + 1):
-            tst = abs(h[k - 1, k - 1]) + abs(h[k, k])
+            tst = abs(diag[k - 1]) + abs(diag[k])
             if tst == 0.0:
                 tst = fro_norm
-            if abs(h[k, k - 1]) <= eps * tst:
-                h[k, k - 1] = 0.0
-        if h[ihi, ihi - 1] == 0.0:
+            if abs(sub[k - 1]) <= eps * tst:
+                h[k, k - 1] = sub[k - 1] = 0.0
+        if sub[ihi - 1] == 0.0:
             ihi -= 1
             stall = 0
             continue
         if ihi == 1:
             break  # converged 2x2 block at the top
-        if h[ihi - 1, ihi - 2] == 0.0:
+        if sub[ihi - 2] == 0.0:
             ihi -= 2
             stall = 0
             continue
         l = ihi - 1
-        while l > 0 and h[l, l - 1] != 0.0:
+        while l > 0 and sub[l - 1] != 0.0:
             l -= 1
         # active block h[l:ihi+1, l:ihi+1] has size >= 3 here
         total += 1
@@ -258,7 +284,7 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
                 y = h[k + 1, k - 1]
                 z = h[k + 2, k - 1] if k + 2 <= m else 0.0
             # Householder mapping (x, y, z) to (+-r, 0, 0)
-            alpha = np.sqrt(x * x + y * y + z * z)
+            alpha = math.sqrt(x * x + y * y + z * z)
             if alpha == 0.0:
                 continue
             if x > 0.0:
@@ -272,8 +298,8 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
             beta = 2.0 / vnorm2
             lo = k - 1 if k > l else l
             _reflect3(h, k, lo, n, v0, v1, v2, beta)
-            _reflect3(h.T, k, 0, min(k + 3, m) + 1, v0, v1, v2, beta)
-            _reflect3(q.T, k, 0, n, v0, v1, v2, beta)
+            _reflect3(ht, k, 0, min(k + 3, m) + 1, v0, v1, v2, beta)
+            _reflect3(qt, k, 0, n, v0, v1, v2, beta)
             if k > l:
                 h[k, k - 1] = alpha
                 h[k + 1, k - 1] = 0.0
@@ -281,13 +307,13 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
         # final 2-rotation clearing the leftover bulge entry h[m, m-2]
         x = h[m - 1, m - 2]
         y = h[m, m - 2]
-        r = np.sqrt(x * x + y * y)
+        r = math.sqrt(x * x + y * y)
         if r != 0.0 and y != 0.0:
             c = x / r
             s = y / r
             _rotate(h, m - 1, m - 2, n, c, s)
-            _rotate(h.T, m - 1, 0, m + 1, c, s)
-            _rotate(q.T, m - 1, 0, n, c, s)
+            _rotate(ht, m - 1, 0, m + 1, c, s)
+            _rotate(qt, m - 1, 0, n, c, s)
             h[m, m - 2] = 0.0
     return (0, 0, 0)
 
@@ -337,7 +363,7 @@ def split_real_2x2_blocks(t, q):
             blocks.append((k, 2, (complex(a, b), complex(a, -b))))
             k += 2
             continue
-        sq = np.sqrt(disc)
+        sq = math.sqrt(disc)
         lam = 0.5 * ((p + s) + sq) if p + s >= 0.0 else 0.5 * ((p + s) - sq)
         # eigenvector of the block for lam; pick the better-scaled form
         v0 = qq
@@ -347,7 +373,7 @@ def split_real_2x2_blocks(t, q):
         if v0 * v0 + v1 * v1 < w0 * w0 + w1 * w1:
             v0 = w0
             v1 = w1
-        nrm = np.sqrt(v0 * v0 + v1 * v1)
+        nrm = math.sqrt(v0 * v0 + v1 * v1)
         if nrm != 0.0:
             c = v0 / nrm
             sn = v1 / nrm

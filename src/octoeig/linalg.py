@@ -277,8 +277,18 @@ def _unit(v):
 
 
 def _residual(A, v, z, fro) -> float:
-    """||A v - z v|| / max(1, fro), the residual an EigenPair carries."""
-    return float(np.sqrt((np.abs(A @ v - z * v) ** 2).sum())) / max(1.0, fro)
+    """||A v - z v|| / max(1, fro), the residual an EigenPair carries.
+
+    A real A multiplies the real and imaginary parts of a complex v
+    apart, as two real products: a complex product casts A and goes to
+    zgemv, which OpenBLAS runs threaded from 64 x 64 on, and waking its
+    threads after the single-threaded Schur stage cost about 8 ms a
+    call on 2 CPUs, where each real product takes microseconds."""
+    if np.iscomplexobj(v) and not np.iscomplexobj(A):
+        Av = A @ v.real + 1j * (A @ v.imag)
+    else:
+        Av = A @ v
+    return float(np.sqrt((np.abs(Av - z * v) ** 2).sum())) / max(1.0, fro)
 
 
 def _raise_pivot(d, smin):

@@ -46,6 +46,7 @@ __all__ = [
     "OctonionParseError",
     "structure_constant",
     "format_octonion",
+    "format_coeffs",
     "format_complex_octonion",
     "parse_octonion",
     "parse_complex_octonion",
@@ -391,11 +392,10 @@ def _format_number(x: float) -> str:
     return np.format_float_positional(x, unique=True, trim="-")
 
 
-def format_octonion(o: Octonion) -> str:
-    """Canonical literal, e.g. '1 - 2e3 + e7'; the zero octonion is '0'."""
+def _format_row(coeffs: list) -> str:
+    """Canonical literal of 8 Python-float coefficients."""
     parts = []
-    for k in range(8):
-        c = float(o.coeffs[k])
+    for k, c in enumerate(coeffs):
         if c == 0.0:
             continue
         mag = _format_number(abs(c))
@@ -410,6 +410,30 @@ def format_octonion(o: Octonion) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts) if parts else "0"
+
+
+def format_coeffs(coeffs):
+    """Canonical literals of the octonions whose coefficients run along
+    the last axis of a (..., 8) array: one string for shape (8,), else
+    nested lists of shape coeffs.shape[:-1].  The strings are
+    format_octonion's; coefficients must be finite, as an Octonion's."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    if c.shape[-1:] != (8,):
+        raise ValueError(f"octonion rows need 8 coefficients, got shape {c.shape}")
+    try:
+        texts = [_format_row(row) for row in c.reshape(-1, 8).tolist()]
+    except (OverflowError, ValueError):  # int() of inf or nan in _format_number
+        raise ValueError("octonion coefficients must be finite") from None
+    if c.ndim == 1:
+        return texts[0]
+    out = np.empty(len(texts), dtype=object)
+    out[:] = texts
+    return out.reshape(c.shape[:-1]).tolist()
+
+
+def format_octonion(o: Octonion) -> str:
+    """Canonical literal, e.g. '1 - 2e3 + e7'; the zero octonion is '0'."""
+    return format_coeffs(o.coeffs)
 
 
 def format_complex_octonion(x: ComplexOctonion) -> str:

@@ -56,6 +56,7 @@ from .octonion import (
     ComplexOctonion,
     Octonion,
     OctonionParseError,
+    format_coeffs,
     format_octonion,
     left_mul_matrix,
     parse_octonion,
@@ -585,10 +586,10 @@ class OperatorMatrix:
     def to_json(self) -> dict:
         # an entry whose parts 1..7 are all zero echoes as its part 0 literal
         left_only = ~self._parts[..., 1:, :].any(axis=(-2, -1))
+        texts = format_coeffs(self._parts.reshape(len(self._parts), -1, 8, 8))
         echo = [
-            [format_octonion(g.parts[0]) if lone else [format_octonion(p) for p in g.parts]
-             for g, lone in zip((g for row in grid for g in row), flags.ravel())]
-            for grid, flags in zip((self.entries, self.entries_im), left_only)
+            [parts[0] if lone else parts for parts, lone in zip(grid, flags.ravel().tolist())]
+            for grid, flags in zip(texts, left_only)
         ]
         obj = {"n": self.n, "entries": echo[0]}
         if self.complexified:

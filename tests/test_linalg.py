@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from octoeig import (
     ConvergenceError,
+    GeneralizedOperator,
     Octonion,
     OperatorMatrix,
     SingularMatrixError,
@@ -32,7 +33,9 @@ from octoeig.kernels import (
 )
 from octoeig.linalg import (
     _EPS,
+    _MAX_SWEEPS_PER_N,
     SOLVER_TOL,
+    _hessenberg_stage,
     cluster_gap,
     cluster_values,
     matrix_rank,
@@ -933,6 +936,26 @@ def assert_qr_stage_matches_the_loops(H, Q, fro, sweeps):
     return want
 
 
+def served_translation(family, seed):
+    """The 64 x 64 translation of a seeded n = 8 operator matrix from one
+    of eig-coupled's entry families: "dense generalized" (a dense o_0 and
+    two dense R-parts) or "signed-unit" (0 or a signed unit on the left,
+    0 a quarter of the time)."""
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        parts = np.zeros((8, 8))
+        if family == "dense generalized":
+            parts[0] = rng.uniform(-1.0, 1.0, 8)
+            for m in rng.choice(np.arange(1, 8), size=2, replace=False):
+                parts[m] = rng.uniform(-1.0, 1.0, 8)
+        elif rng.random() >= 0.25:
+            parts[0, rng.integers(0, 8)] = rng.choice((-1.0, 1.0))
+        return GeneralizedOperator(map(Octonion, parts))
+
+    return OperatorMatrix([[entry() for _ in range(8)] for _ in range(8)]).to_real_matrix()
+
+
 class TestQrKernelsAgainstLoops:
     @settings(max_examples=300, deadline=None)
     @given(qr_cases())
@@ -955,6 +978,16 @@ class TestQrKernelsAgainstLoops:
         fro = float(np.sqrt((H * H).sum()))
         hessenberg_in_place(H, np.eye(len(H)))
         assert assert_qr_stage_matches_the_loops(H, np.eye(len(H)), fro, 1) == (0, 0, 0)
+
+    @pytest.mark.parametrize("family", ["signed-unit", "dense generalized"])
+    def test_served_size(self, family):
+        # the 64 x 64 translations eig-coupled serves, balanced and
+        # reduced as _schur does, from the identity and from a random
+        # orthogonal Q
+        H, _, _, fro = _hessenberg_stage(served_translation(family, 8), balance=True)
+        Q = np.linalg.qr(np.random.default_rng(64).standard_normal((64, 64)))[0]
+        for q in (np.eye(64), Q):
+            assert_qr_stage_matches_the_loops(H, q, fro, _MAX_SWEEPS_PER_N)
 
     def test_stalled_translation(self):
         # [[e7, 0], [-e4, 1]] by the coupled method: QR stalls through

@@ -25,6 +25,7 @@ from octoeig.octonion import (
     RIGHT_UNIT_GATHER,
     RIGHT_UNITS,
     _format_number,
+    format_coeffs,
     left_mul_matrix,
     right_mul_matrix,
 )
@@ -53,6 +54,40 @@ HAND_TABLE = {
     (7, 1): (-1, 6), (7, 2): (1, 5), (7, 3): (1, 4), (7, 4): (-1, 3),
     (7, 5): (-1, 2), (7, 6): (1, 1), (7, 7): (-1, 0),
 }
+
+
+def loop_format_octonion(coeffs) -> str:
+    """format_octonion as it was before the row formatter, one octonion
+    at a time; kept as the row formatter's oracle."""
+    o = Octonion(coeffs)
+    parts = []
+    for k in range(8):
+        c = float(o.coeffs[k])
+        if c == 0.0:
+            continue
+        mag = _format_number(abs(c))
+        if k == 0:
+            body = mag
+        elif abs(c) == 1.0:
+            body = f"e{k}"
+        else:
+            body = f"{mag}e{k}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+# coefficients for the row formatter: signed zeros, +-1 (bare units),
+# positional values below 1e-4, the extreme magnitudes, integers past
+# 2**53, and any finite float
+FORMAT_COEFFS = (
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.7e308, -1.7e308])
+    | st.floats(min_value=-1e-4, max_value=1e-4)
+    | st.integers(-(2**70), 2**70).map(float)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
 
 
 class TestStructureTable:
@@ -406,6 +441,34 @@ class TestGrammar:
         want = np.format_float_positional(x, unique=True, trim="-")
         assert _format_number(x) == want
         assert _format_number(np.float64(x)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(FORMAT_COEFFS, min_size=8, max_size=8), max_size=6))
+    @example([[-0.0, 1.0, -1.0, 0.0, 5e-324, 1.7e308, -(2.0**60), 9.999999999999999e-05]])
+    @example([[0.0] * 8, [-0.0] * 8, [1.0] * 8, [-1.0] * 8])
+    def test_row_formatter_is_format_octonion(self, rows):
+        # one call over (k, 8), (8,) and nested shapes prints, row by
+        # row, the strings of the per-octonion loop
+        want = [loop_format_octonion(r) for r in rows]
+        c = np.array(rows, dtype=np.float64).reshape(-1, 8)
+        assert format_coeffs(c) == want
+        assert [format_coeffs(r) for r in c] == want
+        assert [format_octonion(Octonion(r)) for r in rows] == want
+        if len(rows) % 2 == 0:
+            pairs = format_coeffs(c.reshape(2, -1, 1, 8))
+            assert pairs == [[[w] for w in want[:len(rows) // 2]],
+                             [[w] for w in want[len(rows) // 2:]]]
+
+    @pytest.mark.parametrize(
+        "c",
+        [np.zeros(7), np.zeros((2, 9)), [[0.0] * 8, [0.0, 0.0, np.inf] + [0.0] * 5],
+         [-np.inf] + [0.0] * 7, [0.0] * 7 + [np.nan]],
+        ids=["7", "2x9", "inf", "-inf", "nan"],
+    )
+    def test_row_formatter_refuses(self, c):
+        # rows of 8 finite coefficients only, as Octonion takes
+        with pytest.raises(ValueError):
+            format_coeffs(c)
 
     @pytest.mark.parametrize("bad",["e9", "", "1 +", "x3", "e", "2e0"])
     def test_parse_errors(self, bad):
