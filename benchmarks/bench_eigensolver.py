@@ -15,7 +15,11 @@ from the whole solve.
 The ``verify`` column times the exact check of one coupled solution
 (``verify_coupled``) on a seeded dense generalized operator matrix
 with n = size / 8, after one warm-up call, so the verification layer
-shows apart from ``schur`` and ``eigensystem``.
+shows apart from ``schur`` and ``eigensystem``.  The ``peak_MB`` column
+is the tracemalloc peak of one coupled ``eig_report`` on that matrix
+(2**20 bytes to the MB), the working set of a served ``eig`` request
+apart from the process around it; it is measured once, after the
+timings, so tracing slows none of them.
 The ``enumerate`` line after the table times the right-eigen
 enumerator's unpinned scan (all 128 basis candidates Psi = (e_j, +-e_k))
 on the suite's hermitian [[1, e1], [-e1, 1]], after one warm-up call;
@@ -35,6 +39,7 @@ Usage:
 import argparse
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -49,6 +54,7 @@ from octoeig import (
     verify_coupled,
 )
 from octoeig.dirac import dirac_checks
+from octoeig.eigen import eig_report
 from octoeig.kernels import balance_in_place
 from octoeig.linalg import _hessenberg_stage, _qr_stage, real_schur, schur_eigensystem
 
@@ -76,9 +82,9 @@ def qr_stage(H, Q, scale, fro):
 
 
 def coupled_check(rng, n):
-    """A dense generalized n x n operator matrix and a verify_coupled call
-    on one of its solutions, taken from numpy's eigenpair of the real
-    translation with the largest imaginary part."""
+    """A dense generalized n x n operator matrix, and a verify_coupled
+    call on one of its solutions, taken from numpy's eigenpair of the
+    real translation with the largest imaginary part."""
     M = OperatorMatrix(
         [[GeneralizedOperator([Octonion(p) for p in rng.uniform(-1.0, 1.0, (8, 8))])
           for _ in range(n)] for _ in range(n)]
@@ -87,7 +93,17 @@ def coupled_check(rng, n):
     k = int(np.argmax(vals.imag))
     xi = [Octonion(c) for c in vecs[:, k].real.reshape(n, 8)]
     eta = [Octonion(c) for c in vecs[:, k].imag.reshape(n, 8)]
-    return lambda: verify_coupled(M, vals[k].real, vals[k].imag, xi, eta)
+    return M, lambda: verify_coupled(M, vals[k].real, vals[k].imag, xi, eta)
+
+
+def report_peak_mb(M):
+    """The tracemalloc peak of one coupled eig_report on M, in MB."""
+    tracemalloc.start()
+    try:
+        eig_report(M, "coupled")
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -100,8 +116,8 @@ def main() -> int:
     rng = np.random.default_rng(1729)
     op_rng = np.random.default_rng(1731)
     print(f"{'n':>5} | {'balance':>10} {'hessenberg':>10} {'qr':>10} | {'schur':>10} "
-          f"{'eigensystem':>12} {'verify':>10} | {'numpy eig':>10} {'eig/numpy':>10}")
-    print("-" * 104)
+          f"{'eigensystem':>12} {'verify':>10} {'peak_MB':>8} | {'numpy eig':>10} {'eig/numpy':>10}")
+    print("-" * 113)
     worst = 0.0
     for n in sizes:
         A = rng.uniform(-1.0, 1.0, (n, n))
@@ -110,14 +126,15 @@ def main() -> int:
         qr_s, _ = best_time(lambda: qr_stage(*hess), args.repeats)
         schur_s, (Q, T) = best_time(lambda: real_schur(A), args.repeats)
         eig_s, _ = best_time(lambda: schur_eigensystem(A), args.repeats)
-        check = coupled_check(op_rng, max(1, n // 8))
+        M, check = coupled_check(op_rng, max(1, n // 8))
         check()  # builds the matrix's evaluation plan
         verify_s, _ = best_time(check, args.repeats)
         ref_s, _ = best_time(lambda: np.linalg.eig(A), args.repeats)
+        peak_mb = report_peak_mb(M)
         froA = float(np.sqrt((A * A).sum()))
         worst = max(worst, float(np.abs(Q @ T @ Q.T - A).max() / max(1.0, froA)))
         print(f"{n:>5} | {bal_s:10.5f} {hess_s:10.5f} {qr_s:10.5f} | {schur_s:10.5f} {eig_s:12.5f} "
-              f"{verify_s:10.5f} | {ref_s:10.5f} {eig_s / ref_s:9.1f}x")
+              f"{verify_s:10.5f} {peak_mb:8.3f} | {ref_s:10.5f} {eig_s / ref_s:9.1f}x")
     M = OperatorMatrix([[1, Octonion.basis(1)], [-Octonion.basis(1), 1]])
     enumerate_basis_right_eigs(M)  # builds the matrix's evaluation plan
     enum_s, _ = best_time(lambda: enumerate_basis_right_eigs(M), args.repeats)

@@ -68,8 +68,17 @@ def _json_int(text: str) -> int:
     return value
 
 
+# Built once per process, as json.loads would build it on every call.
+_JSON_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
 def _load_json(path: str):
-    return json.loads(_read_text(path), parse_int=_json_int)
+    """json.loads(text, parse_int=_json_int), byte-order-mark refusal
+    included, on the decoder built at import."""
+    text = _read_text(path)
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _JSON_DECODER.decode(text)
 
 
 class _UsageError(Exception):

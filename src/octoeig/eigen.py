@@ -30,10 +30,13 @@ clustering gap.  Each verifier evaluates M on the (n, 8) coefficient rows
 of its vectors (xi and eta together) with one ``OperatorMatrix._evaluate``
 call, with the products and summation order of octonion arithmetic, so
 its residuals are bit-for-bit the octonion-by-octonion ones, and exactly
-0.0 on integer data.  The solvers compute each residual straight from
-the rows Re v and Im v of an eigenvector; octonions are built only for
-the xi and eta they return, and eig_report prints the rows themselves
-(format_coeffs).
+0.0 on integer data.  The solvers compute the residuals straight from
+the rows Re v and Im v of the eigenvectors, stacked: one ``_evaluate``
+call and one norm pass per stack of solutions, each stack no larger
+than _STACK_SLOTS, where every stacked operation is the per-solution
+one, so each residual is the verifier's bit for bit.  Octonions are
+built only for the xi and eta the solvers return, and eig_report prints
+all the rows with one format_coeffs call.
 """
 
 from __future__ import annotations
@@ -132,14 +135,14 @@ def _coeffs(vec) -> np.ndarray:
     return np.array([o.coeffs for o in vec])
 
 
-def _max_norm(re, im=None) -> float:
-    """Largest entrywise norm of residual rows: sqrt(r @ r), as
-    Octonion.norm computes it, or sqrt(re @ re + im @ im).  A row whose
-    largest entry lies outside [2**-500, 2**500] is scaled by an exact
-    power of two before squaring and unscaled after, so its squares
-    neither overflow nor underflow; other rows are not scaled.  Raises
-    ValueError where the residual arithmetic left the finite range, as
-    building those octonions would."""
+def _row_norms(re, im=None) -> np.ndarray:
+    """Entrywise norms of residual rows (..., 8): sqrt(r @ r), as
+    Octonion.norm computes it, or sqrt(re @ re + im @ im), one dot per
+    row.  A row whose largest entry lies outside [2**-500, 2**500] is
+    scaled by an exact power of two before squaring and unscaled after,
+    so its squares neither overflow nor underflow; other rows are not
+    scaled.  Raises ValueError where the residual arithmetic left the
+    finite range, as building those octonions would."""
     if not (np.isfinite(re).all() and (im is None or np.isfinite(im).all())):
         raise ValueError("octonion coefficients must be finite")
     parts = (re,) if im is None else (re, im)
@@ -149,7 +152,7 @@ def _max_norm(re, im=None) -> float:
     for r in parts:
         r = np.ldexp(r, -e[..., None])
         sq = sq + (r[..., None, :] @ r[..., :, None])[..., 0, 0]
-    return float(np.ldexp(np.sqrt(sq), e).max())
+    return np.ldexp(np.sqrt(sq), e)
 
 
 def _require_i_free(M: OperatorMatrix) -> None:
@@ -158,23 +161,36 @@ def _require_i_free(M: OperatorMatrix) -> None:
         raise ValueError("complexified operator matrix acts on complexified vectors")
 
 
-def _residual(M: OperatorMatrix, z: complex, x: np.ndarray, y: np.ndarray,
-              method: str) -> float:
-    """Max entrywise norm of M(xi + i eta) - (xi + i eta) z from the (n, 8)
-    coefficient rows x of xi and y of eta, with M(xi + i eta) from one
-    OperatorMatrix._evaluate call.  For method "coupled" each re and im
-    row is one octonion of the coupled pair (verify_coupled's norm), else
-    each (re, im) pair of rows is one complexified octonion
+# The largest _entry_values slot array one residual stack may fill: that
+# of one solution (xi and eta) of an n = 8 real matrix, 2 * 64 * 8**2
+# floats, so n = 8 stays one solution a stack.  Under tracemalloc, one
+# eig_report on the n = 8 dense generalized matrix of
+# benchmarks/bench_eigensolver.py peaks at 0.81 MB with this cap, and at
+# 9.0 MB with all 35 solutions in one stack.
+_STACK_SLOTS = 2 * 64 * 8**2
+
+
+def _residuals(M: OperatorMatrix, z: np.ndarray, x: np.ndarray, y: np.ndarray,
+               method: str) -> np.ndarray:
+    """Max entrywise norm of M(xi + i eta) - (xi + i eta) z for k stacked
+    solutions, from their eigenvalues z, shape (k,), and the coefficient
+    rows x of xi and y of eta, shape (k, n, 8), with M(xi + i eta) from
+    one OperatorMatrix._evaluate call.  For method "coupled" each re and
+    im row is one octonion of the coupled pair (verify_coupled's norm),
+    else each (re, im) pair of rows is one complexified octonion
     (verify_complexified's).  (xi + i eta) z = (x zr - y zi) +
     i (x zi + y zr): an octonion times a real scalar octonion is the
     exact scaling of its coefficients, and IEEE products and sums
     commute, so for z = a + ib these are a x - b y and a y + b x bit for
-    bit."""
+    bit.  Every operation acts on each solution as on a stack of one, so
+    each residual does not depend on the stack it is computed in."""
     m_re, m_im = M._evaluate(x, y)
-    zr, zi = float(z.real), float(z.imag)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
+    zr, zi = z.real[:, None, None], z.imag[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _row_norms
         rows = m_re - (x * zr - y * zi), m_im - (x * zi + y * zr)
-    return _max_norm(np.stack(rows)) if method == "coupled" else _max_norm(*rows)
+    if method == "coupled":
+        return _row_norms(np.stack(rows)).max(axis=(0, 2))
+    return _row_norms(*rows).max(axis=1)
 
 
 def verify_coupled(M: OperatorMatrix, a: float, b: float, xi, eta) -> float:
@@ -189,16 +205,18 @@ def verify_coupled(M: OperatorMatrix, a: float, b: float, xi, eta) -> float:
     if len(xi) != M.n or len(eta) != M.n:
         raise ValueError(f"vector length != matrix size {M.n}")
     _require_i_free(M)
-    return _residual(M, complex(float(a), float(b)), _coeffs(xi), _coeffs(eta), "coupled")
+    z = np.array([complex(float(a), float(b))])
+    return float(_residuals(M, z, _coeffs(xi)[None], _coeffs(eta)[None], "coupled")[0])
 
 
 def _solutions(M: OperatorMatrix, method: str):
-    """The clustering gap of M's translation (real for an i-free M,
-    complex otherwise) and one (z, x, y, residual) per eigenvector v,
-    stably sorted by (Re z, Im z), with x and y the (n, 8) coefficient
-    rows of xi = Re v and eta = Im v.  The residual is verify_coupled's
-    for method "coupled" (i-free M only), else verify_complexified's,
-    computed straight from those rows."""
+    """(gap, z, xy, res) for M: gap the clustering gap of M's translation
+    (real for an i-free M, complex otherwise), z the list of eigenvalues,
+    one per eigenvector v, stably sorted by (Re z, Im z), xy the (k, 2,
+    n, 8) array of the coefficient rows of xi = Re v and eta = Im v, and
+    res the list of residuals: verify_coupled's for method "coupled"
+    (i-free M only), else verify_complexified's, computed straight from
+    those rows in stacks of at most _STACK_SLOTS entry-value slots."""
     if method == "coupled" and M.complexified:
         raise ValueError("solve_coupled needs a real-coefficient operator matrix")
     if M.complexified:
@@ -208,21 +226,25 @@ def _solutions(M: OperatorMatrix, method: str):
         A = M.to_real_matrix()
         pairs = [(z, v) for z, v, _ in schur_eigensystem(A)[1]]
     pairs.sort(key=lambda p: (p[0].real, p[0].imag))
-    sols = []
-    for z, v in pairs:
-        x, y = np.real(v).reshape(-1, 8), np.imag(v).reshape(-1, 8)
-        if z.imag == 0.0 and not M.complexified:
-            # v is complex when a real block's vector was orthogonalized
-            # against a complex pair of its cluster; Im v is dropped here
-            y = np.zeros_like(x)
-        sols.append((z, x, y, _residual(M, z, x, y, method)))
-    return cluster_gap(A), sols
+    n, k = M.n, len(pairs)
+    zs = [z for z, _ in pairs]
+    v = np.array([v for _, v in pairs], dtype=np.complex128).reshape(k, n, 8)
+    xy = np.stack((v.real, v.imag), axis=1)
+    if not M.complexified:
+        # v is complex when a real block's vector was orthogonalized
+        # against a complex pair of its cluster; Im v is dropped here
+        xy[[z.imag == 0.0 for z in zs], 1] = 0.0
+    z = np.array(zs, dtype=np.complex128)
+    step = max(1, _STACK_SLOTS // (2 * M._parts.shape[0] * 64 * n * n))
+    res = []
+    for s in range(0, k, step):
+        res += _residuals(M, z[s:s + step], xy[s:s + step, 0], xy[s:s + step, 1], method).tolist()
+    return cluster_gap(A), zs, xy, res
 
 
-def _coupled_solution(z: complex, x: np.ndarray, y: np.ndarray, res: float) -> CoupledSolution:
-    """One of _solutions' (z, x, y, residual) with xi and eta built as
-    octonions."""
-    return CoupledSolution(z.real, z.imag, _chunk_real(x), _chunk_real(y), res)
+def _coupled_solution(z: complex, xy: np.ndarray, res: float) -> CoupledSolution:
+    """One of _solutions' solutions with xi and eta built as octonions."""
+    return CoupledSolution(z.real, z.imag, _chunk_real(xy[0]), _chunk_real(xy[1]), res)
 
 
 def solve_coupled(M: OperatorMatrix) -> list[CoupledSolution]:
@@ -237,15 +259,17 @@ def solve_coupled(M: OperatorMatrix) -> list[CoupledSolution]:
     yields 8 solutions at a = 1 where the algebraic multiplicity is 16.
     Eigenvectors whose relative residual exceeds SOLVER_TOL are dropped.
     """
-    return [_coupled_solution(*s) for s in _solutions(M, "coupled")[1]]
+    _, zs, xy, res = _solutions(M, "coupled")
+    return list(map(_coupled_solution, zs, xy, res))
 
 
 def coupled_clusters(M: OperatorMatrix) -> list[CoupledCluster]:
     """Coupled solutions grouped by (a, b) within the clustering gap."""
-    gap, sols = _solutions(M, "coupled")
+    gap, zs, xy, res = _solutions(M, "coupled")
     return [
-        CoupledCluster(rep.real, rep.imag, len(idxs), [_coupled_solution(*sols[i]) for i in idxs])
-        for rep, idxs in cluster_values([s[0] for s in sols], gap)
+        CoupledCluster(rep.real, rep.imag, len(idxs),
+                       [_coupled_solution(zs[i], xy[i], res[i]) for i in idxs])
+        for rep, idxs in cluster_values(zs, gap)
     ]
 
 
@@ -254,7 +278,8 @@ def verify_complexified(M: OperatorMatrix, z: complex, phi) -> float:
     phi = [p if isinstance(p, ComplexOctonion) else ComplexOctonion(p) for p in phi]
     if len(phi) != M.n:
         raise ValueError(f"vector length != matrix size {M.n}")
-    return _residual(M, z, _coeffs(p.re for p in phi), _coeffs(p.im for p in phi), "complexified")
+    x, y = _coeffs(p.re for p in phi), _coeffs(p.im for p in phi)
+    return float(_residuals(M, np.array([complex(z)]), x[None], y[None], "complexified")[0])
 
 
 def solve_complexified(M: OperatorMatrix) -> list[ComplexifiedSolution]:
@@ -268,9 +293,10 @@ def solve_complexified(M: OperatorMatrix) -> list[ComplexifiedSolution]:
     translation (complex_eigen) yields one solution.  Either way the
     residual is that of verify_complexified.
     """
+    _, zs, xy, res = _solutions(M, "complexified")
     return [
-        ComplexifiedSolution(z, tuple(map(ComplexOctonion, _chunk_real(x), _chunk_real(y))), res)
-        for z, x, y, res in _solutions(M, "complexified")[1]
+        ComplexifiedSolution(z, tuple(map(ComplexOctonion, _chunk_real(x), _chunk_real(y))), r)
+        for z, (x, y), r in zip(zs, xy, res)
     ]
 
 
@@ -293,9 +319,9 @@ def verify_right_eigen(M: OperatorMatrix, claim: RightEigenClaim) -> RightEigenC
     x = _coeffs(psi)
     _require_i_free(M)
     m_psi = M._evaluate(x)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused in _max_norm
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _row_norms
         # psi_i lambda = lambda @ P(psi_i): per row the gemv of Octonion.__mul__
-        res = _max_norm(m_psi - claim.lam.coeffs @ product_matrices(x))
+        res = float(_row_norms(m_psi - claim.lam.coeffs @ product_matrices(x)).max())
     return RightEigenCheck(ok=(res == 0.0), residual=res, zero_vector=not x.any())
 
 
@@ -433,7 +459,8 @@ def eig_report(M: OperatorMatrix, method: str) -> dict:
     """
     if method not in ("coupled", "complexified"):
         raise ValueError(f"unknown method {method!r}")
-    gap, sols = _solutions(M, method)
+    gap, zs, xy, res = _solutions(M, method)
+    sols = [{"xi": x, "eta": y, "residual": r} for (x, y), r in zip(format_coeffs(xy), res)]
     return {
         "matrix": M.to_json(),
         "clusters": [
@@ -441,11 +468,8 @@ def eig_report(M: OperatorMatrix, method: str) -> dict:
                 "a": rep.real,
                 "b": rep.imag,
                 "multiplicity": len(idxs),
-                "solutions": [
-                    {"xi": format_coeffs(x), "eta": format_coeffs(y), "residual": res}
-                    for _, x, y, res in (sols[i] for i in idxs)
-                ],
+                "solutions": [sols[i] for i in idxs],
             }
-            for rep, idxs in cluster_values([s[0] for s in sols], gap)
+            for rep, idxs in cluster_values(zs, gap)
         ],
     }

@@ -25,12 +25,16 @@ sum is the loop's, so T and Q are bit for bit the loop's
 
 Slicing the two loops across columns would make francis_qr about 5x
 faster at 64x64, but ``perfbench/run.py`` keeps every request's output
-until its loop ends, about 0.12 MB of peak RSS per eig-coupled request
-served, so its ``peak_rss_mb`` grows with throughput: above about 1.8x
-eig-coupled throughput it passes its 5% bound (a sliced copy read
-+13%).  Slicing waits for a benchmark that keeps only digests (ROADMAP
-items 2, 3).  ``benchmarks/bench_eigensolver.py`` times the kernels
-against ``numpy.linalg.eig``.
+until its loop ends, so ``peak_rss_mb`` grows with throughput.  In the
+benchmark's own 30 s runs of the change that made these loops read the
+diagonal once per sweep (commit 6fdaa8a), eig-coupled's median peak RSS
+went from 47.29 to 48.28 MB as its throughput went from 0.83 to 1.13
+req/s: about 3.3 MB per req/s, so from there about 1.6x the throughput
+fits the 5% ``peak_rss_mb`` bound (a sliced copy read +13%).  lab-mix's
+peak RSS rose about 0.16% per 1% of throughput, so about 1.3x fits.
+Slicing waits for a benchmark that keeps only digests (ROADMAP items 2,
+3).  ``benchmarks/bench_eigensolver.py`` times the kernels against
+``numpy.linalg.eig``.
 
 split_real_2x2_blocks returns the eigenvalues from the same scaled
 reading of each 2x2 block that sorts it, as LAPACK dlanv2 does.

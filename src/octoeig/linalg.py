@@ -301,8 +301,12 @@ def _raise_pivot(d, smin):
 
 def _solve_2x2(c, rhs, smin):
     """Solve the 2x2 system c x = rhs by complete pivoting, raising both
-    pivots below smin to smin with their phase (as LAPACK dlaln2)."""
-    i, j = divmod(int(np.argmax(np.abs(c))), 2)
+    pivots below smin to smin with their phase (as LAPACK dlaln2).  The
+    pivot is the first entry of largest |c|, as np.argmax picks it, found
+    on Python floats; |c| itself stays numpy's, since Python's abs (libm
+    hypot) rounds some complex magnitudes differently."""
+    mags = np.abs(c).ravel().tolist()
+    i, j = divmod(mags.index(max(mags)), 2)
     piv = _raise_pivot(c[i, j], smin)
     l = c[1 - i, j] / piv
     u = _raise_pivot(c[1 - i, 1 - j] - l * c[i, 1 - j], smin)
@@ -312,17 +316,23 @@ def _solve_2x2(c, rhs, smin):
     return x
 
 
-def _schur_vector(T, Q, scale, blocks, b, z):
+# I of a 2x2 block's shifted system B - z I, built once
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
+
+
+def _schur_vector(T, Q, scale, blocks, b, z, tmax):
     """Unit eigenvector of A = D Q T Q^T D^-1 for the eigenvalue z of the
-    diagonal block blocks[b] of T.
+    diagonal block blocks[b] of T, with tmax = max |T| read once per T.
 
     y solves (T - z I) y = 0 by back-substitution over the blocks before
     z's block, last to first (the scheme of LAPACK dtrevc), in real
     arithmetic for real z; then v = D (Q y).  Pivots below
-    smin = eps max(|z|, max |T|), and at least the smallest normal
-    float, are raised to smin; y is rescaled when its entries pass 1e100.
+    smin = eps max(|z|, tmax), and at least the smallest normal float,
+    are raised to smin; y is rescaled when its entries pass 1e100, a
+    test made on Python floats.
     """
-    smin = max(_EPS * max(abs(z), float(np.abs(T).max())), _TINY)
+    smin = max(_EPS * max(abs(z), tmax), _TINY)
     if z.imag == 0.0:
         z = z.real
     start, size, _ = blocks[b]
@@ -342,9 +352,8 @@ def _schur_vector(T, Q, scale, blocks, b, z):
         if jsize == 1:
             y[j] = rhs[0] / _raise_pivot(T[j, j] - z, smin)
         else:
-            c = T[j:jend, j:jend] - z * np.eye(2)
-            y[j:jend] = _solve_2x2(c, rhs, smin)
-        big = np.abs(y[j:jend]).max()
+            y[j:jend] = _solve_2x2(T[j:jend, j:jend] - z * _EYE2, rhs, smin)
+        big = max(np.abs(y[j:jend]).tolist())
         if big > 1e100:
             y /= big
     return _unit(scale * (Q[:, :end] @ y))
@@ -367,7 +376,7 @@ def eigenvector(A, z):
         ((b, w) for b, (_, _, vs) in enumerate(blocks) for w in vs),
         key=lambda bw: abs(bw[1] - z),
     )
-    v = _schur_vector(T, Q, scale, blocks, b, w)
+    v = _schur_vector(T, Q, scale, blocks, b, w, float(np.abs(T).max()))
     res = _residual(A, v, z, _fro(A))
     if not res <= SOLVER_TOL:
         raise ConvergenceError(f"no eigenvector for z={z}: residual {res:.3e}")
@@ -391,12 +400,13 @@ def schur_eigensystem(A):
     Q, T, scale, blocks = _schur(A, balance=True)
     values = _sorted_values(blocks)
     reps = [vs[0] for (_, _, vs) in blocks]  # the Im >= 0 value of each block
+    tmax = float(np.abs(T).max())
     records = []
     for rep, idxs in cluster_values(reps, cluster_gap(A)):
         found = []
         for b in idxs:
             z = reps[b]
-            v = _unit(_orthogonalize(_schur_vector(T, Q, scale, blocks, b, z), found))
+            v = _unit(_orthogonalize(_schur_vector(T, Q, scale, blocks, b, z, tmax), found))
             res = np.inf if v is None else _residual(A, v, z, fro)
             if res <= SOLVER_TOL:
                 found.append(v)

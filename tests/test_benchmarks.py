@@ -26,11 +26,13 @@ def test_bench_eigensolver_runs(monkeypatch, capsys):
     assert bench.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["n", "|", "balance", "hessenberg", "qr", "|", "schur",
-                                "eigensystem", "verify", "|", "numpy", "eig", "eig/numpy"]
+                                "eigensystem", "verify", "peak_MB", "|", "numpy", "eig",
+                                "eig/numpy"]
     rows = [line.split() for line in lines[2:4]]
     assert [row[0] for row in rows] == ["8", "16"]
     assert all(len(row) == len(lines[0].split()) - 1 for row in rows)
     assert all(float(row[2]) > 0.0 for row in rows)  # the balance column
+    assert all(float(row[9]) > 0.0 for row in rows)  # the eig_report peak
     enum = re.fullmatch(r"enumerate: (\S+) s", lines[4])
     assert enum and float(enum.group(1)) > 0.0
     pinned = re.fullmatch(r"enumerate pinned: (\S+) s", lines[5])
@@ -93,4 +95,19 @@ def test_lab_mix_seed1_digest_is_unchanged(tmp_path):
     digest = _load(ROOT / "benchmarks" / "output_digest.py")
     lines = digest.digest_lines("lab-mix", digest.requests("lab-mix", 1, str(tmp_path)))
     want = (ROOT / "tests" / "data" / "lab_mix_seed1.digest").read_text().splitlines()
+    assert lines == want
+
+
+def test_eig_decks_seed1_digest_is_unchanged(tmp_path):
+    # tests/data/eig_decks_seed1.digest holds the lines that
+    # `benchmarks/output_digest.py --seed 1` prints for the warm-up and
+    # first deck of eig-coupled (n = 2, then n = 8) and eig-complexified
+    # (n = 2, then n = 4); a change to the exit code or stdout of any of
+    # those eig requests fails here
+    digest = _load(ROOT / "benchmarks" / "output_digest.py")
+    lines = []
+    for workload in ("eig-coupled", "eig-complexified"):
+        warm, decks = digest.workloads.build(workload, 1, str(tmp_path / workload))
+        lines += digest.digest_lines(workload, [warm] + decks[0])
+    want = (ROOT / "tests" / "data" / "eig_decks_seed1.digest").read_text().splitlines()
     assert lines == want

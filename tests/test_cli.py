@@ -102,6 +102,50 @@ class TestHugeJsonIntegers:
         assert err == "octoeig: bad input: a 401-character JSON integer exceeds the float64 range\n"
 
 
+class TestJsonDecoder:
+    """Input JSON is read by one decoder built at import, as json.loads
+    with parse_int=_json_int reads it."""
+
+    DOCUMENTS = [
+        '{"n": 1, "entries": [3]}',
+        '[1, -2, 3.5, 1e3, "e1", null, true, {"a": [0]}]',
+        '{"n": 1, "entries": [' + str(HUGE) + ']}',
+        '\ufeff{"n": 1}',
+        '{"n": 1,}',
+        '',
+        '[1] [2]',
+    ]
+
+    @staticmethod
+    def _outcome(fn, text):
+        try:
+            return "ok", fn(text)
+        except (ValueError, json.JSONDecodeError) as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("text", DOCUMENTS, ids=range(len(DOCUMENTS)))
+    def test_same_as_json_loads(self, tmp_path, text):
+        path = tmp_path / "in.json"
+        path.write_text(text, encoding="utf-8")
+        got = self._outcome(lambda _: cli._load_json(str(path)), text)
+        want = self._outcome(lambda t: json.loads(t, parse_int=cli._json_int), text)
+        assert got == want
+
+    def test_no_decoder_built_per_request(self, monkeypatch, capsys, matrix_file):
+        built = []
+
+        class Counted(json.JSONDecoder):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(json, "JSONDecoder", Counted)
+        for _ in range(3):
+            code, _, _ = run_cli(capsys, "eig", matrix_file)
+            assert code == 0
+        assert built == []
+
+
 class TestJsonBooleans:
     """true and false are not the numbers 1 and 0, wherever a number goes."""
 
@@ -724,33 +768,42 @@ class TestDiracAndSuite:
 
     @staticmethod
     def _dirac_momenta(monkeypatch):
-        """Record the momenta dirac draws for its dispersion checks, and
-        the representation each check is handed."""
+        """Record the momenta dirac draws for its dispersion checks, which
+        run as one stack, and the representation each stack is handed."""
         drawn, reps = [], []
-        check = dirac_mod.dispersion_check
+        check = dirac_mod._dispersion
 
-        def spy(rep=None, *, p, m):
+        def spy(rep, p, m):
             drawn.append(p.copy())
             reps.append(rep)
-            return check(rep, p=p, m=m)
+            return check(rep, p, m)
 
-        monkeypatch.setattr(dirac_mod, "dispersion_check", spy)
+        monkeypatch.setattr(dirac_mod, "_dispersion", spy)
         return drawn, reps
 
     def test_momenta_from_seed_1729(self, monkeypatch, capsys):
         drawn, _ = self._dirac_momenta(monkeypatch)
         code, _, _ = run_cli(capsys, "dirac")
         assert code == 0
-        assert len(drawn) == 100
-        assert np.array_equal(drawn[0], np.random.default_rng(1729).uniform(-2.0, 2.0, 3))
+        assert len(drawn) == 1 and drawn[0].shape == (100, 3)
+        assert np.array_equal(drawn[0][0], np.random.default_rng(1729).uniform(-2.0, 2.0, 3))
 
     def test_representation_built_once(self, monkeypatch, capsys):
         _, reps = self._dirac_momenta(monkeypatch)
+        built = []
+        representation = dirac_mod.dirac_representation
+
+        def counted():
+            built.append(representation())
+            return built[-1]
+
+        monkeypatch.setattr(dirac_mod, "dirac_representation", counted)
         code, _, _ = run_cli(capsys, "dirac")
         assert code == 0
-        assert len(reps) == 100
+        # one for the 100 dispersion draws, one for the algebra check
+        assert len(reps) == 1 and len(built) == 2
         assert isinstance(reps[0], dirac_mod.DiracRep)
-        assert all(rep is reps[0] for rep in reps)
+        assert any(rep is reps[0] for rep in built)
 
     def test_seed_env_is_not_read(self, monkeypatch, capsys):
         monkeypatch.setenv("OCTOEIG_SEED", "abc")

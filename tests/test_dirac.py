@@ -151,6 +151,92 @@ class TestDispersion:
             assert dispersion_check(p=p, m=m)["ok"]
 
 
+def loop_dispersion_check(rep, p, m):
+    """The single-draw arithmetic of dispersion_check before it ran on
+    stacks, kept as the oracle: (max_error, ok)."""
+    p = np.asarray(p, dtype=np.float64)
+    H = m * rep.beta
+    for k in range(3):
+        H = H + p[k] * rep.alphas[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy_sq = float(p @ p) + m * m
+        err = float(np.abs(H @ H - energy_sq * np.eye(8)).max())
+    return err, err <= dirac.DISPERSION_TOL * max(1.0, energy_sq)
+
+
+def draws_in_turn(seed):
+    """dirac_checks' 100 draws as 100 turns of p, then m."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(-2.0, 2.0, 3), float(rng.uniform(0.0, 2.0))) for _ in range(100)]
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestStackedDraws:
+    """dirac_checks checks its 100 draws as one stack; each must be what
+    one dispersion_check call gives, bit for bit."""
+
+    @staticmethod
+    def stacked(monkeypatch, seed):
+        """Run dirac_checks(seed), recording what its one stacked call of
+        dirac._dispersion was given and gave back."""
+        calls = []
+        original = dirac._dispersion
+
+        def spy(rep, p, m):
+            out = original(rep, p, m)
+            calls.append((p.copy(), m.copy(), *out))
+            return out
+
+        monkeypatch.setattr(dirac, "_dispersion", spy)
+        rows, worst = dirac.dirac_checks(seed)
+        assert len(calls) == 1
+        return rows, worst, calls[0]
+
+    @pytest.mark.parametrize("seed", [1729, 0, 2**40 + 7])
+    def test_equal_to_100_single_draws(self, monkeypatch, seed):
+        rows, worst, (p, m, err, ok) = self.stacked(monkeypatch, seed)
+        draws = draws_in_turn(seed)
+        assert p.shape == (100, 3) and m.shape == (100,)
+        assert p.tobytes() == np.array([d[0] for d in draws]).tobytes()
+        assert m.tobytes() == np.array([d[1] for d in draws]).tobytes()
+        singles = [dispersion_check(p=dp, m=dm) for dp, dm in draws]
+        assert [bits(x) for x in err] == [bits(r["max_error"]) for r in singles]
+        assert ok.tolist() == [r["ok"] for r in singles]
+        assert dict(rows)["dispersion-100-random"] == all(r["ok"] for r in singles)
+        assert bits(worst) == bits(max(r["max_error"] for r in singles))
+
+    def test_errors_are_not_all_zero(self, monkeypatch):
+        # the stack is checked on draws with rounding in them
+        _, worst, (_, _, err, _) = self.stacked(monkeypatch, 1729)
+        assert worst > 0.0 and (err > 0.0).sum() > 10
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 2.0, 1e3, 1e150])
+    def test_single_draw_is_the_loop(self, scale):
+        # dispersion_check runs on a stack of one; the oracle is the
+        # per-draw arithmetic it replaced
+        rep = dirac_representation()
+        alphas = rep.alphas
+        bad = dirac.DiracRep(alphas, alphas[0])
+        rng = np.random.default_rng(int(scale * 1000) % 2**32)
+        for r in (rep, bad):
+            for _ in range(50):
+                p = rng.uniform(-scale, scale, 3)
+                m = float(rng.uniform(0.0, scale))
+                got = dispersion_check(r, p=p, m=m)
+                err, ok = loop_dispersion_check(r, p, m)
+                assert bits(got["max_error"]) == bits(err) and got["ok"] == ok
+
+    def test_a_stack_refuses_an_overflowing_draw(self):
+        rep = dirac_representation()
+        p = np.zeros((3, 3))
+        p[1, 0] = 1e160
+        with pytest.raises(ValueError, match="exceeds the float64 range"):
+            dirac._dispersion(rep, p, np.ones(3))
+
+
 class TestDoublet:
     def test_report(self):
         rep = orthogonal_doublet_check()

@@ -626,7 +626,7 @@ def source_methods(kind):
 
 class TestOneSolutionSource:
     """Both eig methods build their solutions from one translation, with
-    one M(xi + i eta) evaluation per solution."""
+    one M(xi + i eta) evaluation per solution, stacked."""
 
     @pytest.mark.parametrize("kind, n", SOURCE_CASES, ids=[f"{k}-{n}" for k, n in SOURCE_CASES])
     def test_residuals_are_the_verifiers(self, kind, n):
@@ -651,23 +651,32 @@ class TestOneSolutionSource:
 
     @pytest.mark.parametrize("kind, n", SOURCE_CASES, ids=[f"{k}-{n}" for k, n in SOURCE_CASES])
     def test_one_translation_one_evaluation_per_solution(self, monkeypatch, kind, n):
+        # every solution's rows are evaluated once, in stacks of at most
+        # _STACK_SLOTS entry-value slots: 2 (xi, eta) x grids x 64 n^2 each
         calls = {"_translation": 0, "_evaluate": 0, "apply": 0, "apply_complex": 0}
+        stacks = []
         for name in calls:
             original = getattr(OperatorMatrix, name)
 
             def counted(self, *args, _name=name, _original=original):
                 calls[_name] += 1
+                if _name == "_evaluate":
+                    stacks.append(len(args[0]))
                 return _original(self, *args)
 
             monkeypatch.setattr(OperatorMatrix, name, counted)
+        grids = 2 if kind == "complexified" else 1
+        step = eigen._STACK_SLOTS // (2 * grids * 64 * n * n)
         for method in source_methods(kind):
             M = seeded_matrix(kind, n, 100 * n + len(kind))
             calls.update(dict.fromkeys(calls, 0))
+            stacks.clear()
             rep = eig_report(M, method)
             solutions = sum(len(c["solutions"]) for c in rep["clusters"])
             assert solutions
-            assert calls == {"_translation": 1, "_evaluate": solutions, "apply": 0,
+            assert calls == {"_translation": 1, "_evaluate": -(-solutions // step), "apply": 0,
                              "apply_complex": 0}
+            assert sum(stacks) == solutions and max(stacks) <= step
 
     @pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
     def test_sorted_stably_by_re_then_im(self, monkeypatch, complexified):
@@ -709,6 +718,155 @@ class TestOneSolutionSource:
             verify_right_eigen(M, RightEigenClaim((E(5), E(5)), ONE))
         # complexified M acts on complexified vectors
         assert verify_complexified(M, 1.0, (ONE + E(4),)) > 0.0
+
+
+def float_matrix(n, seed, complexified=False):
+    """A seeded dense n x n operator matrix of generalized operators with
+    float parts (and float left-multiplication i-parts)."""
+    rng = np.random.default_rng(seed)
+
+    def grid(entry):
+        return [[entry() for _ in range(n)] for _ in range(n)]
+
+    re = grid(lambda: GeneralizedOperator([Octonion(c) for c in rng.uniform(-1, 1, (8, 8))]))
+    im = grid(lambda: Octonion(rng.uniform(-1, 1, 8))) if complexified else None
+    return OperatorMatrix(re, im)
+
+
+def negative_zero_matrix(n, seed):
+    """A seeded n x n integer matrix whose parts carry -0.0 coefficients
+    beside their non-zero ones."""
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        parts = np.where(rng.random((8, 8)) < 0.2, rng.integers(-2, 3, (8, 8)), -0.0)
+        return GeneralizedOperator([Octonion(c) for c in parts])
+
+    return OperatorMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def loop_max_norm(re, im=None):
+    """The residual norm as eigen computed it for one solution before the
+    residuals ran on stacks, kept as the oracle."""
+    if not (np.isfinite(re).all() and (im is None or np.isfinite(im).all())):
+        raise ValueError("octonion coefficients must be finite")
+    parts = (re,) if im is None else (re, im)
+    big = np.max([np.abs(r).max(axis=-1) for r in parts], axis=0)
+    e = np.where((big > 2.0**500) | (big < 2.0**-500), np.frexp(big)[1], 0)
+    sq = 0.0
+    for r in parts:
+        r = np.ldexp(r, -e[..., None])
+        sq = sq + (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+    return float(np.ldexp(np.sqrt(sq), e).max())
+
+
+def loop_residual(M, z, x, y, method):
+    """One solution's residual from its (n, 8) rows x, y, as eigen
+    computed it before the residuals ran on stacks: the oracle."""
+    m_re, m_im = M._evaluate(x, y)
+    zr, zi = float(z.real), float(z.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = m_re - (x * zr - y * zi), m_im - (x * zi + y * zr)
+    return loop_max_norm(np.stack(rows)) if method == "coupled" else loop_max_norm(*rows)
+
+
+STACK_CASES = [
+    *[(f"integer-{kind}-{n}", kind, n) for kind in ("generalized", "complexified") for n in (1, 2, 3)],
+    *[(f"float-{n}", "float", n) for n in (1, 2, 3, 8)],
+    *[(f"float-complexified-{n}", "float-complexified", n) for n in (1, 2)],
+    *[(f"negative-zero-{n}", "negative-zero", n) for n in (1, 2)],
+]
+
+
+class TestStackedResiduals:
+    """_solutions computes its residuals in stacks of solutions; each must
+    be the public verifier's, run on that one solution, bit for bit."""
+
+    @staticmethod
+    def matrix(kind, n):
+        if kind.startswith("float"):
+            return float_matrix(n, 40 + n, complexified=kind.endswith("complexified"))
+        if kind == "negative-zero":
+            return negative_zero_matrix(n, 50 + n)
+        return seeded_matrix(kind, n, 60 + n)
+
+    @pytest.mark.parametrize("name, kind, n", STACK_CASES, ids=[c[0] for c in STACK_CASES])
+    def test_stacked_residuals_are_the_verifiers(self, name, kind, n):
+        M = self.matrix(kind, n)
+        for method in ("complexified",) if M.complexified else ("coupled", "complexified"):
+            _, zs, xy, res = eigen._solutions(M, method)
+            assert res and len(res) == len(zs) == len(xy)
+            loops = [loop_residual(M, z, x, y, method) for z, (x, y) in zip(zs, xy)]
+            assert [bits(r) for r in res] == [bits(w) for w in loops]
+            want = []
+            for z, (x, y) in zip(zs, xy):
+                xi, eta = [Octonion(c) for c in x], [Octonion(c) for c in y]
+                if method == "coupled":
+                    want.append(verify_coupled(M, z.real, z.imag, xi, eta))
+                else:
+                    phi = [ComplexOctonion(a, b) for a, b in zip(xi, eta)]
+                    want.append(verify_complexified(M, z, phi))
+            assert [bits(r) for r in res] == [bits(w) for w in want]
+            # one stack of every solution, past the cap, gives them too
+            whole = eigen._residuals(M, np.array(zs), xy[:, 0], xy[:, 1], method)
+            assert [bits(r) for r in whole] == [bits(w) for w in want]
+
+    def test_negative_zero_rows_in_one_stack(self):
+        # stacked rows with -0.0 coefficients and integer values, through
+        # one _residuals call, against verify_coupled one at a time
+        rng = np.random.default_rng(8)
+        M = negative_zero_matrix(2, 9)
+        k = 12
+        x = np.where(rng.random((k, 2, 8)) < 0.5, rng.integers(-2, 3, (k, 2, 8)), -0.0)
+        y = np.where(rng.random((k, 2, 8)) < 0.5, rng.integers(-2, 3, (k, 2, 8)), -0.0)
+        z = rng.integers(-2, 3, k) + 1j * rng.integers(-2, 3, k) * (rng.random(k) < 0.5)
+        for method in ("coupled", "complexified"):
+            got = eigen._residuals(M, z, x, y, method)
+            for i in range(k):
+                assert bits(got[i]) == bits(loop_residual(M, z[i], x[i], y[i], method))
+                xi, eta = [Octonion(c) for c in x[i]], [Octonion(c) for c in y[i]]
+                if method == "coupled":
+                    want = verify_coupled(M, z[i].real, z[i].imag, xi, eta)
+                else:
+                    want = verify_complexified(M, z[i], list(map(ComplexOctonion, xi, eta)))
+                assert bits(got[i]) == bits(want)
+
+    @pytest.mark.parametrize("method", ["coupled", "complexified"])
+    @pytest.mark.parametrize("where", ["product", "evaluation"])
+    def test_non_finite_residual_raises(self, method, where):
+        # one solution of the stack leaves the finite range: in x z, or in
+        # M x itself; the stack is refused as that verifier refuses it
+        M = OperatorMatrix([[1e200 * E(1) if where == "evaluation" else E(1)]])
+        x = np.ones((3, 1, 8))
+        x[1] *= 1e200
+        z = np.array([1.0, 1e200 + 1j, 2j])
+        with pytest.raises(ValueError, match="must be finite"):
+            eigen._residuals(M, z, x, x, method)
+        with pytest.raises(ValueError, match="must be finite"):
+            loop_residual(M, z[1], x[1], x[1], method)
+        xi = [Octonion(x[1, 0])]
+        with pytest.raises(ValueError, match="must be finite"):
+            if method == "coupled":
+                verify_coupled(M, z[1].real, z[1].imag, xi, xi)
+            else:
+                verify_complexified(M, z[1], [ComplexOctonion(xi[0], xi[0])])
+
+    def test_n8_stacks_hold_one_solution(self, monkeypatch):
+        # the cap keeps an n = 8 real matrix at one solution a stack
+        sizes = []
+        original = eigen._residuals
+
+        def spy(M, z, x, y, method):
+            sizes.append(len(z))
+            return original(M, z, x, y, method)
+
+        monkeypatch.setattr(eigen, "_residuals", spy)
+        _, zs, _, _ = eigen._solutions(float_matrix(8, 48), "coupled")
+        assert sizes == [1] * len(zs)
 
 
 class TestArraysInside:

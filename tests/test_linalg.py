@@ -31,6 +31,7 @@ from octoeig.kernels import (
     scaled_2x2_block,
     split_real_2x2_blocks,
 )
+from octoeig import linalg
 from octoeig.linalg import (
     _EPS,
     _MAX_SWEEPS_PER_N,
@@ -1000,6 +1001,142 @@ class TestQrKernelsAgainstLoops:
         Q = np.linalg.qr(np.random.default_rng(16).standard_normal((16, 16)))[0]
         for q in (np.eye(16), Q):
             assert assert_qr_stage_matches_the_loops(H, q, fro, 40) == (1, 10, 12)
+
+
+def loop_solve_2x2(c, rhs, smin):
+    """linalg._solve_2x2 as it was before its pivot search moved to
+    Python floats, kept as the oracle."""
+    i, j = divmod(int(np.argmax(np.abs(c))), 2)
+    piv = linalg._raise_pivot(c[i, j], smin)
+    l = c[1 - i, j] / piv
+    u = linalg._raise_pivot(c[1 - i, 1 - j] - l * c[i, 1 - j], smin)
+    x = np.empty(2, dtype=np.result_type(c, rhs))
+    x[1 - j] = (rhs[1 - i] - l * rhs[i]) / u
+    x[j] = (rhs[i] - c[i, 1 - j] * x[1 - j]) / piv
+    return x
+
+
+def loop_schur_vector(T, Q, scale, blocks, b, z, rescales=None):
+    """linalg._schur_vector as it was before max |T| was read once per T
+    and its per-block scalar work moved to Python floats: the oracle.
+    Each rescale of y appends its block start to rescales, if given."""
+    smin = max(_EPS * max(abs(z), float(np.abs(T).max())), float(np.finfo(np.float64).tiny))
+    if z.imag == 0.0:
+        z = z.real
+    start, size, _ = blocks[b]
+    end = start + size
+    y = np.zeros(end, dtype=np.result_type(z))
+    if size == 1:
+        y[start] = 1.0
+    else:
+        (p, q), (r, s) = T[start:end, start:end].tolist()
+        y[start:end] = max((q, z - p), (z - s, r), key=lambda x: math.hypot(abs(x[0]), abs(x[1])))
+        y /= np.abs(y).max()
+    for j, jsize, _ in reversed(blocks[:b]):
+        jend = j + jsize
+        rhs = -(T[j:jend, jend:end] @ y[jend:end])
+        if jsize == 1:
+            y[j] = rhs[0] / linalg._raise_pivot(T[j, j] - z, smin)
+        else:
+            c = T[j:jend, j:jend] - z * np.eye(2)
+            y[j:jend] = loop_solve_2x2(c, rhs, smin)
+        big = np.abs(y[j:jend]).max()
+        if big > 1e100:
+            y /= big
+            if rescales is not None:
+                rescales.append(j)
+    return linalg._unit(scale * (Q[:, :end] @ y))
+
+
+def small_translation(family, n, seed):
+    """The 8n x 8n translation of a seeded operator matrix of lab-mix's
+    eig families: signed units or dense float left multiplications."""
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        if family == "signed-unit":
+            return float(rng.choice((-1.0, 1.0))) * E(int(rng.integers(8)))
+        return Octonion(rng.uniform(-1.0, 1.0, 8))
+
+    return OperatorMatrix([[entry() for _ in range(n)] for _ in range(n)]).to_real_matrix()
+
+
+def growing_quasi_triangular(complex_blocks):
+    """A quasi-triangular T whose back-substitution raises every pivot to
+    smin, so y passes 1e100 and is rescaled: ten 1 x 1 blocks 1, or ten
+    2 x 2 blocks [[0, 1], [-1, 0]] with eigenvalues +-i, all coupled by
+    seeded entries in [0.5, 1.5] above the blocks."""
+    size = 2 if complex_blocks else 1
+    T = np.triu(np.random.default_rng(100).uniform(0.5, 1.5, (10 * size, 10 * size)))
+    np.fill_diagonal(T, 1.0)
+    if complex_blocks:
+        for k in range(0, 20, 2):
+            T[k:k + 2, k:k + 2] = [[0.0, 1.0], [-1.0, 0.0]]
+        return T, [(k, 2, [1j, -1j]) for k in range(0, 20, 2)]
+    return T, [(k, 1, [1.0 + 0j]) for k in range(10)]
+
+
+class TestSchurVectorAgainstLoop:
+    """_schur_vector with max |T| passed in and Python-float pivot and
+    rescale tests, against its previous form, bit for bit."""
+
+    @staticmethod
+    def assert_every_block_matches(T, Q, scale, blocks):
+        tmax = float(np.abs(T).max())
+        for b, (_, _, values) in enumerate(blocks):
+            got = linalg._schur_vector(T, Q, scale, blocks, b, values[0], tmax)
+            want = loop_schur_vector(T, Q, scale, blocks, b, values[0])
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["random", "symmetric", "integer"])
+    def test_seeded_matrices(self, kind):
+        rng = np.random.default_rng(77)
+        for n in range(2, 13):
+            A = random_matrix(rng, n)
+            if kind == "symmetric":
+                A = A + A.T
+            elif kind == "integer":
+                A = np.round(4 * A)
+            self.assert_every_block_matches(*linalg._schur(A, balance=True))
+
+    @pytest.mark.parametrize("family", ["signed-unit", "dense-left"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lab_mix_translations(self, family, n):
+        for seed in range(6):
+            A = small_translation(family, n, seed)
+            self.assert_every_block_matches(*linalg._schur(A, balance=True))
+
+    def test_served_size(self):
+        A = served_translation("dense generalized", 8)
+        self.assert_every_block_matches(*linalg._schur(A, balance=True))
+
+    @pytest.mark.parametrize("complex_blocks", [False, True], ids=["real", "complex"])
+    def test_rescaled_back_substitution(self, complex_blocks):
+        T, blocks = growing_quasi_triangular(complex_blocks)
+        m = len(T)
+        Q = np.linalg.qr(np.random.default_rng(10).standard_normal((m, m)))[0]
+        for q in (np.eye(m), Q):
+            self.assert_every_block_matches(T, q, np.ones(m), blocks)
+        # the last block's back-substitution does pass 1e100
+        rescales = []
+        loop_schur_vector(T, Q, np.ones(m), blocks, len(blocks) - 1, blocks[-1][2][0], rescales)
+        assert rescales
+
+    def test_schur_eigensystem_reads_max_abs_t_once(self, monkeypatch):
+        seen = []
+        original = linalg._schur_vector
+
+        def spy(T, Q, scale, blocks, b, z, tmax):
+            seen.append(tmax)
+            return original(T, Q, scale, blocks, b, z, tmax)
+
+        monkeypatch.setattr(linalg, "_schur_vector", spy)
+        A = small_translation("dense-left", 2, 3)
+        _, T, _, _ = linalg._schur(A, balance=True)
+        schur_eigensystem(A)
+        assert len(seen) > 1 and set(seen) == {float(np.abs(T).max())}
 
 
 class TestComplexEigen:
