@@ -30,6 +30,11 @@ candidates) on the same matrix.  The ``dirac`` line times
 ``hermiticity.classify`` under each product on the real symmetric
 integer 8 x 8 operator matrix M_ij = ij - i - j, after one warm-up
 call; it is hermitian under both, so every basis pair is compared.
+The ``qr served`` lines time ``linalg._qr_stage`` on translations of the
+kind the perfbench decks serve, balanced and reduced as ``eig`` does:
+lab-mix's n = 2 (16 x 16) translation of seeded left multiplications by
+octonions with 3-decimal coefficients, and eig-coupled's n = 8
+(64 x 64) translation of a seeded dense generalized operator matrix.
 Each number is the best of ``--repeats`` runs.
 
 Usage:
@@ -85,15 +90,31 @@ def coupled_check(rng, n):
     """A dense generalized n x n operator matrix, and a verify_coupled
     call on one of its solutions, taken from numpy's eigenpair of the
     real translation with the largest imaginary part."""
-    M = OperatorMatrix(
-        [[GeneralizedOperator([Octonion(p) for p in rng.uniform(-1.0, 1.0, (8, 8))])
-          for _ in range(n)] for _ in range(n)]
-    )
+    M = dense_generalized(rng, n)
     vals, vecs = np.linalg.eig(M.to_real_matrix())
     k = int(np.argmax(vals.imag))
     xi = [Octonion(c) for c in vecs[:, k].real.reshape(n, 8)]
     eta = [Octonion(c) for c in vecs[:, k].imag.reshape(n, 8)]
     return M, lambda: verify_coupled(M, vals[k].real, vals[k].imag, xi, eta)
+
+
+def dense_generalized(rng, n):
+    """An n x n operator matrix of generalized operators with 8 dense
+    parts, coefficients uniform in [-1, 1]."""
+    return OperatorMatrix(
+        [[GeneralizedOperator([Octonion(p) for p in rng.uniform(-1.0, 1.0, (8, 8))])
+          for _ in range(n)] for _ in range(n)]
+    )
+
+
+def served_translations(seed):
+    """(label, translation) of the matrices the perfbench decks serve."""
+    rng = np.random.default_rng(seed)
+    left = OperatorMatrix(
+        [[Octonion(np.round(rng.uniform(-1.0, 1.0, 8), 3)) for _ in range(2)] for _ in range(2)]
+    )
+    return [("lab-mix n=2", left.to_real_matrix()),
+            ("eig-coupled n=8", dense_generalized(rng, 8).to_real_matrix())]
 
 
 def report_peak_mb(M):
@@ -150,6 +171,10 @@ def main() -> int:
         classify(H, kind)  # builds the matrix's translation
         classify_s, _ = best_time(lambda: classify(H, kind), args.repeats)
         print(f"classify {label}: {classify_s:.5f} s")
+    for label, A in served_translations(1733):
+        hess = _hessenberg_stage(A, balance=True)
+        served_s, _ = best_time(lambda: qr_stage(*hess), args.repeats)
+        print(f"qr served {label}: {served_s:.5f} s")
     print(f"worst relative Schur residual: {worst:.2e}")
     return 0
 

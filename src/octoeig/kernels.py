@@ -1,11 +1,16 @@
 """Hot numeric kernels: LU, Hessenberg reduction, Francis double-shift QR.
 
-The LU, balancing and Hessenberg kernels are numpy row and column
-slice updates, one Python step per pivot, row or reflector column, and
-bit-identical to elementwise loops while no entry is NaN
-(``tests/test_linalg.py`` keeps those loops as the oracle).  Every
-sum still accumulates from zero in the loops' order: never ``@``,
-``dot`` or ``sum``, whose order numpy does not fix.
+The LU and balancing kernels are numpy row and column slice updates, one
+Python step per pivot or row, and every kernel here is bit-identical to
+elementwise loops while no entry is NaN (``tests/test_linalg.py`` keeps
+those loops as the oracle).  Every sum still accumulates from zero in
+the loops' order: never ``@``, ``dot`` or ``sum``, whose order numpy does
+not fix.
+
+hessenberg_in_place makes O(1) numpy calls per reflector.  Each squared
+norm and each row sum of x (I - beta v v^T) is one sequential
+``np.add.accumulate`` along ``[+0.0 | products]`` (_sums_in_order): the
+loop's sum from zero, whose leading +0.0 also keeps its signed zeros.
 
 The Schur stage has one helper per transform: _reflect_right (a
 Householder reflector), _reflect3 (Francis QR's 3-row reflector) and
@@ -13,28 +18,23 @@ _rotate (a plane rotation).  A column update is the row update on the
 transposed view ``x.T`` (francis_qr binds ``h.T`` and ``q.T`` once),
 with the same products and sums in the same order.
 
-_reflect3 and _rotate stay element loops, in the elementwise loop's
-order, but bind their row views once per call and index them 1-D.
-Once per sweep francis_qr reads the diagonal and the subdiagonal as
-Python floats; its deflation scan and its searches for the active
-block read those lists, and each deflated zero goes to both h and the
-list.  The scalar reflector and rotation norms are ``math.sqrt``, the
-same correctly rounded square root as ``np.sqrt``.  Every product and
-sum is the loop's, so T and Q are bit for bit the loop's
+_reflect3 and _rotate stay element loops on numpy scalars, in the
+elementwise loop's order: they bind their row views once per call,
+index them 1-D and read each element once.  Once per sweep francis_qr
+reads the diagonal and the subdiagonal as Python floats; its deflation
+scan and its searches for the active block read those lists, and each
+deflated zero goes to both h and the list.  The scalar reflector and
+rotation norms are ``math.sqrt``, the same correctly rounded square root
+as ``np.sqrt``, of entries that scaled_by_power_of_two's rule scales by
+an exact power of two when their largest magnitude lies outside
+[2**-500, 2**500], so their squares neither overflow nor underflow.  In
+that range nothing is scaled, and every product and sum is the loop's,
+so T and Q are bit for bit the loop's
 (``tests/test_linalg.py::loop_francis_qr`` is the oracle).
 
-Slicing the two loops across columns would make francis_qr about 5x
-faster at 64x64, but ``perfbench/run.py`` keeps every request's output
-until its loop ends, so ``peak_rss_mb`` grows with throughput.  In the
-benchmark's own 30 s runs of the change that made these loops read the
-diagonal once per sweep (commit 6fdaa8a), eig-coupled's median peak RSS
-went from 47.29 to 48.28 MB as its throughput went from 0.83 to 1.13
-req/s: about 3.3 MB per req/s, so from there about 1.6x the throughput
-fits the 5% ``peak_rss_mb`` bound (a sliced copy read +13%).  lab-mix's
-peak RSS rose about 0.16% per 1% of throughput, so about 1.3x fits.
-Slicing waits for a benchmark that keeps only digests (ROADMAP items 2,
-3).  ``benchmarks/bench_eigensolver.py`` times the kernels against
-``numpy.linalg.eig``.
+Python-float or sliced loops wait for a benchmark that keeps only
+digests (ROADMAP item 2).  ``benchmarks/bench_eigensolver.py`` times the
+kernels against ``numpy.linalg.eig``.
 
 split_real_2x2_blocks returns the eigenvalues from the same scaled
 reading of each 2x2 block that sorts it, as LAPACK dlanv2 does.
@@ -138,27 +138,39 @@ def balance_in_place(a, scale):
                 a[:, i] *= f
 
 
+def _range_exponent(big):
+    """0 if the magnitude big lies in [2**-500, 2**500] (or is 0 or not
+    finite), else the e with big = 2**e * c and 0.5 <= c < 1."""
+    if 2.0**-500 <= big <= 2.0**500:
+        return 0
+    return math.frexp(big)[1]
+
+
 def scaled_by_power_of_two(x):
     """(c, e) with x = 2**e * c.  e is 0 unless the largest magnitude in
     x lies outside [2**-500, 2**500]; then c's largest is in [0.5, 1),
     so sums of squares of c neither overflow nor underflow."""
-    big = float(np.abs(x).max())
-    if 2.0**-500 <= big <= 2.0**500:
-        return x, 0
-    e = math.frexp(big)[1]
-    return np.ldexp(x, -e), e
+    e = _range_exponent(float(np.abs(x).max()))
+    return (np.ldexp(x, -e), e) if e else (x, 0)
+
+
+def _sums_in_order(x, v):
+    """Row sums of x * v along the last axis, each accumulated from +0.0
+    in column order: the elementwise loop's ``s = 0.0; s += x[j] * v[j]``.
+
+    One sequential ``np.add.accumulate`` runs along ``[+0.0 | x * v]``;
+    the leading +0.0 turns a first product of -0.0 into +0.0, as the
+    loop's zero start does.
+    """
+    p = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.multiply(x, v, out=p[..., 1:])
+    return np.add.accumulate(p, axis=-1)[..., -1]
 
 
 def _reflect_right(x, v, beta):
-    """x <- x (I - beta v v^T) in place.
-
-    Each row's s = sum_j x[i, j] v[j] accumulates column by column from
-    zero, in the order of the elementwise loop.
-    """
-    s = np.zeros(x.shape[0])
-    for j in range(x.shape[1]):
-        s += x[:, j] * v[j]
-    x -= np.multiply.outer(beta * s, v)
+    """x <- x (I - beta v v^T) in place, each row's x v summed in the
+    elementwise loop's order (_sums_in_order)."""
+    x -= np.multiply.outer(beta * _sums_in_order(x, v), v)
 
 
 def hessenberg_in_place(h, q):
@@ -174,19 +186,14 @@ def hessenberg_in_place(h, q):
     n = h.shape[0]
     for k in range(n - 2):
         col, e = scaled_by_power_of_two(h[k + 1:, k])
-        alpha = 0.0
-        for x in col:
-            alpha += x * x
-        alpha = np.sqrt(alpha)
+        alpha = np.sqrt(_sums_in_order(col, col))
         if alpha == 0.0:
             continue
         if col[0] > 0.0:
             alpha = -alpha
         v = col.copy()
         v[0] -= alpha
-        vnorm2 = 0.0
-        for x in v:
-            vnorm2 += x * x
+        vnorm2 = _sums_in_order(v, v)
         if vnorm2 == 0.0:
             continue
         beta = 2.0 / vnorm2
@@ -202,13 +209,17 @@ def hessenberg_in_place(h, q):
 def _reflect3(x, k, lo, hi, v0, v1, v2, beta):
     """x[k:k+3, lo:hi] <- (I - beta v v^T) x[k:k+3, lo:hi], v = (v0, v1, v2).
 
-    Element by element on the three row views, bound once."""
+    Element by element on the three row views, bound once; each element
+    is read once."""
     x0, x1, x2 = x[k], x[k + 1], x[k + 2]
     for j in range(lo, hi):
-        s = beta * (v0 * x0[j] + v1 * x1[j] + v2 * x2[j])
-        x0[j] -= s * v0
-        x1[j] -= s * v1
-        x2[j] -= s * v2
+        a = x0[j]
+        b = x1[j]
+        c = x2[j]
+        s = beta * (v0 * a + v1 * b + v2 * c)
+        x0[j] = a - s * v0
+        x1[j] = b - s * v1
+        x2[j] = c - s * v2
 
 
 def _rotate(x, k, lo, hi, c, s):
@@ -287,7 +298,11 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
                 x = h[k, k - 1]
                 y = h[k + 1, k - 1]
                 z = h[k + 2, k - 1] if k + 2 <= m else 0.0
-            # Householder mapping (x, y, z) to (+-r, 0, 0)
+            # Householder mapping (x, y, z) to (+-r, 0, 0); out of range,
+            # (x, y, z) is scaled by 2**-e and alpha unscaled into h
+            e = _range_exponent(max(abs(x), abs(y), abs(z)))
+            if e:
+                x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
             alpha = math.sqrt(x * x + y * y + z * z)
             if alpha == 0.0:
                 continue
@@ -305,14 +320,18 @@ def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
             _reflect3(ht, k, 0, min(k + 3, m) + 1, v0, v1, v2, beta)
             _reflect3(qt, k, 0, n, v0, v1, v2, beta)
             if k > l:
-                h[k, k - 1] = alpha
+                h[k, k - 1] = math.ldexp(alpha, e)
                 h[k + 1, k - 1] = 0.0
                 h[k + 2, k - 1] = 0.0
-        # final 2-rotation clearing the leftover bulge entry h[m, m-2]
+        # final 2-rotation clearing the leftover bulge entry h[m, m-2];
+        # out of range, (x, y) is scaled by 2**-e, so r is not 0 here
         x = h[m - 1, m - 2]
         y = h[m, m - 2]
-        r = math.sqrt(x * x + y * y)
-        if r != 0.0 and y != 0.0:
+        if y != 0.0:
+            e = _range_exponent(max(abs(x), abs(y)))
+            if e:
+                x, y = math.ldexp(x, -e), math.ldexp(y, -e)
+            r = math.sqrt(x * x + y * y)
             c = x / r
             s = y / r
             _rotate(h, m - 1, m - 2, n, c, s)

@@ -42,6 +42,10 @@ def test_bench_eigensolver_runs(monkeypatch, capsys):
     for line, kind in zip(lines[7:9], ("full", "projected")):
         timed = re.fullmatch(rf"classify {kind}: (\S+) s", line)
         assert timed and float(timed.group(1)) > 0.0
+    for line, label in zip(lines[9:11], ("lab-mix n=2", "eig-coupled n=8")):
+        timed = re.fullmatch(rf"qr served {label}: (\S+) s", line)
+        assert timed and float(timed.group(1)) > 0.0
+    assert len(lines) == 12
     residual = re.fullmatch(r"worst relative Schur residual: (\S+)", lines[-1])
     assert residual and float(residual.group(1)) <= 1e-12
 

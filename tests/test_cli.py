@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octoeig import cli
+from octoeig import OperatorMatrix, cli
 from octoeig import dirac as dirac_mod
 from octoeig.cli import main
+
+from conftest import HUGE_QR_MATRICES, assert_same_spectrum
 
 DATA = Path(__file__).parent / "data"
 
@@ -443,6 +445,25 @@ class TestEig:
             for s in c["solutions"]:
                 assert len(s["xi"]) == 2 and len(s["eta"]) == 2
                 assert s["residual"] <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(HUGE_QR_MATRICES))
+    def test_huge_reflector_entries(self, capsys, tmp_path, name):
+        # Francis QR's reflector norms used to overflow on these, and eig
+        # exited 1 after printing RuntimeWarnings
+        path = write_json(tmp_path, "m.json", HUGE_QR_MATRICES[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "eig", path, "--method", "coupled", "--format", "json")
+        assert (code, err) == (0, "")
+        # each coupled solution stands for a + ib and, when b != 0, a - ib
+        got = [
+            complex(c["a"], sign * c["b"])
+            for c in json.loads(out)["clusters"]
+            for _ in c["solutions"]
+            for sign in ((1, -1) if c["b"] else (1,))
+        ]
+        A = OperatorMatrix.from_json(HUGE_QR_MATRICES[name]).to_real_matrix()
+        assert_same_spectrum(got, np.linalg.eigvals(A), 1e-14)
 
     def test_deterministic_output(self, capsys, matrix_file):
         _, out1, _ = run_cli(capsys, "eig", matrix_file, "--format", "json")

@@ -31,7 +31,7 @@ from octoeig.kernels import (
     scaled_2x2_block,
     split_real_2x2_blocks,
 )
-from octoeig import linalg
+from octoeig import kernels, linalg
 from octoeig.linalg import (
     _EPS,
     _MAX_SWEEPS_PER_N,
@@ -42,6 +42,7 @@ from octoeig.linalg import (
     matrix_rank,
     schur_eigensystem,
 )
+from conftest import HUGE_QR_MATRICES, assert_same_spectrum
 
 E = Octonion.basis
 
@@ -260,6 +261,16 @@ class TestEigenvalues:
         got = np.sort_complex(eigenvalues(A))
         want = np.sort_complex(np.linalg.eigvals(np.array(A)))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", sorted(HUGE_QR_MATRICES))
+    def test_huge_reflector_entries(self, name):
+        # the squares of the shift column and of the bulge entries used to
+        # overflow, and QR gave up after printing RuntimeWarnings
+        A = OperatorMatrix.from_json(HUGE_QR_MATRICES[name]).to_real_matrix()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = eigenvalues(A)
+        assert_same_spectrum(got, np.linalg.eigvals(A), 1e-14)
 
 
 class TestEigenvector:
@@ -658,6 +669,20 @@ class TestReductionKernelsAgainstLoops:
         assert Q.tobytes() == Q_loop.tobytes()
         assert got[1, 0] != 0.0 and got[2, 0] == 0.0
 
+    def test_negative_zero_products_sum_to_plus_zero(self):
+        # row 0 right of the diagonal is -0.0 and the reflector's v is
+        # positive, so each product of that row's sum is -0.0: summed from
+        # +0.0 the sum is +0.0 and the row keeps its -0.0 entries, where a
+        # sum begun at the first product is -0.0 and turns them to +0.0
+        A = np.array([[1.0, -0.0, -0.0], [1.0, 2.0, 3.0], [1.0, 4.0, 5.0]])
+        got, want = A.copy(), A.copy()
+        Q, Q_loop = np.eye(3), np.eye(3)
+        hessenberg_in_place(got, Q)
+        loop_hessenberg_in_place(want, Q_loop)
+        assert got.tobytes() == want.tobytes()
+        assert Q.tobytes() == Q_loop.tobytes()
+        assert np.signbit(got[0, 1:]).all()
+
     def test_zero_column_skips_its_reflector(self):
         # column 0 below the diagonal is zero, so step k = 0 reflects nothing
         A = np.array([[1.0, 2.0, 3.0], [-0.0, 4.0, 5.0], [0.0, 6.0, 7.0]])
@@ -670,7 +695,8 @@ class TestReductionKernelsAgainstLoops:
 
 
 # The elementwise Francis QR and 2x2 split that the helper-based kernels
-# replaced, kept verbatim as their oracle.
+# replaced, kept as their oracle; the Francis loop has the kernel's
+# power-of-two scaling of out-of-range reflector and rotation entries.
 def _apply_house3_left(h, k, lo, n, v0, v1, v2, beta):
     for j in range(lo, n):
         s = beta * (v0 * h[k, j] + v1 * h[k + 1, j] + v2 * h[k + 2, j])
@@ -695,7 +721,9 @@ def loop_francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
     vanish.  Every 10 stalled sweeps on the same block an exceptional
     ad-hoc shift is used.  Returns (0, 0, 0) on success, or
     (1, lo, hi) naming the block that failed to converge within
-    max_sweeps_per_n * n sweeps.
+    max_sweeps_per_n * n sweeps.  A reflector's (x, y, z) and the
+    closing rotation's (x, y) are scaled by 2**-e when their largest
+    magnitude lies outside [2**-500, 2**500], and alpha by 2**e back.
     """
     n = h.shape[0]
     if n <= 2:
@@ -748,6 +776,9 @@ def loop_francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
                 y = h[k + 1, k - 1]
                 z = h[k + 2, k - 1] if k + 2 <= m else 0.0
             # Householder mapping (x, y, z) to (+-r, 0, 0)
+            big = max(abs(x), abs(y), abs(z))
+            e = 0 if 2.0**-500 <= big <= 2.0**500 else math.frexp(big)[1]
+            x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
             alpha = np.sqrt(x * x + y * y + z * z)
             if alpha == 0.0:
                 continue
@@ -770,14 +801,17 @@ def loop_francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
                 q[i, k + 1] -= s * v1
                 q[i, k + 2] -= s * v2
             if k > l:
-                h[k, k - 1] = alpha
+                h[k, k - 1] = np.ldexp(alpha, e)
                 h[k + 1, k - 1] = 0.0
                 h[k + 2, k - 1] = 0.0
         # final 2-rotation clearing the leftover bulge entry h[m, m-2]
         x = h[m - 1, m - 2]
         y = h[m, m - 2]
-        r = np.sqrt(x * x + y * y)
-        if r != 0.0 and y != 0.0:
+        if y != 0.0:
+            big = max(abs(x), abs(y))
+            e = 0 if 2.0**-500 <= big <= 2.0**500 else math.frexp(big)[1]
+            x, y = math.ldexp(x, -e), math.ldexp(y, -e)
+            r = np.sqrt(x * x + y * y)
             c = x / r
             s = y / r
             for j in range(m - 2, n):
@@ -859,13 +893,21 @@ def loop_split_real_2x2_blocks(t, q):
 @st.composite
 def qr_cases(draw):
     """(Hessenberg matrix, starting Q, Frobenius norm, max_sweeps_per_n)
-    in float64.  The matrix is reduced by hessenberg_in_place, and its
-    norm is taken before that, as _schur does.  Q starts as the identity
-    or as a seeded random orthogonal matrix.  One sweep per row often
-    runs out, so the early (1, lo, hi) return is reached."""
+    in float64.  Some matrices are D A D^-1, row i scaled by 2**e_i and
+    column i by 2**-e_i with |e_i| up to 40, balanced as _schur balances
+    (a similarity keeps the spectrum that the blocks are checked on).
+    The matrix is reduced by hessenberg_in_place, and its norm is taken
+    before that, as _schur does.  Q starts as the identity or as a
+    seeded random orthogonal matrix.  One sweep per row often runs out,
+    so the early (1, lo, hi) return is reached."""
     n = draw(st.integers(1, 12))
     entries = draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))
     h = np.reshape(np.array(entries, dtype=np.float64), (n, n))
+    exps = draw(st.none() | st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    if exps is not None:
+        e = np.array(exps)
+        h = np.ldexp(h, e[:, None] - e)
+        balance_in_place(h, np.ones(n))
     fro = float(np.sqrt((h * h).sum()))
     hessenberg_in_place(h, np.eye(n))
     seed = draw(st.none() | st.integers(0, 2**32 - 1))
@@ -990,6 +1032,35 @@ class TestQrKernelsAgainstLoops:
         for q in (np.eye(64), Q):
             assert_qr_stage_matches_the_loops(H, q, fro, _MAX_SWEEPS_PER_N)
 
+    @pytest.mark.parametrize("family", ["signed-unit", "3-decimal left"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lab_mix_size(self, family, n):
+        # the 8 x 8 and 16 x 16 translations lab-mix's eig requests serve,
+        # balanced and reduced as _schur does, from the identity and from a
+        # random orthogonal Q
+        Q = np.linalg.qr(np.random.default_rng(8 * n).standard_normal((8 * n, 8 * n)))[0]
+        for seed in range(4):
+            H, _, _, fro = _hessenberg_stage(small_translation(family, n, seed), balance=True)
+            for q in (np.eye(8 * n), Q):
+                assert_qr_stage_matches_the_loops(H, q, fro, _MAX_SWEEPS_PER_N)
+
+    @pytest.mark.parametrize("c, s, n", [
+        (4.67456942e-237, 1.0, 3), (-1e-300, 1.0, 3), (1.0, 1e-120, 3), (1.0, 1e120, 3),
+        (-1.0, 1e150, 3), (1.0, 1e-200, 5), (1.0, 1e152, 5),
+    ])
+    def test_out_of_range_entries_scaled_as_the_loop(self, c, s, n, monkeypatch):
+        # s times the n x n companion matrix of x**n - c, whose shift column
+        # or bulge entries leave [2**-500, 2**500]: unscaled, the squares of
+        # tiny ones underflowed (the first case, found by hypothesis,
+        # skipped a reflector) and those of huge ones overflowed.  At n = 5
+        # the bulge entries are scaled too, and alpha goes back into h.
+        H = s * (np.eye(n, k=-1) + c * np.eye(n, k=n - 1))
+        scaled = []
+        spied = kernels._range_exponent
+        monkeypatch.setattr(kernels, "_range_exponent", lambda big: scaled.append(spied(big)) or scaled[-1])
+        assert_qr_stage_matches_the_loops(H, np.eye(n), float(np.sqrt((H * H).sum())), 40)
+        assert any(scaled)
+
     def test_stalled_translation(self):
         # [[e7, 0], [-e4, 1]] by the coupled method: QR stalls through
         # repeated exceptional shifts and gives up on rows 10..12
@@ -1050,12 +1121,15 @@ def loop_schur_vector(T, Q, scale, blocks, b, z, rescales=None):
 
 def small_translation(family, n, seed):
     """The 8n x 8n translation of a seeded operator matrix of lab-mix's
-    eig families: signed units or dense float left multiplications."""
+    eig families: signed units, or dense left multiplications with float
+    or 3-decimal coefficients."""
     rng = np.random.default_rng(seed)
 
     def entry():
         if family == "signed-unit":
             return float(rng.choice((-1.0, 1.0))) * E(int(rng.integers(8)))
+        if family == "3-decimal left":
+            return Octonion(np.round(rng.uniform(-1.0, 1.0, 8), 3))
         return Octonion(rng.uniform(-1.0, 1.0, 8))
 
     return OperatorMatrix([[entry() for _ in range(n)] for _ in range(n)]).to_real_matrix()
