@@ -35,6 +35,9 @@ kind the perfbench decks serve, balanced and reduced as ``eig`` does:
 lab-mix's n = 2 (16 x 16) translation of seeded left multiplications by
 octonions with 3-decimal coefficients, and eig-coupled's n = 8
 (64 x 64) translation of a seeded dense generalized operator matrix.
+Beside each time they print the sweeps and the exceptional-shift sweeps
+that ``kernels.francis_qr`` reports for that matrix, counts that do not
+depend on the machine.
 Each number is the best of ``--repeats`` runs.
 
 Usage:
@@ -60,7 +63,7 @@ from octoeig import (
 )
 from octoeig.dirac import dirac_checks
 from octoeig.eigen import eig_report
-from octoeig.kernels import balance_in_place
+from octoeig.kernels import balance_in_place, francis_qr
 from octoeig.linalg import _hessenberg_stage, _qr_stage, real_schur, schur_eigensystem
 
 
@@ -80,10 +83,10 @@ def balanced(A):
     return B
 
 
-def qr_stage(H, Q, scale, fro):
+def qr_stage(H, Q, scale, e):
     """The solver's second stage on fresh copies of its first stage's H
     and Q; raises ConvergenceError where the solver would."""
-    _qr_stage(H.copy(), Q.copy(), fro)
+    _qr_stage(H.copy(), Q.copy())
 
 
 def coupled_check(rng, n):
@@ -174,7 +177,8 @@ def main() -> int:
     for label, A in served_translations(1733):
         hess = _hessenberg_stage(A, balance=True)
         served_s, _ = best_time(lambda: qr_stage(*hess), args.repeats)
-        print(f"qr served {label}: {served_s:.5f} s")
+        _, _, _, sweeps, exceptional = francis_qr(hess[0].copy(), hess[1].copy())
+        print(f"qr served {label}: {served_s:.5f} s, {sweeps} sweeps, {exceptional} exceptional")
     print(f"worst relative Schur residual: {worst:.2e}")
     return 0
 

@@ -7,29 +7,29 @@ those loops as the oracle).  Every sum still accumulates from zero in
 the loops' order: never ``@``, ``dot`` or ``sum``, whose order numpy does
 not fix.
 
-hessenberg_in_place makes O(1) numpy calls per reflector.  Each squared
-norm and each row sum of x (I - beta v v^T) is one sequential
+hessenberg_in_place makes O(1) numpy calls per reflector, LAPACK
+dgehd2's: v = (1, x / (alpha - beta)) and tau from dlarfg.  Each squared
+norm and each row sum of x (I - tau v v^T) is one sequential
 ``np.add.accumulate`` along ``[+0.0 | products]`` (_sums_in_order): the
 loop's sum from zero, whose leading +0.0 also keeps its signed zeros.
 
-The Schur stage has one helper per transform: _reflect_right (a
-Householder reflector), _reflect3 (Francis QR's 3-row reflector) and
-_rotate (a plane rotation).  A column update is the row update on the
+francis_qr is a port of LAPACK dlahqr with T and Q accumulated: the
+Ahues-Kressner deflation test, dlahqr's shifts and exceptional shifts,
+and a bulge chased by dlarfg reflectors (_reflector), applied by
+_reflect3 on three rows (10 scalar operations per column) and by
+_reflect2 on the last two.  A column update is the row update on the
 transposed view ``x.T`` (francis_qr binds ``h.T`` and ``q.T`` once),
-with the same products and sums in the same order.
+with the same products and sums in the same order.  _rotate, a plane
+rotation, serves split_real_2x2_blocks.
 
-_reflect3 and _rotate stay element loops on numpy scalars, in the
-elementwise loop's order: they bind their row views once per call,
+_reflect3, _reflect2 and _rotate stay element loops on numpy scalars, in
+the elementwise loop's order: they bind their row views once per call,
 index them 1-D and read each element once.  Once per sweep francis_qr
-reads the diagonal and the subdiagonal as Python floats; its deflation
-scan and its searches for the active block read those lists, and each
-deflated zero goes to both h and the list.  The scalar reflector and
-rotation norms are ``math.sqrt``, the same correctly rounded square root
-as ``np.sqrt``, of entries that scaled_by_power_of_two's rule scales by
-an exact power of two when their largest magnitude lies outside
-[2**-500, 2**500], so their squares neither overflow nor underflow.  In
-that range nothing is scaled, and every product and sum is the loop's,
-so T and Q are bit for bit the loop's
+reads the diagonal and the subdiagonal as Python floats for its
+deflation scan.  The reflector norms are ``math.hypot``'s, of entries
+that scaled_by_power_of_two's rule scales by an exact power of two when
+their largest magnitude lies outside [2**-500, 2**500].  T and Q are
+bit for bit those of the elementwise dlahqr loop
 (``tests/test_linalg.py::loop_francis_qr`` is the oracle).
 
 Python-float or sliced loops wait for a benchmark that keeps only
@@ -177,49 +177,65 @@ def hessenberg_in_place(h, q):
     """Householder reduction to upper Hessenberg; q accumulates the
     orthogonal similarity (pass q = identity).
 
-    Each reflector is applied on whole rows and columns, and every sum
-    accumulates from zero in the order of the elementwise loop, so the
-    result is bit-identical to it (``tests/test_linalg.py`` keeps the
-    loop as the oracle).  v and beta come from the column as
-    scaled_by_power_of_two leaves it, so its squares stay in range.
+    Each reflector is dlarfg's, as LAPACK dgehd2 uses it: v = (1, x /
+    (alpha - beta)) and tau = (beta - alpha) / beta for the column
+    (alpha, x) below the diagonal, and none when x = 0.  A column with
+    one non-zero entry below the subdiagonal, as a signed-unit
+    translation has, then gives tau = 1 and v of zeros and +-1, which
+    permutes entries exactly.  The column, and x for its norm, are
+    scaled as scaled_by_power_of_two leaves them, so their squares stay
+    in range.  Each reflector is applied on whole rows and columns, and
+    every sum accumulates from zero in the order of the elementwise
+    loop, so the result is bit-identical to it (``tests/test_linalg.py``
+    keeps the loop as the oracle).
     """
     n = h.shape[0]
     for k in range(n - 2):
         col, e = scaled_by_power_of_two(h[k + 1:, k])
-        alpha = np.sqrt(_sums_in_order(col, col))
-        if alpha == 0.0:
+        x, ex = scaled_by_power_of_two(col[1:])
+        xnorm = math.ldexp(math.sqrt(_sums_in_order(x, x)), ex)
+        if xnorm == 0.0:
             continue
-        if col[0] > 0.0:
-            alpha = -alpha
-        v = col.copy()
-        v[0] -= alpha
-        vnorm2 = _sums_in_order(v, v)
-        if vnorm2 == 0.0:
-            continue
-        beta = 2.0 / vnorm2
+        alpha = float(col[0])
+        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+        v = col * (1.0 / (alpha - beta))
+        v[0] = 1.0
+        tau = (beta - alpha) / beta
         # rows k+1..n-1 from the left; columns < k are already zero there
-        _reflect_right(h[k + 1:, k:].T, v, beta)
+        _reflect_right(h[k + 1:, k:].T, v, tau)
         # columns k+1..n-1 from the right
-        _reflect_right(h[:, k + 1:], v, beta)
-        _reflect_right(q[:, k + 1:], v, beta)
-        h[k + 1, k] = np.ldexp(alpha, e)
+        _reflect_right(h[:, k + 1:], v, tau)
+        _reflect_right(q[:, k + 1:], v, tau)
+        h[k + 1, k] = math.ldexp(beta, e)
         h[k + 2:, k] = 0.0
 
 
-def _reflect3(x, k, lo, hi, v0, v1, v2, beta):
-    """x[k:k+3, lo:hi] <- (I - beta v v^T) x[k:k+3, lo:hi], v = (v0, v1, v2).
+def _reflect3(x, k, lo, hi, v2, v3, t1, t2, t3):
+    """x[k:k+3, lo:hi] <- (I - t1 v v^T) x[k:k+3, lo:hi] with v = (1, v2,
+    v3), t2 = t1 v2 and t3 = t1 v3, as dlahqr applies it.
 
     Element by element on the three row views, bound once; each element
-    is read once."""
+    is read once, and each column takes 10 scalar operations."""
     x0, x1, x2 = x[k], x[k + 1], x[k + 2]
     for j in range(lo, hi):
         a = x0[j]
         b = x1[j]
         c = x2[j]
-        s = beta * (v0 * a + v1 * b + v2 * c)
-        x0[j] = a - s * v0
-        x1[j] = b - s * v1
-        x2[j] = c - s * v2
+        s = a + v2 * b + v3 * c
+        x0[j] = a - s * t1
+        x1[j] = b - s * t2
+        x2[j] = c - s * t3
+
+
+def _reflect2(x, k, lo, hi, v2, t1, t2):
+    """_reflect3 on two rows: v = (1, v2) and t2 = t1 v2."""
+    x0, x1 = x[k], x[k + 1]
+    for j in range(lo, hi):
+        a = x0[j]
+        b = x1[j]
+        s = a + v2 * b
+        x0[j] = a - s * t1
+        x1[j] = b - s * t2
 
 
 def _rotate(x, k, lo, hi, c, s):
@@ -234,111 +250,186 @@ def _rotate(x, k, lo, hi, c, s):
         x1[j] = -s * t1 + c * t2
 
 
-def francis_qr(h, q, eps, fro_norm, max_sweeps_per_n):
-    """Implicit double-shift QR on an upper Hessenberg matrix, in place.
+def _reflector(alpha, x, y):
+    """dlarfg's reflector of (alpha, x, y): (beta, t1, v2, v3) with
+    (I - t1 v v^T) (alpha, x, y) = (beta, 0, 0) and v = (1, v2, v3), or
+    None when x = y = 0 (t1 = 0).  The norms are math.hypot's, which
+    neither overflows nor underflows, as dlarfg's dnrm2 and dlapy2 do not.
+    Outside [2**-500, 2**500] the entries are scaled by 2**-e first
+    (_range_exponent), so 1 / (alpha - beta) stays finite, and beta is
+    unscaled; t1 and v are ratios and need nothing.  t1, v2 and v3 are
+    numpy scalars, as the entries _reflect3 multiplies them with."""
+    if x == 0.0 and y == 0.0:
+        return None
+    e = _range_exponent(max(abs(alpha), abs(x), abs(y)))
+    if e:
+        alpha, x, y = math.ldexp(alpha, -e), math.ldexp(x, -e), math.ldexp(y, -e)
+    beta = -math.copysign(math.hypot(alpha, math.hypot(x, y)), alpha)
+    w = 1.0 / (alpha - beta)
+    return (math.ldexp(beta, e), np.float64((beta - alpha) / beta),
+            np.float64(x * w), np.float64(y * w))
 
-    Deflates subdiagonal entries with |h[k+1,k]| <= eps*(|h[k,k]| +
-    |h[k+1,k+1]|), falling back to eps*fro_norm when both neighbours
-    vanish.  Every 10 stalled sweeps on the same block an exceptional
-    ad-hoc shift is used.  Returns (0, 0, 0) on success, or
-    (1, lo, hi) naming the block that failed to converge within
-    max_sweeps_per_n * n sweeps.
+
+_ULP = float(np.finfo(np.float64).eps)  # dlamch('P')
+_SAFMIN = float(np.finfo(np.float64).tiny)  # dlamch('S')
+
+
+def qr_sweep_limit(n):
+    """The sweeps francis_qr runs on one active block of an n x n matrix
+    without a deflation before it gives up: dlahqr's ITMAX + 1, with
+    ITMAX = 30 max(10, n)."""
+    return 30 * max(10, n) + 1
+
+
+def _shifts(h11, h12, h21, h22):
+    """dlahqr's double shift from the 2x2 block [[h11, h12], [h21, h22]]:
+    (rt1r, rt1i, rt2r, rt2i).  The block is scaled by its 1-norm, and its
+    determinant taken about the mean of the diagonal; of real roots the
+    one nearer h22 is returned twice."""
+    s = abs(h11) + abs(h12) + abs(h21) + abs(h22)
+    if s == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    h11 = h11 / s
+    h21 = h21 / s
+    h12 = h12 / s
+    h22 = h22 / s
+    tr = (h11 + h22) / 2.0
+    det = (h11 - tr) * (h22 - tr) - h12 * h21
+    rtdisc = math.sqrt(abs(det))
+    if det >= 0.0:
+        return tr * s, rtdisc * s, tr * s, -(rtdisc * s)
+    rt1r = tr + rtdisc
+    rt2r = tr - rtdisc
+    rt = rt1r * s if abs(rt1r - h22) <= abs(rt2r - h22) else rt2r * s
+    return rt, 0.0, rt, 0.0
+
+
+def francis_qr(h, q):
+    """Implicit double-shift QR on an upper Hessenberg matrix, in place: a
+    port of LAPACK dlahqr with T and Q accumulated on whole rows and
+    columns.
+
+    Deflation, scanning up from the bottom of the active block: h[k,k-1]
+    is dropped when it is at most smlnum = safmin n / ulp, or when it is
+    at most ulp (|h[k-1,k-1]| + |h[k,k]|), or ulp times the neighbouring
+    subdiagonal entries when that sum is 0, and passes the test of Ahues
+    and Kressner (2004) on the 2x2 block at k-1.  Shifts: _shifts of the
+    trailing 2x2 block, except on the 10th and 20th sweep without a
+    deflation, which take dlahqr's exceptional shifts from the
+    subdiagonal at the top and at the bottom of the block.  The bulge
+    starts at the largest m where two consecutive subdiagonal entries
+    are small against the shift column, scaled by its 1-norm, and each
+    step is a dlarfg reflector (_reflector) applied by _reflect3, or by
+    _reflect2 on the last two rows.
+
+    Returns (code, lo, hi, sweeps, exceptional): code 0 on success, or 1
+    with h[lo:hi+1, lo:hi+1] the block that ran qr_sweep_limit(n) sweeps
+    without a deflation; sweeps counts the sweeps run, and exceptional
+    those with an exceptional shift.
     """
     n = h.shape[0]
-    if n <= 2:
-        return (0, 0, 0)
     ht, qt = h.T, q.T
-    ihi = n - 1
-    total = 0
-    stall = 0
-    limit = max_sweeps_per_n * n
-    while ihi > 0:
-        # diag[k] = h[k, k] and sub[k - 1] = h[k, k - 1], as Python floats
-        diag = np.diagonal(h).tolist()
-        sub = np.diagonal(h, -1).tolist()
-        for k in range(1, ihi + 1):
-            tst = abs(diag[k - 1]) + abs(diag[k])
-            if tst == 0.0:
-                tst = fro_norm
-            if abs(sub[k - 1]) <= eps * tst:
-                h[k, k - 1] = sub[k - 1] = 0.0
-        if sub[ihi - 1] == 0.0:
-            ihi -= 1
-            stall = 0
-            continue
-        if ihi == 1:
-            break  # converged 2x2 block at the top
-        if sub[ihi - 2] == 0.0:
-            ihi -= 2
-            stall = 0
-            continue
-        l = ihi - 1
-        while l > 0 and sub[l - 1] != 0.0:
-            l -= 1
-        # active block h[l:ihi+1, l:ihi+1] has size >= 3 here
-        total += 1
-        stall += 1
-        if total > limit:
-            return (1, l, ihi)
-        m = ihi
-        if stall > 0 and stall % 10 == 0:
-            # exceptional ad-hoc shift built from subdiagonal magnitudes
-            x = abs(h[m, m - 1]) + abs(h[m - 1, m - 2])
-            trace = 1.5 * x
-            det = x * x
+    smlnum = _SAFMIN * (n / _ULP)
+    limit = qr_sweep_limit(n)
+    sweeps = exceptional = 0
+    i = n - 1
+    while i >= 0:
+        l = 0
+        for kdefl in range(1, limit + 1):
+            # diag[k] = h[k, k] and sub[k - 1] = h[k, k - 1], as Python floats
+            diag = np.diagonal(h).tolist()
+            sub = np.diagonal(h, -1).tolist()
+            k = i
+            while k > l:
+                hk = abs(sub[k - 1])
+                if hk <= smlnum:
+                    break
+                tst = abs(diag[k - 1]) + abs(diag[k])
+                if tst == 0.0:
+                    if k >= 2:
+                        tst += abs(sub[k - 2])
+                    if k + 1 < n:
+                        tst += abs(sub[k])
+                if hk <= _ULP * tst:
+                    hu = abs(float(h[k - 1, k]))
+                    ab, ba = max(hk, hu), min(hk, hu)
+                    hd = abs(diag[k - 1] - diag[k])
+                    aa, bb = max(abs(diag[k]), hd), min(abs(diag[k]), hd)
+                    s = aa + ab
+                    if ba * (ab / s) <= max(smlnum, _ULP * (bb * (aa / s))):
+                        break
+                k -= 1
+            l = k
+            if l > 0:
+                h[l, l - 1] = 0.0
+            if l >= i - 1:
+                break  # a 1x1 or 2x2 block split off at the bottom
+            sweeps += 1
+            if kdefl % 10 == 0:
+                exceptional += 1
+                if kdefl % 20 == 0:
+                    s = abs(h[i, i - 1]) + abs(h[i - 1, i - 2])
+                    h11 = 0.75 * s + h[i, i]
+                else:
+                    s = abs(h[l + 1, l]) + abs(h[l + 2, l + 1])
+                    h11 = 0.75 * s + h[l, l]
+                rt1r, rt1i, rt2r, rt2i = _shifts(h11, -0.4375 * s, s, h11)
+            else:
+                rt1r, rt1i, rt2r, rt2i = _shifts(h[i - 1, i - 1], h[i - 1, i], h[i, i - 1], h[i, i])
+            # the bulge starts at the largest m where h[m,m-1] is
+            # negligible against the shift column v it would make there
+            for m in range(i - 2, l - 1, -1):
+                hmm = h[m, m]
+                h21s = h[m + 1, m]
+                s = abs(hmm - rt2r) + abs(rt2i) + abs(h21s)
+                h21s = h21s / s
+                v1 = h21s * h[m, m + 1] + (hmm - rt1r) * ((hmm - rt2r) / s) - rt1i * (rt2i / s)
+                v2 = h21s * (hmm + h[m + 1, m + 1] - rt1r - rt2r)
+                v3 = h21s * h[m + 2, m + 1]
+                s = abs(v1) + abs(v2) + abs(v3)
+                v1 = v1 / s
+                v2 = v2 / s
+                v3 = v3 / s
+                if m == l:
+                    break
+                h00 = abs(h[m, m - 1]) * (abs(v2) + abs(v3))
+                h01 = _ULP * abs(v1) * (abs(h[m - 1, m - 1]) + abs(hmm) + abs(h[m + 1, m + 1]))
+                if h00 <= h01:
+                    break
+            for k in range(m, i):
+                three = k + 2 <= i
+                if k > m:
+                    v1 = h[k, k - 1]
+                    v2 = h[k + 1, k - 1]
+                    v3 = h[k + 2, k - 1] if three else 0.0
+                reflector = _reflector(v1, v2, v3)
+                if k > m:
+                    if reflector is not None:
+                        h[k, k - 1] = reflector[0]
+                    h[k + 1, k - 1] = 0.0
+                    if three:
+                        h[k + 2, k - 1] = 0.0
+                elif m > l and reflector is not None:
+                    # h[m,m-1] (1 - t1) in place of -h[m,m-1], which is
+                    # wrong when v2 and v3 underflow (dlahqr)
+                    h[k, k - 1] = h[k, k - 1] * (1.0 - reflector[1])
+                if reflector is None:
+                    continue
+                _, t1, v2, v3 = reflector
+                t2 = t1 * v2
+                if three:
+                    t3 = t1 * v3
+                    _reflect3(h, k, k, n, v2, v3, t1, t2, t3)
+                    _reflect3(ht, k, 0, min(k + 3, i) + 1, v2, v3, t1, t2, t3)
+                    _reflect3(qt, k, 0, n, v2, v3, t1, t2, t3)
+                else:
+                    _reflect2(h, k, k, n, v2, t1, t2)
+                    _reflect2(ht, k, 0, i + 1, v2, t1, t2)
+                    _reflect2(qt, k, 0, n, v2, t1, t2)
         else:
-            trace = h[m - 1, m - 1] + h[m, m]
-            det = h[m - 1, m - 1] * h[m, m] - h[m - 1, m] * h[m, m - 1]
-        # first column of (H - aI)(H - bI) with a + b = trace, ab = det
-        x = h[l, l] * h[l, l] + h[l, l + 1] * h[l + 1, l] - trace * h[l, l] + det
-        y = h[l + 1, l] * (h[l, l] + h[l + 1, l + 1] - trace)
-        z = h[l + 2, l + 1] * h[l + 1, l]
-        for k in range(l, m - 1):
-            if k > l:
-                x = h[k, k - 1]
-                y = h[k + 1, k - 1]
-                z = h[k + 2, k - 1] if k + 2 <= m else 0.0
-            # Householder mapping (x, y, z) to (+-r, 0, 0); out of range,
-            # (x, y, z) is scaled by 2**-e and alpha unscaled into h
-            e = _range_exponent(max(abs(x), abs(y), abs(z)))
-            if e:
-                x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
-            alpha = math.sqrt(x * x + y * y + z * z)
-            if alpha == 0.0:
-                continue
-            if x > 0.0:
-                alpha = -alpha
-            v0 = x - alpha
-            v1 = y
-            v2 = z
-            vnorm2 = v0 * v0 + v1 * v1 + v2 * v2
-            if vnorm2 == 0.0:
-                continue
-            beta = 2.0 / vnorm2
-            lo = k - 1 if k > l else l
-            _reflect3(h, k, lo, n, v0, v1, v2, beta)
-            _reflect3(ht, k, 0, min(k + 3, m) + 1, v0, v1, v2, beta)
-            _reflect3(qt, k, 0, n, v0, v1, v2, beta)
-            if k > l:
-                h[k, k - 1] = math.ldexp(alpha, e)
-                h[k + 1, k - 1] = 0.0
-                h[k + 2, k - 1] = 0.0
-        # final 2-rotation clearing the leftover bulge entry h[m, m-2];
-        # out of range, (x, y) is scaled by 2**-e, so r is not 0 here
-        x = h[m - 1, m - 2]
-        y = h[m, m - 2]
-        if y != 0.0:
-            e = _range_exponent(max(abs(x), abs(y)))
-            if e:
-                x, y = math.ldexp(x, -e), math.ldexp(y, -e)
-            r = math.sqrt(x * x + y * y)
-            c = x / r
-            s = y / r
-            _rotate(h, m - 1, m - 2, n, c, s)
-            _rotate(ht, m - 1, 0, m + 1, c, s)
-            _rotate(qt, m - 1, 0, n, c, s)
-            h[m, m - 2] = 0.0
-    return (0, 0, 0)
+            return (1, l, i, sweeps, exceptional)
+        i = l - 1
+    return (0, 0, 0, sweeps, exceptional)
 
 
 def scaled_2x2_block(t, k):

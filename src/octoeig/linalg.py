@@ -25,6 +25,7 @@ from .kernels import (
     hessenberg_in_place,
     lu_factor,
     lu_solve_factored,
+    qr_sweep_limit,
     split_real_2x2_blocks,
 )
 
@@ -48,7 +49,7 @@ __all__ = [
 SOLVER_TOL = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-_MAX_SWEEPS_PER_N = 40
+_SMLNUM = math.sqrt(_TINY) / _EPS  # dgeev's smlnum, 2**-459
 
 
 class LinalgError(Exception):
@@ -127,15 +128,29 @@ def _fro(A) -> float:
     return float(np.sqrt((np.abs(np.asarray(A)) ** 2).sum()))
 
 
-def _hessenberg_stage(A, balance: bool):
-    """The first stage of _schur: balancing, when asked, then Hessenberg
-    reduction of a copy of a real square matrix.
+def _dgeev_exponent(A) -> int:
+    """The least e that brings 2**-e max |A| into dgeev's range
+    [sqrt(safmin) / eps, eps / sqrt(safmin)] = [2**-459, 2**459]; 0 when
+    max |A| lies there or is 0.  Below it, francis_qr's absolute
+    deflation bound smlnum would flush the spectrum to zero."""
+    big = float(np.abs(A).max()) if A.size else 0.0
+    if big == 0.0 or _SMLNUM <= big <= 1.0 / _SMLNUM:
+        return 0
+    e = math.frexp(big)[1]
+    return e - 459 if big > 1.0 else e + 458
 
-    Returns (H, Q, scale, fro): H upper Hessenberg and Q orthogonal with
-    D^-1 A D = Q H Q^T, scale the diagonal of the balancing D (all ones
-    without balancing), and fro the Frobenius norm of D^-1 A D, which
-    francis_qr measures its deflations against.  Refuses a balancing
-    that overflows.
+
+def _hessenberg_stage(A, balance: bool):
+    """The first stage of _schur: balancing, when asked, scaling into
+    dgeev's range (_dgeev_exponent), then Hessenberg reduction of a copy
+    of a real square matrix.
+
+    Returns (H, Q, scale, e): H upper Hessenberg and Q orthogonal with
+    2**-e D^-1 A D = Q H Q^T, and scale the diagonal of the balancing D
+    (all ones without balancing).  Refuses a balancing that overflows.
+    The scaling comes after the balancing, which it would otherwise let
+    through on such input: [[1e154, 1e-160], [1e150, 1]] then balances
+    by 2**515 and loses its eigenvector for 1e154 to that condition.
     """
     A = _check_square(A)
     if np.iscomplexobj(A):
@@ -151,21 +166,25 @@ def _hessenberg_stage(A, balance: bool):
         # spread such as [[1e154, 1e-160], [1e150, 1]] can overflow
         if not np.isfinite(H).all():
             raise ValueError("balancing overflowed: the entries span too wide a range")
-    fro = _fro(H)
+    e = _dgeev_exponent(H)
+    if e:
+        np.ldexp(H, -e, out=H)
     hessenberg_in_place(H, Q)
-    return H, Q, scale, fro
+    return H, Q, scale, e
 
 
-def _qr_stage(H, Q, fro: float):
-    """The second stage of _schur: Francis QR plus the 2x2 split, in
-    place, turning H into T and accumulating into Q.  Returns T's
-    diagonal blocks as split_real_2x2_blocks reads them; raises
-    ConvergenceError when QR runs out of sweeps."""
-    code, lo, hi = francis_qr(H, Q, _EPS, fro, _MAX_SWEEPS_PER_N)
+def _qr_stage(H, Q):
+    """The second stage of _schur: Francis QR (francis_qr, LAPACK
+    dlahqr's iteration) plus the 2x2 split, in place, turning H into T
+    and accumulating into Q.  Returns T's diagonal blocks as
+    split_real_2x2_blocks reads them.  Raises ConvergenceError, naming
+    the block's rows and the limit, when QR runs qr_sweep_limit(n) =
+    30 max(10, n) + 1 sweeps on a block without a deflation."""
+    code, lo, hi, _, _ = francis_qr(H, Q)
     if code != 0:
         raise ConvergenceError(
-            f"QR iteration did not converge on rows {lo}..{hi} "
-            f"after {_MAX_SWEEPS_PER_N * H.shape[0]} sweeps",
+            f"QR iteration did not converge on rows {lo}..{hi}: "
+            f"no deflation in {qr_sweep_limit(H.shape[0])} sweeps",
             lo,
             hi,
         )
@@ -175,26 +194,33 @@ def _qr_stage(H, Q, fro: float):
 def _schur(A, balance: bool):
     """Hessenberg reduction plus Francis QR of a real square matrix.
 
-    Returns (Q, T, scale, blocks) with T quasi-triangular and diagonal
+    Returns (Q, T, scale, blocks, e) with T quasi-triangular and diagonal
     2x2 blocks left only for complex pairs, Q orthogonal and scale the
     diagonal of the balancing D (all ones without balancing), so that
-    D^-1 A D = Q T Q^T.  blocks lists T's diagonal blocks as (start,
-    size, values), read as split_real_2x2_blocks sorts them; complex
-    pairs are exact mirrors.
+    2**-e D^-1 A D = Q T Q^T: T stays in the range _hessenberg_stage
+    scales into, where the eigenvectors are back-substituted, and
+    _unscaled gives an eigenvalue of A.  blocks lists T's diagonal
+    blocks as (start, size, values), read as split_real_2x2_blocks sorts
+    them; complex pairs are exact mirrors.
     """
-    T, Q, scale, fro = _hessenberg_stage(A, balance)
-    return Q, T, scale, _qr_stage(T, Q, fro)
+    T, Q, scale, e = _hessenberg_stage(A, balance)
+    return Q, T, scale, _qr_stage(T, Q), e
+
+
+def _unscaled(z: complex, e: int) -> complex:
+    """z * 2**e, exactly; z itself when e is 0."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) if e else z
 
 
 def real_schur(A):
     """Real Schur form: orthogonal Q and quasi-triangular T with
     A = Q T Q^T; diagonal 2x2 blocks remain only for complex pairs."""
-    Q, T, _, _ = _schur(A, balance=False)
-    return Q, T
+    Q, T, _, _, e = _schur(A, balance=False)
+    return Q, (np.ldexp(T, e) if e else T)
 
 
-def _sorted_values(blocks) -> np.ndarray:
-    vals = [z for (_, _, vs) in blocks for z in vs]
+def _sorted_values(blocks, e: int) -> np.ndarray:
+    vals = [_unscaled(z, e) for (_, _, vs) in blocks for z in vs]
     vals.sort(key=lambda z: (z.real, -z.imag))
     return np.array(vals, dtype=np.complex128)
 
@@ -202,7 +228,8 @@ def _sorted_values(blocks) -> np.ndarray:
 def eigenvalues(A) -> np.ndarray:
     """All eigenvalues of a real square matrix, sorted by real part then
     by descending imaginary part; conjugate pairs are exact mirrors."""
-    return _sorted_values(_schur(A, balance=True)[3])
+    _, _, _, blocks, e = _schur(A, balance=True)
+    return _sorted_values(blocks, e)
 
 
 def cluster_gap(A) -> float:
@@ -371,10 +398,10 @@ def eigenvector(A, z):
     z = complex(z)
     if not np.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
-    Q, T, scale, blocks = _schur(A, balance=True)
+    Q, T, scale, blocks, e = _schur(A, balance=True)
     b, w = min(
         ((b, w) for b, (_, _, vs) in enumerate(blocks) for w in vs),
-        key=lambda bw: abs(bw[1] - z),
+        key=lambda bw: abs(_unscaled(bw[1], e) - z),
     )
     v = _schur_vector(T, Q, scale, blocks, b, w, float(np.abs(T).max()))
     res = _residual(A, v, z, _fro(A))
@@ -397,16 +424,16 @@ def schur_eigensystem(A):
     """
     A = _check_square(A)
     fro = _fro(A)
-    Q, T, scale, blocks = _schur(A, balance=True)
-    values = _sorted_values(blocks)
+    Q, T, scale, blocks, e = _schur(A, balance=True)
+    values = _sorted_values(blocks, e)
     reps = [vs[0] for (_, _, vs) in blocks]  # the Im >= 0 value of each block
     tmax = float(np.abs(T).max())
     records = []
-    for rep, idxs in cluster_values(reps, cluster_gap(A)):
+    for rep, idxs in cluster_values([_unscaled(z, e) for z in reps], cluster_gap(A)):
         found = []
         for b in idxs:
-            z = reps[b]
-            v = _unit(_orthogonalize(_schur_vector(T, Q, scale, blocks, b, z, tmax), found))
+            v = _unit(_orthogonalize(_schur_vector(T, Q, scale, blocks, b, reps[b], tmax), found))
+            z = _unscaled(reps[b], e)
             res = np.inf if v is None else _residual(A, v, z, fro)
             if res <= SOLVER_TOL:
                 found.append(v)

@@ -131,15 +131,12 @@ def test_eig_convergence_status():
             assert eig_converges(operator(image(g, grid))) == want
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: known defect 3, [[e7, 0], [-e4, 1]], stalls in Francis "
-    "QR but most of its automorphic images converge",
-)
 def test_eig_convergence_status_of_a_stalled_matrix():
+    # known defect 3, [[e7, 0], [-e4, 1]], stalled in Francis QR before
+    # its dlahqr form, while most of its automorphic images converged
     grid = np.array([[UNITS[7], ZERO], [-UNITS[4], UNITS[0]]])
     want = eig_converges(operator(grid))
+    assert want
     rng = np.random.default_rng(300)
     for g in AUTOMORPHISMS[rng.choice(1344, 4, replace=False)]:
         assert eig_converges(operator(image(g, grid))) == want

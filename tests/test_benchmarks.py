@@ -43,8 +43,12 @@ def test_bench_eigensolver_runs(monkeypatch, capsys):
         timed = re.fullmatch(rf"classify {kind}: (\S+) s", line)
         assert timed and float(timed.group(1)) > 0.0
     for line, label in zip(lines[9:11], ("lab-mix n=2", "eig-coupled n=8")):
-        timed = re.fullmatch(rf"qr served {label}: (\S+) s", line)
+        timed = re.fullmatch(rf"qr served {label}: (\S+) s, (\d+) sweeps, (\d+) exceptional", line)
         assert timed and float(timed.group(1)) > 0.0
+        # every served matrix needs sweeps; exceptional shifts come at
+        # most every tenth sweep on a block
+        sweeps, exceptional = int(timed.group(2)), int(timed.group(3))
+        assert sweeps > 0 and 10 * exceptional <= sweeps
     assert len(lines) == 12
     residual = re.fullmatch(r"worst relative Schur residual: (\S+)", lines[-1])
     assert residual and float(residual.group(1)) <= 1e-12

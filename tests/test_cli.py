@@ -18,7 +18,7 @@ from octoeig import OperatorMatrix, cli
 from octoeig import dirac as dirac_mod
 from octoeig.cli import main
 
-from conftest import HUGE_QR_MATRICES, assert_same_spectrum
+from conftest import HUGE_QR_MATRICES, _unit, assert_same_spectrum
 
 DATA = Path(__file__).parent / "data"
 
@@ -464,6 +464,19 @@ class TestEig:
         ]
         A = OperatorMatrix.from_json(HUGE_QR_MATRICES[name]).to_real_matrix()
         assert_same_spectrum(got, np.linalg.eigvals(A), 1e-14)
+
+    def test_tiny_entry(self, capsys, tmp_path):
+        # without scaling into dgeev's range, dlahqr's absolute deflation
+        # bound flushes this spectrum to zero; QR used to give up on it
+        path = write_json(tmp_path, "m.json", {"n": 1, "entries": [_unit(3, -1e-300)]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "eig", path, "--method", "coupled", "--format", "json")
+        assert (code, err) == (0, "")
+        (cluster,) = json.loads(out)["clusters"]
+        assert cluster["a"] == 0.0 and cluster["multiplicity"] == 4
+        assert abs(cluster["b"] - 1e-300) <= 1e-14 * 1e-300
+        assert all(s["residual"] <= 1e-8 for s in cluster["solutions"])
 
     def test_deterministic_output(self, capsys, matrix_file):
         _, out1, _ = run_cli(capsys, "eig", matrix_file, "--format", "json")
