@@ -36,8 +36,8 @@ lab-mix's n = 2 (16 x 16) translation of seeded left multiplications by
 octonions with 3-decimal coefficients, and eig-coupled's n = 8
 (64 x 64) translation of a seeded dense generalized operator matrix.
 Beside each time they print the sweeps and the exceptional-shift sweeps
-that ``kernels.francis_qr`` reports for that matrix, counts that do not
-depend on the machine.
+that the timed ``_qr_stage`` call reports from ``kernels.francis_qr``,
+counts that do not depend on the machine.
 Each number is the best of ``--repeats`` runs.
 
 Usage:
@@ -63,7 +63,7 @@ from octoeig import (
 )
 from octoeig.dirac import dirac_checks
 from octoeig.eigen import eig_report
-from octoeig.kernels import balance_in_place, francis_qr
+from octoeig.kernels import balance_in_place
 from octoeig.linalg import _hessenberg_stage, _qr_stage, real_schur, schur_eigensystem
 
 
@@ -83,10 +83,11 @@ def balanced(A):
     return B
 
 
-def qr_stage(H, Q, scale, e):
+def qr_stage(H, Q):
     """The solver's second stage on fresh copies of its first stage's H
-    and Q; raises ConvergenceError where the solver would."""
-    _qr_stage(H.copy(), Q.copy())
+    and Q: (blocks, sweeps, exceptional); raises ConvergenceError where
+    the solver would."""
+    return _qr_stage(H.copy(), Q.copy())
 
 
 def coupled_check(rng, n):
@@ -147,7 +148,7 @@ def main() -> int:
         A = rng.uniform(-1.0, 1.0, (n, n))
         bal_s, B = best_time(lambda: balanced(A), args.repeats)
         hess_s, hess = best_time(lambda: _hessenberg_stage(B, balance=False), args.repeats)
-        qr_s, _ = best_time(lambda: qr_stage(*hess), args.repeats)
+        qr_s, _ = best_time(lambda: qr_stage(*hess[:2]), args.repeats)
         schur_s, (Q, T) = best_time(lambda: real_schur(A), args.repeats)
         eig_s, _ = best_time(lambda: schur_eigensystem(A), args.repeats)
         M, check = coupled_check(op_rng, max(1, n // 8))
@@ -176,8 +177,7 @@ def main() -> int:
         print(f"classify {label}: {classify_s:.5f} s")
     for label, A in served_translations(1733):
         hess = _hessenberg_stage(A, balance=True)
-        served_s, _ = best_time(lambda: qr_stage(*hess), args.repeats)
-        _, _, _, sweeps, exceptional = francis_qr(hess[0].copy(), hess[1].copy())
+        served_s, (_, sweeps, exceptional) = best_time(lambda: qr_stage(*hess[:2]), args.repeats)
         print(f"qr served {label}: {served_s:.5f} s, {sweeps} sweeps, {exceptional} exceptional")
     print(f"worst relative Schur residual: {worst:.2e}")
     return 0

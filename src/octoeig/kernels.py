@@ -28,7 +28,9 @@ index them 1-D and read each element once.  Once per sweep francis_qr
 reads the diagonal and the subdiagonal as Python floats for its
 deflation scan.  The reflector norms are ``math.hypot``'s, of entries
 that scaled_by_power_of_two's rule scales by an exact power of two when
-their largest magnitude lies outside [2**-500, 2**500].  T and Q are
+their largest magnitude lies outside [2**-500, 2**500].  francis_qr
+itself expects H scaled into dgeev's range (dgeev_exponent), which its
+absolute deflation bound needs.  T and Q are
 bit for bit those of the elementwise dlahqr loop
 (``tests/test_linalg.py::loop_francis_qr`` is the oracle).
 
@@ -37,7 +39,9 @@ digests (ROADMAP item 2).  ``benchmarks/bench_eigensolver.py`` times the
 kernels against ``numpy.linalg.eig``.
 
 split_real_2x2_blocks returns the eigenvalues from the same scaled
-reading of each 2x2 block that sorts it, as LAPACK dlanv2 does.
+reading of each 2x2 block that sorts it, as LAPACK dlanv2 does, and
+splits a block whose pair has an imaginary part of rounding size
+against ||T||_F as a double real eigenvalue.
 
 All kernels work in place on float64 arrays the callers own; drivers
 in :mod:`octoeig.linalg` do the copying, validation and error
@@ -138,12 +142,22 @@ def balance_in_place(a, scale):
                 a[:, i] *= f
 
 
-def _range_exponent(big):
-    """0 if the magnitude big lies in [2**-500, 2**500] (or is 0 or not
-    finite), else the e with big = 2**e * c and 0.5 <= c < 1."""
-    if 2.0**-500 <= big <= 2.0**500:
+def _range_exponent(big, bound=500):
+    """0 if the magnitude big lies in [2**-bound, 2**bound] (or is 0 or
+    not finite), else the e with big = 2**e * c and 0.5 <= c < 1."""
+    if 2.0**-bound <= big <= 2.0**bound:
         return 0
     return math.frexp(big)[1]
+
+
+def dgeev_exponent(big):
+    """The least e that brings 2**-e big into dgeev's range [2**-459,
+    2**459], sqrt(safmin) / ulp and its inverse; 0 when big lies there
+    or is 0.  francis_qr expects H scaled there (see its docstring)."""
+    e = _range_exponent(big, 459)
+    if not e:
+        return 0
+    return e - 459 if big > 1.0 else e + 458
 
 
 def scaled_by_power_of_two(x):
@@ -326,6 +340,13 @@ def francis_qr(h, q):
     with h[lo:hi+1, lo:hi+1] the block that ran qr_sweep_limit(n) sweeps
     without a deflation; sweeps counts the sweeps run, and exceptional
     those with an exceptional shift.
+
+    h is expected in dgeev's range: max |h| in [2**-459, 2**459]
+    (dgeev_exponent; linalg._hessenberg_stage scales it there).  Below
+    it, the absolute bound smlnum would deflate a whole tiny spectrum to
+    zero.  There the reflector entries never exceed 2**500, so only the
+    underflow side of _reflector's scaling is reached; direct calls on
+    larger h reach both.
     """
     n = h.shape[0]
     ht, qt = h.T, q.T
@@ -449,6 +470,12 @@ def scaled_2x2_block(t, k):
     return e, p, q, r, s, disc
 
 
+def _fro(t):
+    """Frobenius norm of t, its squares taken in units of max |t|."""
+    big = float(np.abs(t).max()) if t.size else 0.0
+    return big * math.sqrt(float(np.square(t / big).sum())) if big else 0.0
+
+
 def split_real_2x2_blocks(t, q):
     """Rotate 2x2 diagonal blocks with real eigenvalues into two 1x1
     blocks, so 2x2 blocks remain only for complex conjugate pairs, and
@@ -461,8 +488,17 @@ def split_real_2x2_blocks(t, q):
     is dropped instead.  A complex pair is read from that same form, as
     exact mirrors; a 1x1 value is the diagonal entry after its block's
     rotation, which later rotations do not touch.
+
+    A block with a negative discriminant is split too, as a double real
+    eigenvalue, when the subdiagonal entry its rotation leaves (and the
+    split drops) is at most ulp ||t||_F: the classical deflation test
+    with the norm floor.  dlahqr's deflation keeps such blocks where two
+    diagonal entries nearly coincide, as on a multiple eigenvalue of a
+    symmetric matrix, and read as a pair they would give it an imaginary
+    part of rounding size and one eigenvector in place of two.
     """
     n = t.shape[0]
+    tol = _ULP * _fro(t)
     blocks = []
     k = 0
     while k < n:
@@ -471,22 +507,27 @@ def split_real_2x2_blocks(t, q):
             k += 1
             continue
         e, p, qq, r, s, disc = scaled_2x2_block(t, k)
-        if disc < 0.0:
+        sq = math.sqrt(max(disc, 0.0))
+        lam = 0.5 * ((p + s) + sq) if p + s >= 0.0 else 0.5 * ((p + s) - sq)
+        # eigenvector of the block for lam; pick the better-scaled form.
+        # With lam the mean of a negative-discriminant block's diagonal,
+        # (B - lam) v = (0, disc / 4) and (B - lam) w = (disc / 4, 0), so
+        # the rotation leaves |off disc| / (4 |v|**2) below the diagonal
+        v0 = qq
+        v1 = lam - p
+        w0 = lam - s
+        w1 = r
+        off = qq
+        if v0 * v0 + v1 * v1 < w0 * w0 + w1 * w1:
+            v0 = w0
+            v1 = w1
+            off = r
+        if disc < 0.0 and abs(off * disc) > 4.0 * math.ldexp(tol, -e) * (v0 * v0 + v1 * v1):
             a = np.ldexp(0.5 * (p + s), e)
             b = np.ldexp(0.5 * math.sqrt(-disc), e)
             blocks.append((k, 2, (complex(a, b), complex(a, -b))))
             k += 2
             continue
-        sq = math.sqrt(disc)
-        lam = 0.5 * ((p + s) + sq) if p + s >= 0.0 else 0.5 * ((p + s) - sq)
-        # eigenvector of the block for lam; pick the better-scaled form
-        v0 = qq
-        v1 = lam - p
-        w0 = lam - s
-        w1 = r
-        if v0 * v0 + v1 * v1 < w0 * w0 + w1 * w1:
-            v0 = w0
-            v1 = w1
         nrm = math.sqrt(v0 * v0 + v1 * v1)
         if nrm != 0.0:
             c = v0 / nrm

@@ -21,6 +21,7 @@ import numpy as np
 
 from .kernels import (
     balance_in_place,
+    dgeev_exponent,
     francis_qr,
     hessenberg_in_place,
     lu_factor,
@@ -49,7 +50,6 @@ __all__ = [
 SOLVER_TOL = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-_SMLNUM = math.sqrt(_TINY) / _EPS  # dgeev's smlnum, 2**-459
 
 
 class LinalgError(Exception):
@@ -128,22 +128,10 @@ def _fro(A) -> float:
     return float(np.sqrt((np.abs(np.asarray(A)) ** 2).sum()))
 
 
-def _dgeev_exponent(A) -> int:
-    """The least e that brings 2**-e max |A| into dgeev's range
-    [sqrt(safmin) / eps, eps / sqrt(safmin)] = [2**-459, 2**459]; 0 when
-    max |A| lies there or is 0.  Below it, francis_qr's absolute
-    deflation bound smlnum would flush the spectrum to zero."""
-    big = float(np.abs(A).max()) if A.size else 0.0
-    if big == 0.0 or _SMLNUM <= big <= 1.0 / _SMLNUM:
-        return 0
-    e = math.frexp(big)[1]
-    return e - 459 if big > 1.0 else e + 458
-
-
 def _hessenberg_stage(A, balance: bool):
     """The first stage of _schur: balancing, when asked, scaling into
-    dgeev's range (_dgeev_exponent), then Hessenberg reduction of a copy
-    of a real square matrix.
+    dgeev's range (kernels.dgeev_exponent), then Hessenberg reduction of
+    a copy of a real square matrix.
 
     Returns (H, Q, scale, e): H upper Hessenberg and Q orthogonal with
     2**-e D^-1 A D = Q H Q^T, and scale the diagonal of the balancing D
@@ -166,7 +154,7 @@ def _hessenberg_stage(A, balance: bool):
         # spread such as [[1e154, 1e-160], [1e150, 1]] can overflow
         if not np.isfinite(H).all():
             raise ValueError("balancing overflowed: the entries span too wide a range")
-    e = _dgeev_exponent(H)
+    e = dgeev_exponent(float(np.abs(H).max())) if n else 0
     if e:
         np.ldexp(H, -e, out=H)
     hessenberg_in_place(H, Q)
@@ -176,11 +164,13 @@ def _hessenberg_stage(A, balance: bool):
 def _qr_stage(H, Q):
     """The second stage of _schur: Francis QR (francis_qr, LAPACK
     dlahqr's iteration) plus the 2x2 split, in place, turning H into T
-    and accumulating into Q.  Returns T's diagonal blocks as
-    split_real_2x2_blocks reads them.  Raises ConvergenceError, naming
-    the block's rows and the limit, when QR runs qr_sweep_limit(n) =
-    30 max(10, n) + 1 sweeps on a block without a deflation."""
-    code, lo, hi, _, _ = francis_qr(H, Q)
+    and accumulating into Q.  Returns (blocks, sweeps, exceptional):
+    T's diagonal blocks as split_real_2x2_blocks reads them, and the
+    sweeps and exceptional-shift sweeps francis_qr ran.  Raises
+    ConvergenceError, naming the block's rows and the limit, when QR
+    runs qr_sweep_limit(n) = 30 max(10, n) + 1 sweeps on a block
+    without a deflation."""
+    code, lo, hi, sweeps, exceptional = francis_qr(H, Q)
     if code != 0:
         raise ConvergenceError(
             f"QR iteration did not converge on rows {lo}..{hi}: "
@@ -188,7 +178,7 @@ def _qr_stage(H, Q):
             lo,
             hi,
         )
-    return split_real_2x2_blocks(H, Q)
+    return split_real_2x2_blocks(H, Q), sweeps, exceptional
 
 
 def _schur(A, balance: bool):
@@ -204,7 +194,7 @@ def _schur(A, balance: bool):
     them; complex pairs are exact mirrors.
     """
     T, Q, scale, e = _hessenberg_stage(A, balance)
-    return Q, T, scale, _qr_stage(T, Q), e
+    return Q, T, scale, _qr_stage(T, Q)[0], e
 
 
 def _unscaled(z: complex, e: int) -> complex:

@@ -31,6 +31,7 @@ from octoeig.linalg import (
     ConvergenceError,
     EigenPair,
     cluster_gap,
+    cluster_values,
     complex_eigen,
     eigenvalues,
     schur_eigensystem,
@@ -293,14 +294,11 @@ class TestComplexifiedByTheCoupledRoute:
             assert all(s["residual"] <= tol for s in c["solutions"])
 
     def test_real_eigenvalue_keeps_eta_zero(self):
-        # draw 2 of the seeded conjugate-symmetric family of
-        # TestConvergence: its real records include vectors with an
-        # imaginary part up to 0.21 (orthogonalized against a spurious
-        # complex pair of their cluster), which both methods drop
-        M = OperatorMatrix.from_json({"n": 2, "entries": [
-            "2", "1 - e1 - e2 + e3 - 2e4 + e5 + 2e6 + e7",
-            "1 + e1 + e2 - e3 + 2e4 - e5 - 2e6 - e7", "1",
-        ]})
+        # the real eigenvalue 1 lies within the cluster gap of the pair
+        # 1 +- 1e-9 i of the upper-left entry, so its records are
+        # orthogonalized against complex vectors and take an imaginary
+        # part up to 0.71, which both methods drop
+        M = OperatorMatrix.from_json({"n": 2, "entries": ["1 + 0.000000001e1", "1", "0", "1"]})
         records = schur_eigensystem(M.to_real_matrix())[1]
         assert any(z.imag == 0.0 and np.imag(v).any() for z, v, _ in records)
         etas = [s.eta for s in solve_coupled(M) if s.b == 0.0]
@@ -309,11 +307,6 @@ class TestComplexifiedByTheCoupledRoute:
         assert all(not o.coeffs.any() for eta in etas for o in eta)
 
 
-# Draws of conjugate_symmetric_family on which Francis QR in its former
-# form (shifts from trace and determinant, the eps ||A||_F fallback of its
-# deflation test) raised ConvergenceError.
-STALLED_DRAWS = [7, 22, 33, 36, 46, 60, 64, 74, 87, 96, 109, 115, 158, 171, 172, 183, 184,
-                 185, 197, 205, 207, 234, 236, 244, 263, 277, 282]
 # Known defect 3, [[e7, 0], [-e4, 1]], stalled in that form, and so did
 # its images under these automorphisms (conftest.AUTOMORPHISMS)
 STALLED_IMAGES = [0, 9, 97, 104, 193, 200, 247, 254]
@@ -331,11 +324,18 @@ class TestConvergence:
             assert_same_spectrum(eigenvalues(A), np.linalg.eigvals(A), 1e-12)
 
     @pytest.mark.parametrize("method", ["coupled", "complexified"])
-    def test_stalled_draws_by_both_methods(self, method):
-        family = conjugate_symmetric_family()
-        for t in STALLED_DRAWS:
-            rep = eig_report(family[t], method)
-            assert sum(c["multiplicity"] for c in rep["clusters"]) > 0
+    def test_family_reports_by_both_methods(self, method):
+        # every draw, the 27 on which the former QR raised among them:
+        # real clusters whose multiplicities are the translation's
+        # eigenvalue counts, numpy's eigvalsh clustered by the same gap.
+        # A complex record would count once for two eigenvalues, so every
+        # record is real, one per eigenvalue
+        for M in conjugate_symmetric_family():
+            A = M.to_real_matrix()
+            rep = eig_report(M, method)
+            want = cluster_values(np.linalg.eigvalsh(A).astype(complex), cluster_gap(A))
+            assert [c["multiplicity"] for c in rep["clusters"]] == [len(idxs) for _, idxs in want]
+            assert all(c["b"] == 0.0 for c in rep["clusters"])
 
     @pytest.mark.parametrize("method", ["coupled", "complexified"])
     def test_signed_unit_images_of_known_defect_3(self, method):

@@ -888,28 +888,39 @@ def loop_split_real_2x2_blocks(t, q):
     so tiny and huge blocks split as well as moderate ones.  A real block
     whose eigenvector squares underflow even there has off-diagonal
     entries below about 1e-162 of its largest one; its subdiagonal entry
-    is dropped instead.
+    is dropped instead.  A block with a negative discriminant splits at
+    the mean of its diagonal when the entry left below the diagonal is at
+    most ulp ||t||_F.
     """
     n = t.shape[0]
+    big = np.abs(t).max() if t.size else 0.0
+    fro = 0.0
+    if big != 0.0:
+        for x in t.ravel():
+            fro += (x / big) ** 2
+        fro = big * np.sqrt(fro)
     k = 0
     while k < n - 1:
         if t[k + 1, k] == 0.0:
             k += 1
             continue
-        _, p, qq, r, s, disc = scaled_2x2_block(t, k)
-        if disc < 0.0:
-            k += 2
-            continue
-        sq = np.sqrt(disc)
+        e, p, qq, r, s, disc = scaled_2x2_block(t, k)
+        sq = np.sqrt(max(disc, 0.0))
         lam = 0.5 * ((p + s) + sq) if p + s >= 0.0 else 0.5 * ((p + s) - sq)
         # eigenvector of the block for lam; pick the better-scaled form
         v0 = qq
         v1 = lam - p
         w0 = lam - s
         w1 = r
+        off = qq
         if v0 * v0 + v1 * v1 < w0 * w0 + w1 * w1:
             v0 = w0
             v1 = w1
+            off = r
+        # the rotation to (v0, v1) leaves |off disc| / (4 |v|**2) below the diagonal
+        if disc < 0.0 and abs(off * disc) / (4.0 * (v0 * v0 + v1 * v1)) > _EPS * np.ldexp(fro, -e):
+            k += 2
+            continue
         nrm = np.sqrt(v0 * v0 + v1 * v1)
         if nrm == 0.0:
             t[k + 1, k] = 0.0
@@ -1055,20 +1066,22 @@ class TestQrKernelsAgainstLoops:
         assert_qr_stage_matches_the_loops(*case)
 
     @pytest.mark.parametrize(
-        "H",
+        "H, limit, sweeps",
         [
-            [[0, 0, 0], [1, 0, 0], [0, -0.5, 2]],
-            [[0, 0, 0, 0], [0, 1.2, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0]],
+            ([[0, 0, 0], [1, 0, 0], [0, -0.5, 2]], 2, 1),
+            ([[0, 0, 0, 0], [0, 1.2, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0]], 3, 2),
         ],
         ids=["3x3", "4x4"],
     )
-    def test_defective_eigenvalue(self, H):
-        # the double eigenvalue 0 comes out as a pair about 1e-8 i, which
-        # differs from numpy's pair by more than 1e-12 but is an exact
-        # root of a block within rounding of T
+    def test_defective_eigenvalue(self, H, limit, sweeps):
+        # the double eigenvalue 0 converges in 1 and 2 sweeps, under the
+        # least limit that lets it (one fewer raises); its block, whose
+        # discriminant is negative at rounding size, splits into real
+        # values about 1e-16 and not into a pair about 1e-8 i
         H = np.array(H, dtype=np.float64)
         hessenberg_in_place(H, np.eye(len(H)))
-        assert assert_qr_stage_matches_the_loops(H, np.eye(len(H)))[:3] == (0, 0, 0)
+        assert assert_qr_stage_matches_the_loops(H, np.eye(len(H)), limit) == (0, 0, 0, sweeps, 0)
+        assert assert_qr_stage_matches_the_loops(H, np.eye(len(H)), limit - 1)[0] == 1
 
     @pytest.mark.parametrize("family", ["signed-unit", "dense generalized"])
     def test_served_size(self, family):
@@ -1122,6 +1135,25 @@ class TestQrKernelsAgainstLoops:
         Q = np.linalg.qr(np.random.default_rng(16).standard_normal((16, 16)))[0]
         for q in (np.eye(16), Q):
             assert assert_qr_stage_matches_the_loops(H, q)[:3] == (0, 0, 0)
+
+
+class TestSplitRealBlocks:
+    def test_pair_of_rounding_size_splits(self):
+        # the block a double eigenvalue of draw 2 of test_eigen's
+        # conjugate-symmetric family kept under dlahqr's deflation: read
+        # as a pair, -2.27 +- 5.9e-16 i
+        t0 = np.array([[-2.2749172176353749, 4.4408920985006262e-16],
+                       [-8.8817841970012523e-16, -2.2749172176353745]])
+        t, q = t0.copy(), np.eye(2)
+        blocks = split_real_2x2_blocks(t, q)
+        assert [size for _, size, _ in blocks] == [1, 1] and t[1, 0] == 0.0
+        assert all(abs(vals[0] + 2.2749172176353747) <= 4 * _EPS for _, _, vals in blocks)
+        assert np.abs(q.T @ q - np.eye(2)).max() <= 2 * _EPS
+        assert np.abs(q @ t @ q.T - t0).max() <= 2 * _EPS * np.linalg.norm(t0)
+
+    def test_pair_above_rounding_size_stays(self):
+        t = np.array([[1.0, 1e-9], [-1e-9, 1.0]])
+        assert split_real_2x2_blocks(t, np.eye(2)) == [(0, 2, (1 + 1e-9j, 1 - 1e-9j))]
 
 
 def loop_solve_2x2(c, rhs, smin):
